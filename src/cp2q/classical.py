@@ -11,7 +11,6 @@ reproducible.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import irreps
 from .qarith import QParam
@@ -169,6 +168,8 @@ def dbar_local_check(a, g: np.ndarray, chart: int, h_step: float = 1e-5,
     conjugations inside a).  Chart side: central differences of a in the
     conjugated local coordinates.
     """
+    from scipy.linalg import expm  # deferred: scipy.linalg dominates import time
+
     z = _z_of(g)
     if abs(z[chart - 1]) <= 0.1:
         raise ValueError(f"chart {chart} inactive at this sample")

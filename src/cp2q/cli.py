@@ -1,24 +1,21 @@
 """Command-line entry point: verification suites, spectrum computation,
-rewriting queries, subspace decompositions, and a generator-matrix cache.
+rewriting queries and subspace decompositions.
 
 Every subcommand emits a deterministic report (json, csv or table); exit
 code 0 means every check passed, 1 is a verification failure, 2 a usage
-or configuration error.  Reports are byte-identical across runs and
-thread counts for a fixed configuration.
+or configuration error.  Reports are byte-identical across runs for a
+fixed configuration.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
-from . import __version__, classical, dirac, dolbeault, irreps, ncrewrite, peterweyl, ualg
+from . import classical, dirac, dolbeault, irreps, ncrewrite, peterweyl, ualg
 from .qarith import QParam
 
 EXIT_OK = 0
@@ -28,18 +25,12 @@ EXIT_CONFIG_ERROR = 2
 SPECTRUM_Q_RANGE = (0.3, 0.95)
 NMAX_GUARD = 8
 
-CACHE_ENV = "CP2Q_CACHE_DIR"
-
 
 class ConfigError(ValueError):
     pass
 
 
 def _qparam(args) -> QParam:
-    if getattr(args, "mode", "float") == "exact":
-        raise ConfigError(
-            "exact mode covers the rewriting commands only; numeric "
-            "verification needs --mode float")
     text = str(args.q)
     try:
         from fractions import Fraction
@@ -58,41 +49,6 @@ def _spectrum_guard(args, q: float) -> None:
         raise ConfigError(f"spectrum commands accept q in [{lo}, {hi}], got {q}")
     if args.nmax > NMAX_GUARD:
         raise ConfigError(f"nmax is capped at {NMAX_GUARD}, got {args.nmax}")
-
-
-# -- cache -------------------------------------------------------------------
-
-def cache_dir_from(args) -> Path | None:
-    if getattr(args, "cache_dir", None):
-        return Path(args.cache_dir)
-    env = os.environ.get(CACHE_ENV)
-    return Path(env) if env else None
-
-
-def _cache_key(label, gen: str, q: float, mode: str) -> str:
-    payload = json.dumps(
-        {"label": list(label), "gen": gen, "q": q, "mode": mode, "version": __version__},
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def warm_matrix_cache(cache: Path, labels, p: QParam) -> None:
-    """Load cached generator matrices for the labels, computing and storing
-    the missing ones.  Cached and cold paths produce identical matrices."""
-    cache.mkdir(parents=True, exist_ok=True)
-    for label in labels:
-        for gen in irreps.GENERATORS:
-            key = _cache_key(label, gen, p.q, p.mode)
-            path = cache / f"{key}.json"
-            memo_key = (irreps.IrrepLabel(*label), gen, p.q)
-            if path.exists():
-                _, _, _, mat = irreps.import_matrix_json(path.read_text())
-                mat.setflags(write=False)
-                irreps.matrix_cache.seed(memo_key, mat)
-            else:
-                irreps.generator_matrix(label, gen, p)
-                path.write_text(irreps.export_matrix_json(label, gen, p))
 
 
 # -- output ------------------------------------------------------------------
@@ -216,12 +172,7 @@ def cmd_verify_complex(args) -> tuple[int, dict]:
 def cmd_spectrum(args) -> tuple[int, dict]:
     p = _qparam(args)
     _spectrum_guard(args, p.q)
-    cache = cache_dir_from(args)
-    if cache is not None:
-        labels = [(n, n) for n in range(args.nmax + 1)] + \
-            [(n, n + 3) for n in range(args.nmax + 1)]
-        warm_matrix_cache(cache, labels, p)
-    cfg = dirac.DiracConfig(p=p, nmax=args.nmax, tol=args.tol, threads=args.threads)
+    cfg = dirac.DiracConfig(p=p, nmax=args.nmax, tol=args.tol)
     table = dirac.spectrum(cfg)
     check = dirac.verify_spectrum_closed_form(table, p)
     report = table.to_dict()
@@ -342,11 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "geometry of the quantum projective plane",
     )
     ap.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    ap.add_argument("--mode", choices=("float", "exact"), default="float",
-                    help="arithmetic mode; exact applies to the rewriting "
-                         "commands (their coefficients are always exact)")
-    ap.add_argument("--cache-dir", default=None,
-                    help=f"generator matrix cache (also {CACHE_ENV})")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **defaults):
@@ -369,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--powers", type=int, default=3)
     add("verify-coproduct", cmd_verify_coproduct, q="0.5", tol=1e-12)
     add("verify-complex", cmd_verify_complex, q="0.5", tol=1e-10, nmax=3)
-    sp = add("spectrum", cmd_spectrum, q="0.5", tol=1e-9, nmax=5)
-    sp.add_argument("--threads", type=int, default=1)
+    add("spectrum", cmd_spectrum, q="0.5", tol=1e-9, nmax=5)
     add("cohomology", cmd_cohomology, q="0.5", tol=1e-10, nmax=3)
     sp = add("summability", cmd_summability, q="0.5", tol=1e-10, nmax=8)
     sp.add_argument("--eps", type=float, nargs="+", default=[0.1, 1.0, 4.0])

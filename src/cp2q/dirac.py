@@ -17,7 +17,6 @@ brute-force oracle at small truncation.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import sqrt
 from typing import NamedTuple
@@ -38,7 +37,6 @@ class DiracConfig:
     nmax: int = 3
     s: float | None = None  # None: the canonical sqrt([2]/2)
     tol: float = 1e-10
-    threads: int = 1
 
     def __post_init__(self):
         if self.s is not None and self.s <= 0:
@@ -137,20 +135,8 @@ def spectrum(cfg: DiracConfig) -> SpectrumTable:
     table = SpectrumTable(q=p.q, s=cfg.s_value, nmax=cfg.nmax)
     table.rows.append(SpectrumRow("zero", 0, 0.0, 1))
 
-    def compute(fam_n):
-        family, n = fam_n
-        block = _family_block(family, n, cfg)
-        evs = np.linalg.eigvalsh(block)
-        return family, n, evs
-
-    items = list(_families(cfg.nmax))
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            results = list(ex.map(compute, items))
-    else:
-        results = [compute(it) for it in items]
-
-    for family, n, evs in sorted(results, key=lambda r: (r[0], r[1])):
+    for family, n in _families(cfg.nmax):
+        evs = np.linalg.eigvalsh(_family_block(family, n, cfg))
         lam = float(np.abs(evs).max())
         if abs(evs[0] + evs[1]) > cfg.tol * max(lam, 1.0):
             raise ArithmeticError(f"block ({family},{n}) spectrum not symmetric: {evs}")

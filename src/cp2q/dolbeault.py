@@ -98,10 +98,6 @@ def _split_offspace(vec: PWVector, keep) -> tuple[PWVector, float]:
     return good, junk
 
 
-_DEG1_PLUS_BLACK = {("diag"): (1, 0, 1), ("offdiag"): (0, 1, 1)}
-_DEG1_MINUS_BLACK = {("diag"): (1, 0, -1), ("offdiag"): (0, 1, -1)}
-
-
 def _is_deg1_plus_key(key) -> bool:
     return (key.n1 == key.n2 and key.black == (1, 0, 1)) or \
         (key.n2 == key.n1 + 3 and key.black == (0, 1, 1))

@@ -16,8 +16,6 @@ square-root coefficients built from q-numbers, and F_i are the transposes
 
 from __future__ import annotations
 
-import json
-import threading
 from fractions import Fraction
 from math import sqrt
 from typing import NamedTuple
@@ -119,108 +117,84 @@ def weight_twelfths(gen: str, label, triple) -> int:
     return -w if gen.endswith("inv") else w
 
 
-def coeff_a(label, j1: int, j2: int, q: float) -> float:
+def coeff_a(label, j1: int, j2: int, p: QParam) -> float:
     n1, n2 = label
-    p = QParam("float", q)
     num = qint(n1 - j1, p) * qint(n2 + j1 + 2, p) * qint(j1 + 1, p)
     den = qint(j1 + j2 + 1, p) * qint(j1 + j2 + 2, p)
     return sqrt(num / den)
 
 
-def coeff_b(label, j1: int, j2: int, q: float) -> float:
+def coeff_b(label, j1: int, j2: int, p: QParam) -> float:
     if j1 + j2 == 0:
         return 1.0
     n1, n2 = label
-    p = QParam("float", q)
     num = qint(n1 + j2 + 1, p) * qint(n2 - j2 + 1, p) * qint(j2, p)
     den = qint(j1 + j2, p) * qint(j1 + j2 + 1, p)
     return sqrt(num / den)
 
 
-def _qn(half_arg: int, q: float) -> float:
+def _qn(half_arg: int, p: QParam) -> float:
     # q-number of a half-integer given as twice its value
-    return qint(Fraction(half_arg, 2), QParam("float", q))
+    return qint(half_arg // 2 if half_arg % 2 == 0 else Fraction(half_arg, 2), p)
+
+
+def action_row(label, gen: str, triple, p: QParam) -> tuple:
+    """gen|triple> as ((target triple, coefficient), ...), zeros dropped.
+
+    The single source of generator actions.  Float mode only; sparse by
+    construction (K/H: 1 entry, E1/F1: <=1, E2/F2: <=2).
+    """
+    if p.is_exact:
+        raise UnsupportedModeError("generator actions are float-mode; exact mode covers diagonals only")
+    label = check_label(label)
+    q = p.q
+    j1, j2, mm = triple
+    s = j1 + j2
+    if gen in DIAGONAL_GENERATORS:
+        terms = [(triple, (q ** (1.0 / 12.0)) ** weight_twelfths(gen, label, triple))]
+    elif gen == "E1":
+        terms = [((j1, j2, mm + 2), sqrt(_qn(s - mm, p) * _qn(s + mm + 2, p)))]
+    elif gen == "F1":
+        terms = [((j1, j2, mm - 2), sqrt(_qn(s + mm, p) * _qn(s - mm + 2, p)))]
+    elif gen == "E2":
+        terms = [((j1 + 1, j2, mm - 1), sqrt(_qn(s - mm + 2, p)) * coeff_a(label, j1, j2, p))]
+        if valid_triple(label, (j1, j2 - 1, mm - 1)):
+            terms.append(((j1, j2 - 1, mm - 1), sqrt(_qn(s + mm, p)) * coeff_b(label, j1, j2, p)))
+    elif gen == "F2":
+        # adjoint of E2, written out so the transpose contract is testable
+        terms = []
+        if j1 >= 1:
+            terms.append(((j1 - 1, j2, mm + 1), sqrt(_qn(s - mm, p)) * coeff_a(label, j1 - 1, j2, p)))
+        if j2 + 1 <= label.n2:
+            terms.append(((j1, j2 + 1, mm + 1), sqrt(_qn(s + mm + 2, p)) * coeff_b(label, j1, j2 + 1, p)))
+    else:
+        raise LabelError(f"unknown generator {gen!r}")
+    return tuple((t, c) for t, c in terms if c)
 
 
 def generator_action(label, gen: str, p: QParam) -> list[list[tuple[int, float]]]:
-    """Action of one generator as an adjacency list over the ordered basis.
-
-    Entry i holds the (target index, coefficient) pairs of gen|i>.
-    Float mode only; sparse by construction (K/H: 1 entry, E1/F1: <=1,
-    E2/F2: <=2).
-    """
-    if p.is_exact:
-        raise UnsupportedModeError("generator_action is float-mode; exact mode covers diagonals only")
+    """Action of one generator as an adjacency list over the ordered basis:
+    entry i holds the (target index, coefficient) pairs of gen|i>."""
     label = check_label(label)
-    q = p.q
-    triples = gt_triples(label)
-    index = {t: i for i, t in enumerate(triples)}
-    out: list[list[tuple[int, float]]] = [[] for _ in triples]
-
-    if gen in DIAGONAL_GENERATORS:
-        t12 = q ** (1.0 / 12.0)
-        for i, t in enumerate(triples):
-            out[i].append((i, t12 ** weight_twelfths(gen, label, t)))
-        return out
-
-    for i, (j1, j2, mm) in enumerate(triples):
-        s = j1 + j2
-        if gen == "E1":
-            c = sqrt(_qn(s - mm, q) * _qn(s + mm + 2, q))
-            if c:
-                out[i].append((index[(j1, j2, mm + 2)], c))
-        elif gen == "F1":
-            c = sqrt(_qn(s + mm, q) * _qn(s - mm + 2, q))
-            if c:
-                out[i].append((index[(j1, j2, mm - 2)], c))
-        elif gen == "E2":
-            ca = sqrt(_qn(s - mm + 2, q)) * coeff_a(label, j1, j2, q)
-            if ca:
-                out[i].append((index[(j1 + 1, j2, mm - 1)], ca))
-            cb = sqrt(_qn(s + mm, q)) * coeff_b(label, j1, j2, q)
-            if cb and valid_triple(label, (j1, j2 - 1, mm - 1)):
-                out[i].append((index[(j1, j2 - 1, mm - 1)], cb))
-        elif gen == "F2":
-            # adjoint of E2, written out so the transpose contract is testable
-            if j1 >= 1:
-                ca = sqrt(_qn(s - mm, q)) * coeff_a(label, j1 - 1, j2, q)
-                if ca:
-                    out[i].append((index[(j1 - 1, j2, mm + 1)], ca))
-            if j2 + 1 <= label.n2:
-                cb = sqrt(_qn(s + mm + 2, q)) * coeff_b(label, j1, j2 + 1, q)
-                if cb:
-                    out[i].append((index[(j1, j2 + 1, mm + 1)], cb))
-        else:
-            raise LabelError(f"unknown generator {gen!r}")
-    return out
+    index = gt_index(label)
+    return [[(index[t], c) for t, c in action_row(label, gen, triple, p)]
+            for triple in gt_triples(label)]
 
 
 class _MatrixCache:
-    """Per-process memo for generator matrices; concurrent readers are fine,
-    inserts are serialized."""
+    """Per-process memo for generator matrices."""
 
     def __init__(self):
         self._data: dict = {}
-        self._lock = threading.Lock()
 
     def get_or_build(self, key, builder):
         hit = self._data.get(key)
-        if hit is not None:
-            return hit
-        value = builder()
-        with self._lock:
-            return self._data.setdefault(key, value)
+        if hit is None:
+            hit = self._data[key] = builder()
+        return hit
 
     def clear(self):
-        with self._lock:
-            self._data.clear()
-
-    def seed(self, key, value):
-        with self._lock:
-            self._data.setdefault(key, value)
-
-    def peek(self, key):
-        return self._data.get(key)
+        self._data.clear()
 
 
 matrix_cache = _MatrixCache()
@@ -253,30 +227,6 @@ def generator_matrix(label, gen: str, p: QParam):
         return mat
 
     return matrix_cache.get_or_build((label, gen, p.q), build)
-
-
-def export_matrix_json(label, gen: str, p: QParam) -> str:
-    """Sparse triplet export: {label, generator, q, triplets}."""
-    mat = generator_matrix(label, gen, p)
-    rows, cols = np.nonzero(mat)
-    triplets = [[int(r), int(c), float(mat[r, c])] for r, c in zip(rows, cols)]
-    triplets.sort()
-    payload = {
-        "label": list(label),
-        "generator": gen,
-        "q": p.q,
-        "triplets": triplets,
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def import_matrix_json(text: str):
-    payload = json.loads(text)
-    n = dim(tuple(payload["label"]))
-    mat = np.zeros((n, n))
-    for r, c, v in payload["triplets"]:
-        mat[r, c] = v
-    return tuple(payload["label"]), payload["generator"], payload["q"], mat
 
 
 def _mat_scale(*mats) -> float:

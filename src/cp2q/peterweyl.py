@@ -22,7 +22,6 @@ from math import sqrt
 from typing import NamedTuple
 
 from . import irreps, ualg
-from .irreps import matrix_cache
 from .qarith import QParam, qbinom, qfact, qint
 
 
@@ -67,36 +66,35 @@ def norm(a: PWVector) -> float:
     return sqrt(dot(a, a))
 
 
-def _action_lists(label, gen: str, p: QParam):
-    key = ("action", label, gen, p.q)
-
-    def build():
-        return irreps.generator_action(label, gen, p)
-
-    return matrix_cache.get_or_build(key, build)
+# per-process memo of action rows, keyed by (label, gen, triple, q): only
+# the rows an action actually reaches are ever built
+_ROW_MEMO: dict = {}
 
 
 def _act(elem: ualg.AlgebraElement, vec: PWVector, p: QParam, leg: str) -> PWVector:
     """Apply an algebra element to the white or black leg of a PW vector."""
     out: PWVector = {}
+    white, q = leg == "white", p.q
     for word, wc in elem.terms.items():
         partial = dict(vec)
         for gen in reversed(word):  # rightmost letter acts first
             nxt: PWVector = {}
+            # label-grouped order fixes the key order of the result, which
+            # the float sums downstream (dot, add_into) depend on
             by_label: dict = {}
             for key, c in partial.items():
                 by_label.setdefault((key.n1, key.n2), []).append((key, c))
             for label, items in by_label.items():
-                action = _action_lists(label, gen, p)
-                index = irreps.gt_index(label)
-                triples = irreps.gt_triples(label)
                 for key, c in items:
-                    src = index[key.white if leg == "white" else key.black]
-                    for tgt, coeff in action[src]:
-                        trip = triples[tgt]
+                    src = key.white if white else key.black
+                    mkey = (label, gen, src, q)
+                    row = _ROW_MEMO.get(mkey)
+                    if row is None:
+                        row = _ROW_MEMO[mkey] = irreps.action_row(label, gen, src, p)
+                    for trip, coeff in row:
                         nk = (
                             PWBasisVector(key.n1, key.n2, trip, key.black)
-                            if leg == "white"
+                            if white
                             else PWBasisVector(key.n1, key.n2, key.white, trip)
                         )
                         nxt[nk] = nxt.get(nk, 0.0) + c * coeff
@@ -219,12 +217,6 @@ def gt_lowering_word(n1: int, n2: int, j1: int, j2: int, mm: int, p: QParam) -> 
     f2 = ualg.AlgebraElement.gen("F2")
     qc = ualg.qcommutator(f2, f1, p)
 
-    def power(elem, n):
-        out = ualg.AlgebraElement.unit()
-        for _ in range(n):
-            out = out * elem
-        return out
-
     total = ualg.AlgebraElement.zero()
     for k in range(n1 - j1 + 1):
         coeff = (
@@ -232,7 +224,7 @@ def gt_lowering_word(n1: int, n2: int, j1: int, j2: int, mm: int, p: QParam) -> 
             / qfact(s + k + 1, p)
             * qbinom(n1 - j1, k, p)
         )
-        word = power(f1, half_minus + k) * power(qc, n1 - j1 - k) * power(f2, j2 + k)
+        word = ualg.power(f1, half_minus + k) * ualg.power(qc, n1 - j1 - k) * ualg.power(f2, j2 + k)
         total = total + coeff * word
     return nfac * total
 
@@ -274,14 +266,9 @@ def verify_lemma_commutators(label, nmax_power: int, p: QParam, tol: float = 1e-
     q = p.q
     gen = ualg.AlgebraElement.gen
     word = ualg.AlgebraElement.word
+    power = ualg.power
     e1, e2, f1, f2 = gen("E1"), gen("E2"), gen("F1"), gen("F2")
     qc = ualg.qcommutator(f2, f1, p)
-
-    def power(elem, n):
-        out = ualg.AlgebraElement.unit()
-        for _ in range(n):
-            out = out * elem
-        return out
 
     report = []
     worst = 0.0

@@ -196,11 +196,14 @@ def qint(z, p: QParam):
     Exact mode supports integer z only: for fractional lattice exponents
     [z] is not a Laurent polynomial in t (the denominator does not divide).
     """
-    zf = Fraction(z)
-    tw = _as_twelfths(zf)
+    if isinstance(z, int):
+        tw = LATTICE * z
+    else:
+        z = Fraction(z)
+        tw = _as_twelfths(z)
     if not p.is_exact:
         q = p.q
-        return (q ** float(zf) - q ** float(-zf)) / (q - 1.0 / q)
+        return (q ** float(z) - q ** float(-z)) / (q - 1.0 / q)
     if tw % LATTICE != 0:
         raise UnsupportedModeError(f"[{z}] is not a Laurent polynomial in t; use float mode")
     n = tw // LATTICE

@@ -121,22 +121,32 @@ def qcommutator(a: AlgebraElement, b: AlgebraElement, p: QParam) -> AlgebraEleme
     return a * b - (1.0 / p.q) * (b * a)
 
 
+def _pair(a: str, b: str, p: QParam) -> AlgebraElement:
+    """a b - 2 [2]^-1 b a for two letters a, b."""
+    c = 2.0 / qint(2, p)
+    return AlgebraElement.word((a, b)) - c * AlgebraElement.word((b, a))
+
+
 def x_element(p: QParam) -> AlgebraElement:
     """X = F2 F1 - 2 [2]^-1 F1 F2, the lowering side of the holomorphic pair."""
-    c = 2.0 / qint(2, p)
-    return AlgebraElement.word(("F2", "F1")) - c * AlgebraElement.word(("F1", "F2"))
+    return _pair("F2", "F1", p)
 
 def y_element(p: QParam) -> AlgebraElement:
-    c = 2.0 / qint(2, p)
-    return AlgebraElement.word(("E2", "E1")) - c * AlgebraElement.word(("E1", "E2"))
+    return _pair("E2", "E1", p)
 
 def x_star_element(p: QParam) -> AlgebraElement:
-    c = 2.0 / qint(2, p)
-    return AlgebraElement.word(("E1", "E2")) - c * AlgebraElement.word(("E2", "E1"))
+    return _pair("E1", "E2", p)
 
 def y_star_element(p: QParam) -> AlgebraElement:
-    c = 2.0 / qint(2, p)
-    return AlgebraElement.word(("F1", "F2")) - c * AlgebraElement.word(("F2", "F1"))
+    return _pair("F1", "F2", p)
+
+
+def power(elem: AlgebraElement, n: int) -> AlgebraElement:
+    """elem^n for n >= 0, by repeated multiplication."""
+    out = AlgebraElement.unit()
+    for _ in range(n):
+        out = out * elem
+    return out
 
 
 def casimir_element(p: QParam) -> AlgebraElement:
@@ -287,6 +297,15 @@ def tensor_evaluate(tensor: TensorElement, label_v, label_w, p: QParam) -> np.nd
     return out
 
 
+def _add_tensor(out: TensorElement, elem_l: AlgebraElement, elem_r: AlgebraElement,
+                c: float) -> None:
+    """out += c * (elem_l (x) elem_r), word pair by word pair."""
+    for wl, cl in elem_l.terms.items():
+        for wr, cr in elem_r.terms.items():
+            key = (wl, wr)
+            out[key] = out.get(key, 0.0) + c * cl * cr
+
+
 def coproduct_closed_form_x(p: QParam) -> TensorElement:
     """Closed-form coproduct of X: X(x)K1K2 + (K1K2)^-1(x)X plus mixing
     terms weighted by (q^2-1)/(q^2+1).
@@ -298,18 +317,11 @@ def coproduct_closed_form_x(p: QParam) -> TensorElement:
     q = p.q
     r = (q * q - 1.0) / (1.0 + q * q)
     out: TensorElement = {}
-
-    def add(elem_l: AlgebraElement, elem_r: AlgebraElement, c: float):
-        for wl, cl in elem_l.terms.items():
-            for wr, cr in elem_r.terms.items():
-                key = (wl, wr)
-                out[key] = out.get(key, 0.0) + c * cl * cr
-
     w = AlgebraElement.word
-    add(x_element(p), w(("K1", "K2")), 1.0)
-    add(w(("K1inv", "K2inv")), x_element(p), 1.0)
-    add(w(("F2", "K1inv")), w(("K2", "F1")), r)
-    add(w(("K2inv", "F1")), w(("F2", "K1")), -r)
+    _add_tensor(out, x_element(p), w(("K1", "K2")), 1.0)
+    _add_tensor(out, w(("K1inv", "K2inv")), x_element(p), 1.0)
+    _add_tensor(out, w(("F2", "K1inv")), w(("K2", "F1")), r)
+    _add_tensor(out, w(("K2inv", "F1")), w(("F2", "K1")), -r)
     return out
 
 
@@ -320,18 +332,11 @@ def coproduct_closed_form_y(p: QParam) -> TensorElement:
     q = p.q
     r = (1.0 - q * q) / (1.0 + q * q)
     out: TensorElement = {}
-
-    def add(elem_l, elem_r, c):
-        for wl, cl in elem_l.terms.items():
-            for wr, cr in elem_r.terms.items():
-                key = (wl, wr)
-                out[key] = out.get(key, 0.0) + c * cl * cr
-
     w = AlgebraElement.word
-    add(y_element(p), w(("K1", "K2")), 1.0)
-    add(w(("K1inv", "K2inv")), y_element(p), 1.0)
-    add(w(("E2", "K1inv")), w(("K2", "E1")), r)
-    add(w(("K2inv", "E1")), w(("E2", "K1")), -r)
+    _add_tensor(out, y_element(p), w(("K1", "K2")), 1.0)
+    _add_tensor(out, w(("K1inv", "K2inv")), y_element(p), 1.0)
+    _add_tensor(out, w(("E2", "K1inv")), w(("K2", "E1")), r)
+    _add_tensor(out, w(("K2inv", "E1")), w(("E2", "K1")), -r)
     return out
 
 

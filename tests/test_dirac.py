@@ -10,8 +10,8 @@ from cp2q.qarith import qint, qparam_float
 P5 = qparam_float(0.5)
 
 
-def cfg(nmax=2, q=0.5, s=None, threads=1):
-    return dr.DiracConfig(p=qparam_float(q), nmax=nmax, s=s, threads=threads)
+def cfg(nmax=2, q=0.5, s=None):
+    return dr.DiracConfig(p=qparam_float(q), nmax=nmax, s=s)
 
 
 def test_kernel_is_constants():
@@ -129,10 +129,13 @@ def test_dense_oracle_agrees_with_blocks():
     assert np.abs(dense - blocks).max() < 1e-9 * scale
 
 
-def test_spectrum_deterministic_across_threads():
-    t1 = dr.spectrum(cfg(nmax=3, threads=1))
-    t2 = dr.spectrum(cfg(nmax=3, threads=3))
-    assert t1.rows == t2.rows
+def test_spectrum_memoizes_only_rows_near_the_black_singlet():
+    # the spectrum reaches black triples at most one step beyond (1,0,+-1)
+    # and (0,1,+-1); a full-irrep row build would memoize j1 + j2 up to 2 nmax + 3
+    pw._ROW_MEMO.clear()
+    dr.spectrum(cfg(nmax=3))
+    assert pw._ROW_MEMO
+    assert max(j1 + j2 for _, _, (j1, j2, _), _ in pw._ROW_MEMO) <= 2
 
 
 def test_casimir_black_action_equals_square():

@@ -133,11 +133,17 @@ def test_sparsity_pattern_of_ladder_actions():
         assert len(targets) <= 2
 
 
-def test_json_export_roundtrip():
-    text = irreps.export_matrix_json((1, 1), "E2", P5)
-    label, gen, q, mat = irreps.import_matrix_json(text)
-    assert label == (1, 1) and gen == "E2" and q == 0.5
-    assert np.abs(mat - irreps.generator_matrix((1, 1), "E2", P5)).max() == 0.0
+@pytest.mark.parametrize("q", [0.5, 0.9])
+def test_generator_matrix_is_dense_assembly_of_action_rows(q):
+    p = qparam_float(q)
+    for label in irreps.labels_up_to(3):
+        index = irreps.gt_index(label)
+        for gen in irreps.GENERATORS:
+            dense = np.zeros((len(index), len(index)))
+            for src, i in index.items():
+                for tgt, c in irreps.action_row(label, gen, src, p):
+                    dense[index[tgt], i] += c
+            assert np.array_equal(dense, irreps.generator_matrix(label, gen, p)), (label, gen)
 
 
 def test_matrix_cache_returns_same_object():
