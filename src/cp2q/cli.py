@@ -218,12 +218,14 @@ def cmd_rewrite(args) -> tuple[int, dict]:
 def cmd_verify_cp2_relations(args) -> tuple[int, dict]:
     rep = ncrewrite.verify_cp2_relations()
     conf = ncrewrite.confluence_check(args.max_deg)
+    pairs = ncrewrite.critical_pairs()
     cross = ncrewrite.classical_cross_check(args.samples)
-    ok = rep["passed"] and conf["passed"] and cross["passed"]
+    ok = rep["passed"] and conf["passed"] and pairs["passed"] and cross["passed"]
     report = {"command": "verify-cp2-relations",
               "relations": rep["count"], "relations_passed": rep["passed"],
               "confluence_passed": conf["passed"],
               "branching_words": conf["branching_words"],
+              "critical_pairs": pairs["overlaps"],
               "classical_max_error": cross["max_abs_error"],
               "classical_passed": cross["passed"], "passed": ok}
     if not rep["passed"]:

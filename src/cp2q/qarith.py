@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 
 class QArithError(ValueError):
@@ -68,19 +69,29 @@ def _as_twelfths(z) -> int:
     return int(tw)
 
 
+def _coeff(c):
+    """Stored form of a rational coefficient: an int when it is integral,
+    otherwise a Fraction.  Both compare and hash alike, and print alike."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 @dataclass(frozen=True)
 class LaurentScalar:
     """Laurent polynomial in t = q^(1/12) with rational coefficients.
 
     Exponents are stored in t-units (integers); zero coefficients are never
-    stored.  Instances are immutable value objects.
+    stored.  A coefficient is an int whenever it is integral and a Fraction
+    only otherwise (see _coeff).  Instances are immutable value objects.
     """
 
-    coeffs: tuple = field(default_factory=tuple)  # sorted ((exp, Fraction), ...)
+    coeffs: tuple = field(default_factory=tuple)  # sorted ((exp, int | Fraction), ...)
 
     @staticmethod
     def from_dict(d: dict) -> "LaurentScalar":
-        items = tuple(sorted((e, c) for e, c in d.items() if c != 0))
+        items = tuple(sorted((e, _coeff(c)) for e, c in d.items() if c != 0))
         return LaurentScalar(items)
 
     @staticmethod
@@ -89,24 +100,24 @@ class LaurentScalar:
 
     @staticmethod
     def one() -> "LaurentScalar":
-        return LaurentScalar(((0, Fraction(1)),))
+        return LaurentScalar(((0, 1),))
 
     @staticmethod
     def rational(c) -> "LaurentScalar":
-        c = Fraction(c)
+        c = _coeff(c)
         return LaurentScalar(((0, c),) if c else ())
 
     @staticmethod
     def q_power(z, coeff=1) -> "LaurentScalar":
         """coeff * q^z for a lattice exponent z (12z integral)."""
-        c = Fraction(coeff)
+        c = _coeff(coeff)
         if not c:
             return LaurentScalar.zero()
         return LaurentScalar(((_as_twelfths(z), c),))
 
     @staticmethod
     def t_power(k: int, coeff=1) -> "LaurentScalar":
-        c = Fraction(coeff)
+        c = _coeff(coeff)
         if not c:
             return LaurentScalar.zero()
         return LaurentScalar(((int(k), c),))
@@ -118,7 +129,7 @@ class LaurentScalar:
         other = _coerce(other)
         d = dict(self.coeffs)
         for e, c in other.coeffs:
-            nc = d.get(e, Fraction(0)) + c
+            nc = d.get(e, 0) + c
             if nc:
                 d[e] = nc
             else:
@@ -138,11 +149,15 @@ class LaurentScalar:
 
     def __mul__(self, other) -> "LaurentScalar":
         other = _coerce(other)
+        if len(other.coeffs) == 1:
+            return self._scaled(*other.coeffs[0])
+        if len(self.coeffs) == 1:
+            return other._scaled(*self.coeffs[0])
         d: dict = {}
         for e1, c1 in self.coeffs:
             for e2, c2 in other.coeffs:
                 e = e1 + e2
-                nc = d.get(e, Fraction(0)) + c1 * c2
+                nc = d.get(e, 0) + c1 * c2
                 if nc:
                     d[e] = nc
                 else:
@@ -151,11 +166,19 @@ class LaurentScalar:
 
     __rmul__ = __mul__
 
+    def _scaled(self, k: int, c) -> "LaurentScalar":
+        """self * c t^k for one nonzero term: a shift keeps the order, and a
+        product of nonzero rationals is nonzero."""
+        if k == 0 and c == 1:
+            return self
+        return LaurentScalar(tuple((e + k, _coeff(c * ce)) for e, ce in self.coeffs))
+
     def __pow__(self, n: int) -> "LaurentScalar":
         if n < 0:
             if len(self.coeffs) == 1:
                 e, c = self.coeffs[0]
-                return LaurentScalar(((e * n, c**n),))
+                # int ** -n is a float; the power is taken in Q
+                return LaurentScalar(((e * n, _coeff(Fraction(c) ** n)),))
             raise QArithError("negative powers only for monomials")
         out = LaurentScalar.one()
         for _ in range(n):
@@ -210,7 +233,7 @@ def qint(z, p: QParam):
     sign = 1 if n >= 0 else -1
     n = abs(n)
     # geometric form [n] = q^(n-1) + q^(n-3) + ... + q^(1-n)
-    d = {LATTICE * (n - 1 - 2 * i): Fraction(sign) for i in range(n)}
+    d = {LATTICE * (n - 1 - 2 * i): sign for i in range(n)}
     return LaurentScalar.from_dict(d)
 
 
@@ -233,16 +256,14 @@ def qbinom(n: int, m: int, p: QParam):
     return _qbinom_exact(n, m)
 
 
-def _qbinom_exact(n: int, m: int, _cache={}) -> LaurentScalar:
+@lru_cache(maxsize=None)
+def _qbinom_exact(n: int, m: int) -> LaurentScalar:
     # symmetric q-Pascal recurrence: B(n,m) = q^-m B(n-1,m) + q^(n-m) B(n-1,m-1)
     if m == 0 or m == n:
         return LaurentScalar.one()
-    key = (n, m)
-    if key not in _cache:
-        a = LaurentScalar.q_power(-m) * _qbinom_exact(n - 1, m)
-        b = LaurentScalar.q_power(n - m) * _qbinom_exact(n - 1, m - 1)
-        _cache[key] = a + b
-    return _cache[key]
+    a = LaurentScalar.q_power(-m) * _qbinom_exact(n - 1, m)
+    b = LaurentScalar.q_power(n - m) * _qbinom_exact(n - 1, m - 1)
+    return a + b
 
 
 def qpow(z, p: QParam):

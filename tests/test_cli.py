@@ -51,6 +51,7 @@ def test_verify_cp2_relations_command():
     assert code == 0
     report = json.loads(out)
     assert report["relations_passed"] and report["confluence_passed"]
+    assert report["critical_pairs"] == 26
 
 
 def test_config_error_exit_code():

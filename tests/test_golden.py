@@ -1,8 +1,10 @@
 """Byte-level regression: each command's stdout must match its stored report.
 
-The files under tests/golden/ hold the reports as the command line printed
-them before the action-row refactor; any change to a number, a key order or
-a float's last digit shows up here as a failure.
+The files under tests/golden/ hold reports as the command line printed them
+before a change to the code behind them: the numeric cases before the lazy
+action-row provider, the rewrite cases before integer Laurent coefficients.
+Any change to a number, a coefficient's printed form, a key order or a
+float's last digit shows up here as a failure.
 """
 
 from pathlib import Path
@@ -23,6 +25,14 @@ CASES = {
     "verify_casimir_deg3": ["verify-casimir", "--q", "0.5", "--total-degree", "3"],
     "decompose_cp2_dump": ["decompose", "cp2", "--nmax", "2", "--dump"],
     "evaluate_e1f1": ["evaluate", "E1 F1 - q^-1 F1 E1", "--n1", "1", "--n2", "1"],
+    # the seed-1 and seed-2 queries of the benchmark's exact workload
+    "rewrite_exact_seed1": ["rewrite", "p13 p12 p23 p33 p11 p32 + p32 p12 p11 p22 p31 p33"
+                            " + p11 p22 p23 p21 p33 p12"],
+    "rewrite_exact_seed2": ["rewrite", "p12 p21 p12 p12 p23 p21 + p21 p32 p21 p33 p22 p22"
+                            " + p12 p22 p32 p21 p21 p23"],
+    "rewrite_p12_p21": ["rewrite", "p12 p21"],
+    # a non-integral rational keeps its Fraction coefficient
+    "rewrite_rational": ["rewrite", "1/2 p12 p21 - q^-2 p21 p12"],
 }
 
 

@@ -1,7 +1,12 @@
+import contextlib
+import io
+import itertools
+import json
 import random
 
 import pytest
 
+from cp2q import cli
 from cp2q import ncrewrite as nc
 from cp2q.qarith import LaurentScalar
 
@@ -89,8 +94,6 @@ def test_confluence_small_degree():
 
 def test_overlap_triples_join():
     # the classic critical pairs: 3-letter words reducible at both positions
-    import itertools
-
     for word in itertools.product(range(6), repeat=3):
         reducts = nc._single_step_reducts(word)
         if len(reducts) < 2:
@@ -98,6 +101,15 @@ def test_overlap_triples_join():
         nfs = [nc.normal_form(r) for r in reducts]
         for nf in nfs[1:]:
             assert not nc.poly_sub(nf, nfs[0]), word
+
+
+def test_critical_pairs_certificate():
+    rep = nc.critical_pairs()
+    assert rep == {"overlaps": 26, "unresolved": [], "passed": True}
+    # every overlap is a 3-letter word with two redexes, and conversely
+    words = [w for w in itertools.product(range(6), repeat=3)
+             if len(nc._single_step_reducts(w)) == 2]
+    assert len(words) == rep["overlaps"]
 
 
 def test_budget_guard_raises_cleanly():
@@ -122,6 +134,21 @@ def test_poly_parser():
     assert not nc.poly_sub(f, {(nc.Z1, nc.Z1S): ONE})
     with pytest.raises(ValueError):
         nc.poly_from_string("z4")
+    # a leading "-" is a sign, not a dangling operator
+    assert nc.poly_from_string("- z1") == {(nc.Z1,): -ONE}
+    assert nc.poly_from_string("z1 * z2") == {(nc.Z1, nc.Z2): ONE}
+
+
+@pytest.mark.parametrize("expr", ["", "+", "z1 +", "1/0 z1", "z1 - + z2", "* z1"])
+def test_rewrite_rejects_malformed_input(expr):
+    with pytest.raises(ValueError):
+        nc.poly_from_string(expr)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["rewrite", expr])
+    assert code == cli.EXIT_CONFIG_ERROR
+    report = json.loads(buf.getvalue())
+    assert report["passed"] is False and report["error"]
 
 
 def test_poly_roundtrip_strings():

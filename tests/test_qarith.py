@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cp2q.qarith import (
     LaurentScalar,
@@ -140,3 +142,89 @@ def test_qparam_validation():
         qparam_float(1.5)
     with pytest.raises(QArithError):
         qparam_float(0.0)
+
+
+# -- integer storage against a dict-of-Fraction reference ---------------------
+
+_COEFF = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
+_TERMS = st.dictionaries(st.integers(-30, 30), _COEFF, max_size=5)
+
+
+def _ref(d: dict) -> dict:
+    return {e: Fraction(c) for e, c in d.items() if c != 0}
+
+
+def _ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _agrees(x: LaurentScalar, ref: dict) -> bool:
+    """Same value as the reference, stored as int unless not integral."""
+    for _, c in x.coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+    return x.coeffs == tuple(sorted(ref.items()))
+
+
+@settings(deadline=None, derandomize=True)
+@given(_TERMS, _TERMS, st.integers(0, 3))
+@example({0: 1, 3: 2}, {0: -3}, 2)  # scaling by a constant term
+@example({0: Fraction(1, 2)}, {4: 2, 5: 1}, 1)  # single-term left factor
+def test_laurent_ring_ops_match_fraction_reference(da, db, n):
+    a, b = LaurentScalar.from_dict(da), LaurentScalar.from_dict(db)
+    ra, rb = _ref(da), _ref(db)
+    assert _agrees(a, ra) and _agrees(b, rb)
+    assert _agrees(a + b, _ref_add(ra, rb))
+    assert _agrees(a - b, _ref_add(ra, {e: -c for e, c in rb.items()}))
+    assert _agrees(-a, {e: -c for e, c in ra.items()})
+    assert _agrees(a * b, _ref_mul(ra, rb))
+    power = {0: Fraction(1)}
+    for _ in range(n):
+        power = _ref_mul(power, ra)
+    assert _agrees(a**n, power)
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.integers(-30, 30), _COEFF.filter(bool), st.integers(-4, -1))
+@example(5, 2, -1)
+@example(-7, -3, -2)
+@example(0, 1, -3)
+def test_laurent_negative_power_of_monomial(e, c, n):
+    m = LaurentScalar.t_power(e, c)
+    assert _agrees(m**n, {e * n: Fraction(c) ** n})
+    assert m**n * m**-n == LaurentScalar.one()
+
+
+def test_laurent_constructors_store_int_coefficients():
+    for x, want in ((LaurentScalar.one(), {0: 1}),
+                    (LaurentScalar.rational(Fraction(4, 2)), {0: 2}),
+                    (LaurentScalar.q_power(-1, Fraction(-6, 3)), {-12: -2}),
+                    (LaurentScalar.t_power(5, Fraction(1, 2)), {5: Fraction(1, 2)}),
+                    (qint(3, PE), {-24: 1, 0: 1, 24: 1}),
+                    (qint(-2, PE), {-12: -1, 12: -1}),
+                    (qbinom(4, 2, PE), {-48: 1, -24: 1, 0: 2, 24: 1, 48: 1})):
+        assert _agrees(x, _ref(want))
+
+
+def test_laurent_int_and_fraction_storage_are_one_value():
+    as_fraction = LaurentScalar(((0, Fraction(1)),))
+    assert as_fraction == LaurentScalar.one()
+    assert hash(as_fraction) == hash(LaurentScalar.one())
+    assert repr(as_fraction) == repr(LaurentScalar.one()) == "1"
+
+
+def test_laurent_repr():
+    assert repr(LaurentScalar.rational(Fraction(1, 2))) == "1/2"
+    assert repr(LaurentScalar.q_power(-2, -1)) == "-1*q^-2"
+    assert repr(qint(3, PE)) == "1*q^-2 + 1 + 1*q^2"
+    assert repr(LaurentScalar.t_power(3, Fraction(-2, 3))) == "-2/3*t^3"
