@@ -43,6 +43,12 @@ def _qparam(args) -> QParam:
     return QParam("float", q)
 
 
+def _at_least(value: int, low: int, flag: str) -> None:
+    """Reject a count that would leave a report with nothing checked."""
+    if value < low:
+        raise ConfigError(f"{flag} must be >= {low}, got {value}")
+
+
 def _spectrum_guard(args, q: float) -> None:
     lo, hi = SPECTRUM_Q_RANGE
     if not (lo <= q <= hi):
@@ -101,6 +107,7 @@ def _emit_table(report: dict, stream) -> None:
 
 def cmd_verify_hopf(args) -> tuple[int, dict]:
     p = _qparam(args)
+    _at_least(args.total_degree, 0, "--total-degree")
     labels = irreps.labels_up_to(args.total_degree)
     worst = 0.0
     failed = []
@@ -119,6 +126,7 @@ def cmd_verify_hopf(args) -> tuple[int, dict]:
 
 def cmd_verify_casimir(args) -> tuple[int, dict]:
     p = _qparam(args)
+    _at_least(args.total_degree, 0, "--total-degree")
     labels = irreps.labels_up_to(args.total_degree)
     rows = []
     ok = True
@@ -137,6 +145,8 @@ def cmd_verify_casimir(args) -> tuple[int, dict]:
 
 def cmd_verify_gt(args) -> tuple[int, dict]:
     p = _qparam(args)
+    _at_least(args.total_degree, 0, "--total-degree")
+    _at_least(args.powers, 1, "--powers")
     ok = True
     rows = []
     for label in irreps.labels_up_to(args.total_degree):
@@ -195,6 +205,7 @@ def cmd_cohomology(args) -> tuple[int, dict]:
 def cmd_summability(args) -> tuple[int, dict]:
     p = _qparam(args)
     _spectrum_guard(args, p.q)
+    _at_least(args.nmax, 2, "--nmax")  # two shells give the first decay ratio
     cfg = dirac.DiracConfig(p=p, nmax=args.nmax, tol=args.tol)
     rep = dirac.summability_probe(cfg, args.eps)
     rep["command"] = "summability"
@@ -216,6 +227,7 @@ def cmd_rewrite(args) -> tuple[int, dict]:
 
 
 def cmd_verify_cp2_relations(args) -> tuple[int, dict]:
+    _at_least(args.samples, 1, "--samples")
     rep = ncrewrite.verify_cp2_relations()
     conf = ncrewrite.confluence_check(args.max_deg)
     pairs = ncrewrite.critical_pairs()
@@ -234,6 +246,7 @@ def cmd_verify_cp2_relations(args) -> tuple[int, dict]:
 
 
 def cmd_classical_check(args) -> tuple[int, dict]:
+    _at_least(args.samples, 1, "--samples")
     battery = classical.run_sample_battery(args.samples, args.seed, args.tol)
     reps = classical.classical_rep_check()
     local_rows = []
@@ -353,6 +366,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         code, report = args.fn(args)
+    except (dolbeault.MembershipError, dirac.SpectrumSymmetryError,
+            ncrewrite.RewriteBudgetError) as exc:
+        report = {"error": str(exc), "passed": False}
+        emit(report, args.format)
+        return EXIT_VERIFICATION_FAILED
     except (ConfigError, ValueError) as exc:
         report = {"error": str(exc), "passed": False}
         emit(report, args.format)

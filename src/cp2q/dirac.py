@@ -49,6 +49,10 @@ class DiracConfig:
         return default_s(self.p) if self.s is None else self.s
 
 
+class SpectrumSymmetryError(ArithmeticError):
+    """A block's two eigenvalues are not each other's negatives."""
+
+
 class SpectrumRow(NamedTuple):
     family: str  # "zero" | "alpha" (V(n,n)) | "beta" (V(m,m+3))
     n: int
@@ -81,17 +85,14 @@ class SpectrumTable:
 
 
 def dirac_apply(f: db.FormVector, cfg: DiracConfig) -> db.FormVector:
-    """(a, v, b) -> (dbar^+ v, dbar a + s dbar^+ b, s dbar v)."""
+    """(a, v, b) -> (dbar^+ v, dbar a + s dbar^+ b, s dbar v), with both
+    differentials checked for membership of their images."""
     p, s = cfg.p, cfg.s_value
-    down, _ = db.dbar_dag_raw(f, p)
-    up, _ = db.dbar_raw(f, p)
-    out = db.FormVector()
-    pw.add_into(out.deg0, down.deg0)
-    pw.add_into(out.deg1_plus, up.deg1_plus)
-    pw.add_into(out.deg1_minus, up.deg1_minus)
-    pw.add_into(out.deg1_plus, down.deg1_plus, s)
-    pw.add_into(out.deg1_minus, down.deg1_minus, s)
-    pw.add_into(out.deg2, up.deg2, s)
+    out: db.FormVector = {}
+    for img, weight in ((db.dbar(f, p), {"+": 1.0, "-": 1.0, "2": s}),
+                        (db.dbar_dag(f, p), {"0": 1.0, "+": s, "-": s})):
+        for k, c in img.items():
+            pw.add_into(out, {k: c}, weight[db.part(k)])
     return out
 
 
@@ -103,17 +104,10 @@ def _families(nmax: int):
 
 
 def _family_block(family: str, n: int, cfg: DiracConfig) -> np.ndarray:
-    """2x2 matrix of the operator on one block, from the slot vectors."""
-    label = (n, n) if family == "diag" else (n, n + 3)
-    w = irreps.gt_triples(label)[0]
+    """Matrix of the operator on one block, from the slot vectors."""
+    w = irreps.gt_triples(db.family_label(family, n))[0]
     slots = db.block_slots(db.BlockIndex(family, n, w))
-    k = len(slots)
-    mat = np.zeros((k, k))
-    for j, sv in enumerate(slots):
-        img = dirac_apply(sv, cfg)
-        for i, tv in enumerate(slots):
-            mat[i, j] = db.inner_product(tv, img)
-    return mat
+    return db.slot_matrix(lambda v: dirac_apply(v, cfg), slots)
 
 
 def closed_form_eigenvalue(family: str, n: int, p: QParam) -> float:
@@ -139,7 +133,7 @@ def spectrum(cfg: DiracConfig) -> SpectrumTable:
         evs = np.linalg.eigvalsh(_family_block(family, n, cfg))
         lam = float(np.abs(evs).max())
         if abs(evs[0] + evs[1]) > cfg.tol * max(lam, 1.0):
-            raise ArithmeticError(f"block ({family},{n}) spectrum not symmetric: {evs}")
+            raise SpectrumSymmetryError(f"block ({family},{n}) spectrum not symmetric: {evs}")
         name = "alpha" if family == "diag" else "beta"
         mult = family_multiplicity(family, n)
         table.rows.append(SpectrumRow(name, n, -lam, mult))
@@ -169,13 +163,7 @@ def verify_spectrum_closed_form(table: SpectrumTable, p: QParam, rtol: float = 1
 def dense_spectrum(cfg: DiracConfig) -> np.ndarray:
     """Brute-force oracle: assemble the operator on the full truncated slot
     basis, ignoring the block structure, and diagonalize densely."""
-    basis = db.form_basis(cfg.nmax)
-    n = len(basis)
-    mat = np.zeros((n, n))
-    for j, v in enumerate(basis):
-        img = dirac_apply(v, cfg)
-        for i, u in enumerate(basis):
-            mat[i, j] = db.inner_product(u, img)
+    mat = db.slot_matrix(lambda v: dirac_apply(v, cfg), db.form_basis(cfg.nmax))
     if np.abs(mat - mat.T).max() > 1e-10:
         raise ArithmeticError("assembled operator is not symmetric")
     return np.linalg.eigvalsh(mat)
@@ -200,9 +188,8 @@ def verify_laplacian_identity(cfg: DiracConfig, trials: int = 6, seed: int = 3) 
     worst = 0.0
     for n in range(cfg.nmax + 1):
         for family in ("diag", "offdiag"):
-            label = (n, n) if family == "diag" else (n, n + 3)
             block = _family_block(family, n, cfg)
-            expect = (ualg.casimir_eigenvalue(*label, p) - 2.0) / two
+            expect = (ualg.casimir_eigenvalue(*db.family_label(family, n), p) - 2.0) / two
             resid = float(np.abs(block @ block - expect * np.eye(block.shape[0])).max()
                           / max(abs(expect), 1.0))
             worst = max(worst, resid)
@@ -213,9 +200,11 @@ def verify_laplacian_identity(cfg: DiracConfig, trials: int = 6, seed: int = 3) 
     worst_vec = 0.0
     for _ in range(trials):
         f = db.random_form(cfg.nmax, rng)
-        lhs = dirac_apply(dirac_apply(f, cfg), cfg)
-        rhs = (db.black_act_form(cas, f, p) - f.scale(2.0)).scale(1.0 / two)
-        worst_vec = max(worst_vec, db.form_norm(lhs - rhs) / max(db.form_norm(f), 1.0))
+        shifted = pw.black_act(cas, f, p)  # (C_q - 2) f
+        pw.add_into(shifted, f, -2.0)
+        diff = dirac_apply(dirac_apply(f, cfg), cfg)
+        pw.add_into(diff, shifted, -1.0 / two)
+        worst_vec = max(worst_vec, db.form_norm(diff) / max(db.form_norm(f), 1.0))
     passed = worst < cfg.tol and worst_vec < cfg.tol
     return {"q": p.q, "s": cfg.s_value, "nmax": cfg.nmax,
             "block_residual": worst, "vector_residual": worst_vec,
@@ -238,20 +227,15 @@ def cohomology(cfg: DiracConfig) -> dict:
     n_diag = sum(irreps.dim((n, n)) for n in range(1, cfg.nmax + 1))
     n_off = sum(irreps.dim((n, n + 3)) for n in range(cfg.nmax + 1))
     harmonic = [0, 0, 0]
-    # kernels per degree: a block contributes to the kernel iff its 2x2
-    # operator matrix vanishes on that slot; verified numerically per family
+    # kernels per degree: a slot contributes to the kernel iff the block's
+    # operator matrix vanishes on it; verified numerically per family
     for n in range(cfg.nmax + 1):
         for family in ("diag", "offdiag"):
-            label = (n, n) if family == "diag" else (n, n + 3)
             block = _family_block(family, n, cfg)
-            mult = irreps.dim(label)
-            slots = ["deg0", "deg1"] if family == "diag" else ["deg1", "deg2"]
-            if family == "diag" and n == 0:
-                slots = ["deg0"]
-            for i, sname in enumerate(slots):
-                col = block[:, i]
-                if np.abs(col).max() < cfg.tol:
-                    harmonic[{"deg0": 0, "deg1": 1, "deg2": 2}[sname]] += mult
+            degrees = (0, 1) if family == "diag" else (1, 2)
+            for i in range(block.shape[1]):
+                if np.abs(block[:, i]).max() < cfg.tol:
+                    harmonic[degrees[i]] += irreps.dim(db.family_label(family, n))
     ranks = {
         "deg0": {"harmonic": harmonic[0], "exact": 0, "coexact": n_diag, "dim": dim0},
         "deg1": {"harmonic": harmonic[1], "exact": n_diag, "coexact": n_off, "dim": dim1},
@@ -276,49 +260,44 @@ def verify_hodge_projectors(cfg: DiracConfig, degree: int = 1) -> float:
     p = cfg.p
     pieces: list[db.FormVector] = []
 
-    def restrict(f: db.FormVector, deg: int) -> db.FormVector:
-        out = db.FormVector()
-        if deg == 0:
-            out.deg0 = dict(f.deg0)
-        elif deg == 1:
-            out.deg1_plus = dict(f.deg1_plus)
-            out.deg1_minus = dict(f.deg1_minus)
-        else:
-            out.deg2 = dict(f.deg2)
-        return out
+    parts = {0: ("0",), 1: ("+", "-"), 2: ("2",)}[degree]
+
+    def restrict(f: db.FormVector) -> db.FormVector:
+        return {k: c for k, c in f.items() if db.part(k) in parts}
 
     for v in db.form_basis(cfg.nmax):
-        h = restrict(v, degree)
+        h = restrict(v)
         if db.form_norm(h) > 0:
             img = dirac_apply(v, cfg)
             if db.form_norm(img) < cfg.tol:
                 pieces.append(h)  # harmonic
     for v in db.form_basis(cfg.nmax):
         for op in (db.dbar, db.dbar_dag):
-            img = restrict(op(v, p), degree)
+            img = restrict(op(v, p))
             nrm = db.form_norm(img)
             if nrm > cfg.tol:
-                pieces.append(img.scale(1.0 / nrm))
+                pieces.append(pw.scaled(img, 1.0 / nrm))
     # Gram-Schmidt inside the degree; pieces across summands are orthogonal
     # already, within a summand blocks do not overlap
     basis: list[db.FormVector] = []
     for v in pieces:
-        w = v.copy()
+        w = dict(v)
         for u in basis:
-            w = w - u.scale(db.inner_product(u, w))
+            pw.add_into(w, u, -db.inner_product(u, w))
         nrm = db.form_norm(w)
         if nrm > 1e-8:
-            basis.append(w.scale(1.0 / nrm))
+            basis.append(pw.scaled(w, 1.0 / nrm))
     # projector completeness on the degree slice of the slot basis
     worst = 0.0
     for v in db.form_basis(cfg.nmax):
-        h = restrict(v, degree)
+        h = restrict(v)
         if db.form_norm(h) == 0:
             continue
-        proj = db.FormVector()
+        proj = {}
         for u in basis:
-            proj = proj + u.scale(db.inner_product(u, h))
-        worst = max(worst, db.form_norm(proj - h))
+            pw.add_into(proj, u, db.inner_product(u, h))
+        pw.add_into(proj, h, -1.0)
+        worst = max(worst, db.form_norm(proj))
     return worst
 
 
@@ -360,7 +339,7 @@ def summability_probe(cfg: DiracConfig, epsilons) -> dict:
             prev_factor = factor
             rows.append({"shell": n, "factor": factor, "trace_increment": increment,
                          "partial_trace": running})
-        geometric = all(r < 1.0 for r in ratios)
+        geometric = bool(ratios) and all(r < 1.0 for r in ratios)
         out["shells"].append({
             "eps": eps, "rows": rows, "factor_ratios": ratios,
             "factors_decrease_geometrically": geometric,

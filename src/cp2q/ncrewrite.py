@@ -76,16 +76,6 @@ def _build_rules() -> dict:
 RULES = _build_rules()
 
 
-def poly(*terms) -> NCPoly:
-    out: NCPoly = {}
-    for mono, coeff in terms:
-        c = coeff if isinstance(coeff, LaurentScalar) else LaurentScalar.rational(coeff)
-        if c:
-            prev = out.get(tuple(mono))
-            out[tuple(mono)] = prev + c if prev is not None else c
-    return {m: c for m, c in out.items() if c}
-
-
 def poly_add(a: NCPoly, b: NCPoly, scale: LaurentScalar | None = None) -> NCPoly:
     out = dict(a)
     for m, c in b.items():

@@ -94,9 +94,6 @@ class AlgebraElement:
             parts.append(f"{c:+g} {body}")
         return " ".join(parts)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
 
 def star(elem: AlgebraElement) -> AlgebraElement:
     """Hermitian adjoint: antimultiplicative, swaps E<->F, fixes K and H."""
@@ -390,13 +387,17 @@ _GEN_ALIAS = {"K1'": "K1inv", "K2'": "K2inv", "H'": "Hinv"}
 def element_from_string(text: str, p: QParam) -> AlgebraElement:
     """Parse the CLI grammar: terms separated by '+'/'-', each term an
     optional rational and q-power coefficient followed by juxtaposed
-    generators (primes denote inverses), e.g. "E1 F1 - q^-1 F1 E1"."""
+    generators (primes denote inverses), e.g. "E1 F1 - q^-1 F1 E1".
+
+    Raises ValueError on empty input, on an operator without an operand on
+    either side (a leading "-" is a sign), and on a zero denominator."""
     pos = 0
     terms: list[AlgebraElement] = []
     sign = 1.0
     coeff = 1.0
     word: list[str] = []
     started = False
+    operand_due = True  # no operand since the start or the last operator
 
     def flush():
         nonlocal sign, coeff, word, started
@@ -410,7 +411,12 @@ def element_from_string(text: str, p: QParam) -> AlgebraElement:
             if text[pos:].strip() == "":
                 break
             raise ValueError(f"cannot parse element at {text[pos:]!r}")
-        pos = m.end()
+        start, pos = m.start(), m.end()
+        op = m.group("op")
+        leading_sign = op == "-" and not text[:start].strip()
+        if op and operand_due and not leading_sign:
+            raise ValueError(f"operator {op!r} without a left operand at {text[start:].strip()!r}")
+        operand_due = bool(op)
         if m.group("gen"):
             g = _GEN_ALIAS.get(m.group("gen"), m.group("gen"))
             word.append(g)
@@ -419,16 +425,20 @@ def element_from_string(text: str, p: QParam) -> AlgebraElement:
             coeff *= p.q ** int(m.group("qexp"))
             started = True
         elif m.group("rat"):
-            coeff *= float(Fraction(m.group("rat")))
+            try:
+                coeff *= float(Fraction(m.group("rat")))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {m.group('rat')!r}") from None
             started = True
-        elif m.group("op"):
-            op = m.group("op")
+        else:
             if op == "*":
                 continue
             if started:
                 flush()
             if op == "-":
                 sign = -sign
+    if operand_due:
+        raise ValueError(f"dangling operator in {text!r}" if text.strip() else "empty element")
     flush()
     out = AlgebraElement.zero()
     for t in terms:

@@ -1,7 +1,10 @@
 import io
 import json
 
-from cp2q import cli
+import numpy as np
+import pytest
+
+from cp2q import cli, dirac, dolbeault, ncrewrite
 
 
 def run_cli(argv):
@@ -111,3 +114,66 @@ def test_verify_commands_pass():
     assert code == 0
     code, _ = run_cli(["classical-check", "--samples", "10", "--seed", "3"])
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-hopf", "--total-degree", "-1"],
+    ["verify-casimir", "--total-degree", "-1"],
+    ["verify-gt", "--total-degree", "-1"],
+    ["verify-gt", "--powers", "0"],
+    ["summability", "--nmax", "1"],
+    ["classical-check", "--samples", "0"],
+    ["verify-cp2-relations", "--samples", "0"],
+])
+def test_empty_checks_are_config_errors(argv):
+    # each of these would check nothing and still report a pass
+    code, out = run_cli(argv)
+    assert code == cli.EXIT_CONFIG_ERROR
+    report = json.loads(out)
+    assert report["passed"] is False and report["error"]
+
+
+def test_membership_error_exits_1(monkeypatch):
+    raw = dolbeault.dbar_raw
+    monkeypatch.setattr(dolbeault, "dbar_raw", lambda f, p: (raw(f, p)[0], 1.0))
+    code, out = run_cli(["spectrum", "--q", "0.5", "--nmax", "1"])
+    assert code == cli.EXIT_VERIFICATION_FAILED
+    report = json.loads(out)
+    assert report["passed"] is False and "form spaces" in report["error"]
+
+
+def test_spectrum_symmetry_error_exits_1(monkeypatch):
+    monkeypatch.setattr(dirac, "_family_block", lambda family, n, cfg: np.diag([1.0, 2.0]))
+    code, out = run_cli(["spectrum", "--q", "0.5", "--nmax", "1"])
+    assert code == cli.EXIT_VERIFICATION_FAILED
+    report = json.loads(out)
+    assert report["passed"] is False and "not symmetric" in report["error"]
+
+
+def test_rewrite_budget_error_exits_1(monkeypatch):
+    def exhausted(f):
+        raise ncrewrite.RewriteBudgetError("reduction budget exhausted")
+
+    monkeypatch.setattr(ncrewrite, "normal_form", exhausted)
+    code, out = run_cli(["rewrite", "p12 p21"])
+    assert code == cli.EXIT_VERIFICATION_FAILED
+    report = json.loads(out)
+    assert report["passed"] is False and "budget" in report["error"]
+
+
+def test_other_errors_surface(monkeypatch):
+    # only the named verification failures become reports; a plain
+    # ArithmeticError or a RuntimeError is a bug and must surface
+    def broken(cfg):
+        raise ArithmeticError("bug")
+
+    monkeypatch.setattr(dirac, "spectrum", broken)
+    with pytest.raises(ArithmeticError):
+        run_cli(["spectrum", "--q", "0.5", "--nmax", "1"])
+
+    def crashed(f):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(ncrewrite, "normal_form", crashed)
+    with pytest.raises(RuntimeError):
+        run_cli(["rewrite", "p12 p21"])

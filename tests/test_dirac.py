@@ -14,8 +14,12 @@ def cfg(nmax=2, q=0.5, s=None):
     return dr.DiracConfig(p=qparam_float(q), nmax=nmax, s=s)
 
 
+def restrict(f, *parts):
+    return {k: c for k, c in f.items() if db.part(k) in parts}
+
+
 def test_kernel_is_constants():
-    const = db.FormVector(deg0=pw.pw_vector(0, 0, (0, 0, 0), (0, 0, 0)))
+    const = pw.pw_vector(0, 0, (0, 0, 0), (0, 0, 0))
     assert db.form_norm(dr.dirac_apply(const, cfg())) == 0.0
 
 
@@ -25,7 +29,9 @@ def test_square_on_diag1_block():
     img = dr.dirac_apply(dr.dirac_apply(v, c), c)
     # alpha_1/[2] = 2 [1][3]/[2] = 2*5.25/2.5
     assert db.inner_product(v, img) == pytest.approx(4.2, abs=1e-10)
-    assert db.form_norm(img - v.scale(4.2)) < 1e-10
+    diff = dict(img)
+    pw.add_into(diff, v, -4.2)
+    assert db.form_norm(diff) < 1e-10
 
 
 def test_operator_is_symmetric():
@@ -44,12 +50,12 @@ def test_operator_is_odd_for_grading():
     rng = random.Random(8)
     c = cfg()
     f = db.random_form(2, rng)
-    even = db.FormVector(deg0=f.deg0, deg2=f.deg2)
+    even = restrict(f, "0", "2")
     img = dr.dirac_apply(even, c)
-    assert not img.deg0 and not img.deg2
-    odd = db.FormVector(deg1_plus=f.deg1_plus, deg1_minus=f.deg1_minus)
+    assert not restrict(img, "0") and not restrict(img, "2")
+    odd = restrict(f, "+", "-")
     img = dr.dirac_apply(odd, c)
-    assert not img.deg1_plus and not img.deg1_minus
+    assert not restrict(img, "+") and not restrict(img, "-")
 
 
 def test_laplacian_identity():
@@ -203,3 +209,31 @@ def test_config_validation():
         dr.DiracConfig(p=P5, nmax=-1)
     with pytest.raises(ValueError):
         dr.DiracConfig(p=P5, s=-0.5)
+
+
+def fake_junk(monkeypatch, junk):
+    """Make the raising differential report an off-space residual."""
+    raw = db.dbar_raw
+    monkeypatch.setattr(db, "dbar_raw", lambda f, p: (raw(f, p)[0], junk))
+
+
+def test_dirac_apply_checks_membership(monkeypatch):
+    v = db.block_slots(db.BlockIndex("diag", 1, (0, 0, 0)))[0]
+    fake_junk(monkeypatch, 1e-6)
+    with pytest.raises(db.MembershipError):
+        dr.dirac_apply(v, cfg())
+
+
+def test_dirac_apply_checks_at_the_differentials_tolerance(monkeypatch):
+    # the membership tolerance is the differentials' own 1e-9, not cfg.tol
+    v = db.block_slots(db.BlockIndex("diag", 1, (0, 0, 0)))[0]
+    expect = dr.dirac_apply(v, cfg())
+    fake_junk(monkeypatch, 5e-10)
+    assert cfg().tol < 5e-10
+    assert dr.dirac_apply(v, cfg()) == expect
+
+
+def test_summability_probe_without_ratios_is_not_geometric():
+    probe = dr.summability_probe(cfg(nmax=1), [0.1])
+    assert probe["shells"][0]["factor_ratios"] == []
+    assert not probe["shells"][0]["factors_decrease_geometrically"]

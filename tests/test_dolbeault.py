@@ -11,7 +11,11 @@ P5 = qparam_float(0.5)
 
 
 def const_form():
-    return db.FormVector(deg0=pw.pw_vector(0, 0, (0, 0, 0), (0, 0, 0)))
+    return pw.pw_vector(0, 0, (0, 0, 0), (0, 0, 0))
+
+
+def restrict(f, *parts):
+    return {k: c for k, c in f.items() if db.part(k) in parts}
 
 
 def test_dbar_kills_constants():
@@ -20,25 +24,27 @@ def test_dbar_kills_constants():
 
 def test_dbar_squared_on_random_deg0():
     rng = random.Random(1)
-    f = db.FormVector()
+    f = {}
     for v in pw.subspace_basis(pw.SubspaceSpec("cp2", 3)):
-        f.deg0[v] = rng.uniform(-1, 1)
+        f[v] = rng.uniform(-1, 1)
     img = db.dbar(db.dbar(f, P5), P5)
     assert db.form_norm(img) < 1e-11 * db.form_norm(f)
 
 
 def test_dbar_diag_slot_coefficient_nonzero():
+    entries = {e["block"]: e for e in db.block_structure(3, P5)}
     for n in (1, 2, 3):
-        d = db.dbar_block_coefficient("diag", n, P5)
+        block = db.BlockIndex("diag", n, irreps.gt_triples((n, n))[0])
+        d = entries[block]["dbar_matrix"][1, 0]
         expect = sqrt(2 * qint(n, P5) * qint(n + 2, P5) / qint(2, P5))
         assert d == pytest.approx(expect, rel=1e-13)
         assert d > 0
 
 
 def test_dbar_image_passes_membership():
-    f = db.FormVector(deg0=pw.pw_vector(2, 2, (1, 1, 0), (0, 0, 0)))
+    f = pw.pw_vector(2, 2, (1, 1, 0), (0, 0, 0))
     img = db.dbar(f, P5)
-    assert pw.check_form1_membership(img.deg1_plus, img.deg1_minus, P5)
+    assert pw.check_form1_membership(restrict(img, "+"), restrict(img, "-"), P5)
 
 
 def test_dbar_dag_on_deg0_is_zero():
@@ -56,23 +62,21 @@ def test_adjointness_random():
 
 def test_dbar_dag_squared_on_deg2():
     rng = random.Random(3)
-    f = db.FormVector()
+    f = {}
     for v in pw.subspace_basis(pw.SubspaceSpec("line_bundle", 3, 3)):
-        f.deg2[v] = rng.uniform(-1, 1)
+        f[v] = rng.uniform(-1, 1)
     img = db.dbar_dag(db.dbar_dag(f, P5), P5)
     assert db.form_norm(img) < 1e-11 * db.form_norm(f)
 
 
 def test_inner_product_structure():
-    t = db.FormVector(deg0=pw.pw_vector(1, 1, (0, 0, 0), (0, 0, 0)))
+    t = pw.pw_vector(1, 1, (0, 0, 0), (0, 0, 0))
     assert db.inner_product(t, t) == 1.0
-    doublet = db.FormVector(
-        deg1_plus=pw.pw_vector(1, 1, (0, 0, 0), (1, 0, 1)),
-        deg1_minus=pw.pw_vector(1, 1, (0, 0, 0), (1, 0, -1)),
-    )
+    doublet = {**pw.pw_vector(1, 1, (0, 0, 0), (1, 0, 1)),
+               **pw.pw_vector(1, 1, (0, 0, 0), (1, 0, -1))}
     assert db.inner_product(doublet, doublet) == 2.0
     assert db.inner_product(t, doublet) == 0.0
-    slot = doublet.scale(1 / sqrt(2))
+    slot = pw.scaled(doublet, 1 / sqrt(2))
     assert db.inner_product(slot, slot) == pytest.approx(1.0, rel=1e-15)
 
 
@@ -89,7 +93,7 @@ def test_equivariance():
 
 def test_equivariance_on_zero_form():
     h = ualg.AlgebraElement.gen("E2")
-    assert db.form_norm(db.white_act_form(h, db.FormVector(), P5)) == 0.0
+    assert db.form_norm(pw.white_act(h, {}, P5)) == 0.0
 
 
 def test_block_structure_counts():
@@ -108,9 +112,9 @@ def test_cross_block_elements_vanish():
         for s in e["slots"]:
             img, junk = db.dbar_raw(s, P5)
             assert junk < 1e-12
-            resid = img
+            resid = dict(img)
             for t in e["slots"]:
-                resid = resid - t.scale(db.inner_product(t, img))
+                pw.add_into(resid, t, -db.inner_product(t, img))
             assert db.form_norm(resid) < 1e-12
 
 
@@ -127,27 +131,56 @@ def test_spectrum_invariant_under_slot_normalization():
     w = irreps.gt_triples((n, n))[0]
     slots = db.block_slots(db.BlockIndex("diag", n, w))
     normalized = abs(db.inner_product(slots[1], db.dbar_raw(slots[0], P5)[0]))
-    raw_doublet = slots[1].scale(sqrt(2))
+    raw_doublet = pw.scaled(slots[1], sqrt(2))
     img = db.dbar_raw(slots[0], P5)[0]
     unnormalized = abs(db.inner_product(raw_doublet, img) / db.inner_product(raw_doublet, raw_doublet) ** 0.5)
     assert normalized == pytest.approx(unnormalized, rel=1e-13)
 
 
-def test_block_dump_json_schema():
-    import json
-
-    payload = json.loads(db.block_dump_json(0, P5))
-    assert payload["q"] == 0.5
-    fams = {b["family"] for b in payload["blocks"]}
-    assert fams == {"diag", "offdiag"}
-    off = [b for b in payload["blocks"] if b["family"] == "offdiag"][0]
-    assert off["slots"] == ["deg1", "deg2"]
-    assert len(off["dbar_matrix"]) == 2
-
-
 def test_membership_error_raised_on_corrupt_input():
     # a degree-1 vector violating the doublet conditions must be caught when
     # the image validation runs
-    bad = db.FormVector(deg1_plus=pw.pw_vector(2, 2, (1, 0, 1), (1, 0, -1)))
+    bad = pw.pw_vector(2, 2, (1, 0, 1), (1, 0, -1))
     with pytest.raises(db.MembershipError):
         db.dbar(bad, P5, tol=1e-12)
+
+
+def test_part_classifies_every_form_basis_key():
+    # the subspace bases of the Peter-Weyl model are an independent oracle
+    expect = {k: "0" for k in pw.subspace_basis(pw.SubspaceSpec("cp2", 3))}
+    expect.update({k: "2" for k in pw.subspace_basis(pw.SubspaceSpec("line_bundle", 3, 3))})
+    for plus, minus in pw.subspace_basis(pw.SubspaceSpec("form1_doublet", 3)):
+        expect[plus], expect[minus] = "+", "-"
+    keys = [k for s in db.form_basis(3) for k in s]
+    assert len(keys) == len(set(keys)) == len(expect)
+    assert {k: db.part(k) for k in keys} == expect
+
+
+def test_part_is_none_off_the_form_spaces():
+    off = [k for k in pw.subspace_basis(pw.SubspaceSpec("sphere", 3)) if k.n2 - k.n1 not in (0, 3)]
+    assert off
+    assert all(db.part(k) is None for k in off)
+    # inside a form-space irrep, but with a black triple of the other family
+    assert db.part(pw.PWBasisVector(1, 1, (0, 0, 0), (0, 1, 1))) is None
+    assert db.part(pw.PWBasisVector(0, 3, (0, 0, 0), (1, 0, -1))) is None
+
+
+def test_slot_matrix_of_identity_is_identity():
+    for nmax in range(4):
+        for b in db.blocks(nmax):
+            slots = db.block_slots(b)
+            mat = db.slot_matrix(lambda s: s, slots)
+            assert mat.shape == (len(slots), len(slots))
+            assert np.abs(mat - np.eye(len(slots))).max() < 1e-15
+
+
+def test_random_form_draws_one_uniform_per_slot():
+    nmax = 2
+    basis = db.form_basis(nmax)
+    f = db.random_form(nmax, random.Random(5))
+    rng = random.Random(5)
+    coeffs = [rng.uniform(-1.0, 1.0) for _ in basis]
+    for s, c in zip(basis, coeffs):
+        for k, v in s.items():
+            assert f[k] == c * v
+    assert len(f) == sum(len(s) for s in basis)

@@ -2,7 +2,9 @@
 
 The files under tests/golden/ hold reports as the command line printed them
 before a change to the code behind them: the numeric cases before the lazy
-action-row provider, the rewrite cases before integer Laurent coefficients.
+action-row provider, the rewrite cases before integer Laurent coefficients,
+and the q = 0.3 spectrum and q = 0.9 cohomology before forms became plain
+Peter-Weyl vectors.
 Any change to a number, a coefficient's printed form, a key order or a
 float's last digit shows up here as a failure.
 """
@@ -20,7 +22,9 @@ CASES = {
     "spectrum_nmax8": ["spectrum", "--q", "0.5", "--nmax", "8"],
     "spectrum_nmax3_table": ["--format", "table", "spectrum", "--q", "0.5", "--nmax", "3"],
     "spectrum_nmax3_csv": ["--format", "csv", "spectrum", "--q", "0.5", "--nmax", "3"],
+    "spectrum_q03_nmax8": ["spectrum", "--q", "0.3", "--nmax", "8"],
     "cohomology_nmax2": ["cohomology", "--q", "0.5", "--nmax", "2"],
+    "cohomology_q09_nmax4": ["cohomology", "--q", "0.9", "--nmax", "4"],
     "summability_nmax8": ["summability", "--q", "0.5", "--nmax", "8"],
     "verify_casimir_deg3": ["verify-casimir", "--q", "0.5", "--total-degree", "3"],
     "decompose_cp2_dump": ["decompose", "cp2", "--nmax", "2", "--dump"],

@@ -206,3 +206,23 @@ def test_element_parser():
     assert np.abs(ualg.evaluate(elem, (1, 1), P5) - 3.5 * np.eye(8)).max() < 1e-14
     with pytest.raises(ValueError):
         ualg.element_from_string("E1 + bogus", P5)
+    assert ualg.element_from_string("- E1", P5) == -GEN("E1")
+    assert ualg.element_from_string("E1 * F1", P5) == WORD(("E1", "F1"))
+
+
+@pytest.mark.parametrize("expr", ["", "  ", "E1 +", "+ E1", "E1 - + F1", "* E1", "1/0 E1"])
+def test_element_parser_rejects_malformed_input(expr):
+    import contextlib
+    import io
+    import json
+
+    from cp2q import cli
+
+    with pytest.raises(ValueError):
+        ualg.element_from_string(expr, P5)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["evaluate", expr])
+    assert code == cli.EXIT_CONFIG_ERROR
+    report = json.loads(buf.getvalue())
+    assert report["passed"] is False and report["error"]
