@@ -24,6 +24,12 @@ EXIT_CONFIG_ERROR = 2
 
 SPECTRUM_Q_RANGE = (0.3, 0.95)
 NMAX_GUARD = 8
+# caps on unbounded work, from the measured cost table in the README:
+# evaluate holds and prints dense dim x dim matrices (about 170 bytes of
+# memory and 11 of output per entry), and verify-cp2-relations walks all
+# 6^d words of each degree d (time and memory grow about 7x per degree)
+EVALUATE_DIM_GUARD = 1000
+MAX_DEG_GUARD = 7
 
 
 class ConfigError(ValueError):
@@ -47,6 +53,12 @@ def _at_least(value: int, low: int, flag: str) -> None:
     """Reject a count that would leave a report with nothing checked."""
     if value < low:
         raise ConfigError(f"{flag} must be >= {low}, got {value}")
+
+
+def _at_most(value: int, high: int, flag: str) -> None:
+    """Reject a size whose measured cost is out of desk scale."""
+    if value > high:
+        raise ConfigError(f"{flag} is capped at {high}, got {value}")
 
 
 def _spectrum_guard(args, q: float) -> None:
@@ -171,6 +183,8 @@ def cmd_verify_coproduct(args) -> tuple[int, dict]:
 
 def cmd_verify_complex(args) -> tuple[int, dict]:
     p = _qparam(args)
+    _at_least(args.nmax, 0, "--nmax")
+    _at_most(args.nmax, NMAX_GUARD, "--nmax")
     comp = dolbeault.verify_complex(args.nmax, p, args.tol)
     equi = dolbeault.verify_equivariance(args.nmax, p, args.tol)
     ok = comp["passed"] and equi["passed"]
@@ -228,6 +242,7 @@ def cmd_rewrite(args) -> tuple[int, dict]:
 
 def cmd_verify_cp2_relations(args) -> tuple[int, dict]:
     _at_least(args.samples, 1, "--samples")
+    _at_most(args.max_deg, MAX_DEG_GUARD, "--max-deg")
     rep = ncrewrite.verify_cp2_relations()
     conf = ncrewrite.confluence_check(args.max_deg)
     pairs = ncrewrite.critical_pairs()
@@ -293,6 +308,7 @@ def cmd_evaluate(args) -> tuple[int, dict]:
     p = _qparam(args)
     elem = ualg.element_from_string(args.expr, p)
     label = irreps.IrrepLabel(args.n1, args.n2)
+    _at_most(irreps.dim(label), EVALUATE_DIM_GUARD, "the dimension of the --n1 --n2 irrep")
     mat = ualg.evaluate(elem, label, p)
     report = {"command": "evaluate", "q": p.q, "expr": args.expr,
               "label": [label.n1, label.n2],

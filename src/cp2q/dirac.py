@@ -162,8 +162,13 @@ def verify_spectrum_closed_form(table: SpectrumTable, p: QParam, rtol: float = 1
 
 def dense_spectrum(cfg: DiracConfig) -> np.ndarray:
     """Brute-force oracle: assemble the operator on the full truncated slot
-    basis, ignoring the block structure, and diagonalize densely."""
-    mat = db.slot_matrix(lambda v: dirac_apply(v, cfg), db.form_basis(cfg.nmax))
+    basis, ignoring the block structure, and diagonalize densely.  The
+    assembled differentials are weighted by the degree of each image slot
+    as dirac_apply weights image parts: s into degree 2 and out of it."""
+    nmax, p, s = cfg.nmax, cfg.p, cfg.s_value
+    deg = db.slot_index(nmax).degrees
+    mat = (np.where(deg == 2, s, 1.0)[:, None] * db.slot_operator("dbar", nmax, p).dense()
+           + np.where(deg == 1, s, 1.0)[:, None] * db.slot_operator("dbar_dag", nmax, p).dense())
     if np.abs(mat - mat.T).max() > 1e-10:
         raise ArithmeticError("assembled operator is not symmetric")
     return np.linalg.eigvalsh(mat)

@@ -14,12 +14,23 @@ slot vectors pick up a 1/sqrt(2).
 The operators never leave the decomposition into (irrep, white index)
 blocks; block assembly exploits that and is cross-checked against the
 direct action.
+
+The checks over the whole truncated complex run in slot coordinates: the
+slot basis is indexed once per truncation, and the differentials and the
+white generators are assembled once per (truncation, q) as sparse
+matrices, column by column from the checked dict path above, which stays
+the oracle.
 """
 
 from __future__ import annotations
 
+import functools
+import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from math import sqrt
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,12 +67,13 @@ inner_product = pw.dot
 form_norm = pw.norm
 
 
-def _operators(p: QParam) -> dict:
-    return {
+@functools.lru_cache(maxsize=16)
+def _operators(p: QParam) -> Mapping:
+    return MappingProxyType({
         "X": ualg.x_element(p), "Y": ualg.y_element(p),
         "Xstar": ualg.x_star_element(p), "Ystar": ualg.y_star_element(p),
         "E2": ualg.AlgebraElement.gen("E2"), "F2": ualg.AlgebraElement.gen("F2"),
-    }
+    })
 
 
 # target part -> its legs (source part, black operator, sign); degree-2
@@ -200,37 +212,130 @@ def block_structure(nmax: int, p: QParam) -> list[dict]:
     return out
 
 
+# -- slot coordinates -----------------------------------------------------------
+
+class SlotIndex(NamedTuple):
+    """The orthonormal slot basis of the truncated complex, indexed once."""
+    slots: tuple  # read-only slot vectors, in form_basis order
+    slot_of: Mapping  # Peter-Weyl key -> index of the one slot holding it
+    degrees: np.ndarray  # form degree of each slot: 0, 1 or 2
+
+
+_DEGREE = {"0": 0, "+": 1, "-": 1, "2": 2}
+
+
+@functools.lru_cache(maxsize=4)
+def slot_index(nmax: int) -> SlotIndex:
+    """The slot basis up to the truncation, in form_basis order.  Every
+    caller shares it, so the slots are read-only."""
+    slots = tuple(MappingProxyType(s) for b in blocks(nmax) for s in block_slots(b))
+    degrees = np.array([_DEGREE[part(next(iter(s)))] for s in slots], dtype=np.intp)
+    degrees.flags.writeable = False
+    slot_of = {k: j for j, s in enumerate(slots) for k in s}
+    return SlotIndex(slots, MappingProxyType(slot_of), degrees)
+
+
 def form_basis(nmax: int) -> list[FormVector]:
     """Orthonormal basis of the truncated full complex, block by block."""
-    return [s for b in blocks(nmax) for s in block_slots(b)]
+    return [dict(s) for s in slot_index(nmax).slots]
 
 
 def random_form(nmax: int, rng) -> FormVector:
+    """One uniform draw in [-1, 1] per slot, in form_basis order."""
     out: FormVector = {}
-    for s in form_basis(nmax):
+    for s in slot_index(nmax).slots:
         add_into(out, s, rng.uniform(-1.0, 1.0))
     return out
 
 
+def _random_coordinates(n: int, rng) -> np.ndarray:
+    """Slot coordinates of a random form: the draws of random_form."""
+    return np.array([rng.uniform(-1.0, 1.0) for _ in range(n)])
+
+
+# largest distance of an operator image from the span of the slots,
+# relative to the image's largest coefficient
+_SPAN_TOL = 1e-9
+
+
+def _project(img: FormVector, index: SlotIndex) -> dict[int, float]:
+    """Slot coordinates of a form, by slot index; raises MembershipError when
+    the form is not a combination of the slots."""
+    coords: dict[int, float] = {}
+    for k in img:
+        j = index.slot_of.get(k)
+        if j is not None and j not in coords:
+            coords[j] = inner_product(index.slots[j], img)
+    resid = dict(img)
+    for j, c in coords.items():
+        add_into(resid, index.slots[j], -c)
+    junk = max(map(abs, resid.values()), default=0.0)
+    if junk > _SPAN_TOL * max(max(map(abs, img.values()), default=0.0), 1.0):
+        raise MembershipError(f"image left the span of the slots: residual {junk:.3e}")
+    return coords
+
+
+class SlotOperator(NamedTuple):
+    """A linear map of the truncated complex in slot coordinates, as COO
+    triplets: entry (rows[i], cols[i]) is vals[i], with no repeats."""
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    size: int
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, weights=self.vals * u[self.cols], minlength=self.size)
+
+    def dense(self) -> np.ndarray:
+        mat = np.zeros((self.size, self.size))
+        mat[self.rows, self.cols] = self.vals
+        return mat
+
+
+WHITE_GENERATORS = ("E1", "F1", "E2", "F2", "K1", "K2")
+
+
+@functools.lru_cache(maxsize=32)
+def slot_operator(name: str, nmax: int, p: QParam) -> SlotOperator:
+    """The operator `name` in slot coordinates, assembled once per (nmax, p):
+    "dbar", "dbar_dag" or the white action of one of WHITE_GENERATORS.
+    Column j holds the slot coordinates of the checked dict-path image of
+    slot j."""
+    if name in ("dbar", "dbar_dag"):
+        apply = functools.partial(dbar if name == "dbar" else dbar_dag, p=p)
+    else:
+        apply = functools.partial(pw.white_act, ualg.AlgebraElement.gen(name), p=p)
+    index = slot_index(nmax)
+    rows, cols, vals = [], [], []
+    for j, s in enumerate(index.slots):
+        for i, c in _project(apply(s), index).items():
+            if c != 0.0:
+                rows.append(i)
+                cols.append(j)
+                vals.append(c)
+    arrays = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+              np.array(vals, dtype=float))
+    for a in arrays:
+        a.flags.writeable = False
+    return SlotOperator(*arrays, len(index.slots))
+
+
 def verify_complex(nmax: int, p: QParam, tol: float = 1e-10, trials: int = 20, seed: int = 7) -> dict:
     """Squared differentials vanish and the two are adjoint to each other on
-    the truncated complex (random vectors plus the full slot basis)."""
-    import random
-
+    the truncated complex, on random forms in slot coordinates."""
     rng = random.Random(seed)
+    n = len(slot_index(nmax).slots)
+    d, dd = slot_operator("dbar", nmax, p), slot_operator("dbar_dag", nmax, p)
     worst_d2 = worst_dd2 = worst_adj = 0.0
-    vecs = [random_form(nmax, rng) for _ in range(trials)]
-    for f in vecs:
-        scale = max(form_norm(f), 1.0)
-        worst_d2 = max(worst_d2, form_norm(dbar(dbar(f, p), p)) / scale)
-        worst_dd2 = max(worst_dd2, form_norm(dbar_dag(dbar_dag(f, p), p)) / scale)
+    vecs = [_random_coordinates(n, rng) for _ in range(trials)]
+    for u in vecs:
+        scale = max(float(np.linalg.norm(u)), 1.0)
+        worst_d2 = max(worst_d2, float(np.linalg.norm(d @ (d @ u))) / scale)
+        worst_dd2 = max(worst_dd2, float(np.linalg.norm(dd @ (dd @ u))) / scale)
     for _ in range(trials):
-        f, g = random_form(nmax, rng), random_form(nmax, rng)
-        scale = max(form_norm(f) * form_norm(g), 1.0)
-        worst_adj = max(
-            worst_adj,
-            abs(inner_product(dbar(f, p), g) - inner_product(f, dbar_dag(g, p))) / scale,
-        )
+        u, v = _random_coordinates(n, rng), _random_coordinates(n, rng)
+        scale = max(float(np.linalg.norm(u) * np.linalg.norm(v)), 1.0)
+        worst_adj = max(worst_adj, abs(float((d @ u) @ v - u @ (dd @ v))) / scale)
     return {
         "nmax": nmax, "q": p.q,
         "dbar_squared": worst_d2,
@@ -248,21 +353,18 @@ def verify_equivariance(nmax: int, p: QParam, tol: float = 1e-10, trials: int = 
     the black leg.  The check guards the implementation; it is no evidence
     about the paper's operators.
     """
-    import random
-
     rng = random.Random(seed)
-    gens = ("E1", "F1", "E2", "F2", "K1", "K2")
+    n = len(slot_index(nmax).slots)
+    ops = (slot_operator("dbar", nmax, p), slot_operator("dbar_dag", nmax, p))
     residuals = {}
-    for gname in gens:
-        h = ualg.AlgebraElement.gen(gname)
+    for gname in WHITE_GENERATORS:
+        h = slot_operator(gname, nmax, p)
         worst = 0.0
         for _ in range(trials):
-            f = random_form(nmax, rng)
-            scale = max(form_norm(f), 1.0)
-            for op in (dbar, dbar_dag):
-                diff = pw.white_act(h, op(f, p), p)
-                add_into(diff, op(pw.white_act(h, f, p), p), -1.0)
-                worst = max(worst, form_norm(diff) / scale)
+            u = _random_coordinates(n, rng)
+            scale = max(float(np.linalg.norm(u)), 1.0)
+            for op in ops:
+                worst = max(worst, float(np.linalg.norm(h @ (op @ u) - op @ (h @ u))) / scale)
         residuals[gname] = worst
     worst = max(residuals.values())
     return {"nmax": nmax, "q": p.q, "residuals": residuals,

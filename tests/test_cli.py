@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cp2q import cli, dirac, dolbeault, ncrewrite
+from cp2q import cli, dirac, dolbeault, ncrewrite, ualg
 
 
 def run_cli(argv):
@@ -124,6 +128,7 @@ def test_verify_commands_pass():
     ["summability", "--nmax", "1"],
     ["classical-check", "--samples", "0"],
     ["verify-cp2-relations", "--samples", "0"],
+    ["verify-complex", "--nmax", "-1"],
 ])
 def test_empty_checks_are_config_errors(argv):
     # each of these would check nothing and still report a pass
@@ -177,3 +182,44 @@ def test_other_errors_surface(monkeypatch):
     monkeypatch.setattr(ncrewrite, "normal_form", crashed)
     with pytest.raises(RuntimeError):
         run_cli(["rewrite", "p12 p21"])
+
+
+# one case per guard on unbounded work: the command line one past its cap,
+# the same command at its cap, and the workers with stub results
+GUARDS = [
+    (["verify-complex", "--nmax", str(cli.NMAX_GUARD + 1)],
+     ["verify-complex", "--nmax", str(cli.NMAX_GUARD)],
+     [(dolbeault, "verify_complex", {"passed": True}),
+      (dolbeault, "verify_equivariance", {"passed": True})]),
+    (["evaluate", "E1", "--n1", "10", "--n2", "9"],  # dim 1155
+     ["evaluate", "E1", "--n1", "9", "--n2", "9"],  # dim 1000
+     [(ualg, "evaluate", np.zeros((1, 1)))]),
+    (["verify-cp2-relations", "--max-deg", str(cli.MAX_DEG_GUARD + 1)],
+     ["verify-cp2-relations", "--max-deg", str(cli.MAX_DEG_GUARD)],
+     [(ncrewrite, "verify_cp2_relations", {"passed": True, "count": 0}),
+      (ncrewrite, "confluence_check", {"passed": True, "branching_words": 0})]),
+]
+
+
+@pytest.mark.parametrize("over, at, workers", GUARDS)
+def test_unbounded_work_is_refused_before_it_starts(monkeypatch, over, at, workers):
+    called = []
+    for module, name, result in workers:
+        monkeypatch.setattr(module, name,
+                            lambda *a, name=name, result=result, **k: called.append(name) or result)
+    code, out = run_cli(over)
+    assert code == cli.EXIT_CONFIG_ERROR and not called
+    report = json.loads(out)
+    assert report["passed"] is False and "capped" in report["error"]
+    code, _ = run_cli(at)
+    assert code == cli.EXIT_OK
+    assert called == [name for _, name, _ in workers]
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = ("import sys, cp2q.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -135,6 +135,15 @@ def test_dense_oracle_agrees_with_blocks():
     assert np.abs(dense - blocks).max() < 1e-9 * scale
 
 
+@pytest.mark.parametrize("nmax, s", [(2, None), (1, 1.3)])
+def test_dense_spectrum_matches_the_dict_path_assembly(nmax, s):
+    # the slot-by-slot assembly of dirac_apply it replaced is the reference
+    c = cfg(nmax=nmax, s=s)
+    mat = db.slot_matrix(lambda v: dr.dirac_apply(v, c), db.form_basis(nmax))
+    expect = np.linalg.eigvalsh(mat)
+    assert np.abs(dr.dense_spectrum(c) - expect).max() < 1e-12 * max(np.abs(expect).max(), 1.0)
+
+
 def test_spectrum_memoizes_only_rows_near_the_black_singlet():
     # the spectrum reaches black triples at most one step beyond (1,0,+-1)
     # and (0,1,+-1); a full-irrep row build would memoize j1 + j2 up to 2 nmax + 3

@@ -184,3 +184,116 @@ def test_random_form_draws_one_uniform_per_slot():
         for k, v in s.items():
             assert f[k] == c * v
     assert len(f) == sum(len(s) for s in basis)
+
+
+def form_of(coords, basis):
+    f = {}
+    for s, c in zip(basis, coords):
+        pw.add_into(f, s, c)
+    return f
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+def test_slot_operators_match_the_dict_path(q):
+    p, nmax = qparam_float(q), 3
+    basis = db.form_basis(nmax)
+    u = np.random.default_rng(int(100 * q)).uniform(-1.0, 1.0, len(basis))
+    f = form_of(u, basis)
+    paths = {"dbar": lambda f: db.dbar(f, p), "dbar_dag": lambda f: db.dbar_dag(f, p)}
+    for g in db.WHITE_GENERATORS:
+        paths[g] = lambda f, h=ualg.AlgebraElement.gen(g): pw.white_act(h, f, p)
+    for name, apply in paths.items():
+        img = apply(f)
+        expect = np.array([db.inner_product(s, img) for s in basis])
+        got = db.slot_operator(name, nmax, p) @ u
+        assert np.abs(got - expect).max() <= 1e-12 * max(np.abs(expect).max(), 1.0), name
+
+
+def test_assembly_rejects_images_off_the_slot_span(monkeypatch):
+    # a doubled leg keeps the image inside the form spaces, but its v+ and v-
+    # no longer match, so it leaves the span of the doublet slots
+    monkeypatch.setitem(db._DBAR, "-", (("0", "E2", 2.0),))
+    db.slot_operator.cache_clear()
+    with pytest.raises(db.MembershipError, match="span"):
+        db.slot_operator("dbar", 1, P5)
+
+
+def test_slot_operator_is_cached_read_only_and_bounded():
+    op = db.slot_operator("dbar", 1, P5)
+    assert db.slot_operator("dbar", 1, P5) is op
+    with pytest.raises(ValueError):
+        op.vals[0] = 0.0
+    maxsize = db.slot_operator.cache_info().maxsize
+    assert maxsize is not None
+    for i in range(maxsize + 1):
+        db.slot_operator("K1", 0, qparam_float(0.3 + 0.01 * i))
+    assert db.slot_operator.cache_info().currsize == maxsize
+    assert db.slot_index.cache_info().maxsize is not None
+
+
+def dict_verify_complex(nmax, p, trials, seed):
+    # the dict-path checks as they ran before slot coordinates
+    rng = random.Random(seed)
+    worst_d2 = worst_dd2 = worst_adj = 0.0
+    for f in [db.random_form(nmax, rng) for _ in range(trials)]:
+        scale = max(db.form_norm(f), 1.0)
+        worst_d2 = max(worst_d2, db.form_norm(db.dbar(db.dbar(f, p), p)) / scale)
+        worst_dd2 = max(worst_dd2, db.form_norm(db.dbar_dag(db.dbar_dag(f, p), p)) / scale)
+    for _ in range(trials):
+        f, g = db.random_form(nmax, rng), db.random_form(nmax, rng)
+        scale = max(db.form_norm(f) * db.form_norm(g), 1.0)
+        worst_adj = max(worst_adj, abs(db.inner_product(db.dbar(f, p), g)
+                                       - db.inner_product(f, db.dbar_dag(g, p))) / scale)
+    return {"dbar_squared": worst_d2, "dbar_dag_squared": worst_dd2,
+            "adjointness": worst_adj}, rng
+
+
+def dict_verify_equivariance(nmax, p, trials, seed):
+    rng = random.Random(seed)
+    residuals = {}
+    for gname in db.WHITE_GENERATORS:
+        h = ualg.AlgebraElement.gen(gname)
+        worst = 0.0
+        for _ in range(trials):
+            f = db.random_form(nmax, rng)
+            for op in (db.dbar, db.dbar_dag):
+                diff = pw.white_act(h, op(f, p), p)
+                pw.add_into(diff, op(pw.white_act(h, f, p), p), -1.0)
+                worst = max(worst, db.form_norm(diff) / max(db.form_norm(f), 1.0))
+        residuals[gname] = worst
+    return residuals, rng
+
+
+def test_slot_checks_draw_the_dict_path_stream(monkeypatch):
+    made = []
+
+    class Recording(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    p = qparam_float(0.7)
+    ref, ref_rng = dict_verify_complex(2, p, trials=3, seed=7)
+    ref_eq, ref_eq_rng = dict_verify_equivariance(2, p, trials=2, seed=11)
+    monkeypatch.setattr(random, "Random", Recording)
+    rep = db.verify_complex(2, p, trials=3, seed=7)
+    eq = db.verify_equivariance(2, p, trials=2, seed=11)
+    assert [r.getstate() for r in made] == [ref_rng.getstate(), ref_eq_rng.getstate()]
+    for key, value in ref.items():
+        assert type(rep[key]) is float and abs(rep[key] - value) < 1e-13
+    assert rep["passed"] and eq["passed"]
+    assert eq["residuals"].keys() == ref_eq.keys()
+    for g, value in ref_eq.items():
+        assert type(eq["residuals"][g]) is float and abs(eq["residuals"][g] - value) < 1e-13
+
+
+def test_mutating_returned_forms_leaves_the_basis_unchanged():
+    expect = [s for b in db.blocks(2) for s in db.block_slots(b)]
+    basis = db.form_basis(2)
+    key = next(iter(basis[0]))
+    basis[0][key] = 99.0
+    basis[1].clear()
+    db.random_form(2, random.Random(1)).clear()
+    assert db.form_basis(2) == expect
+    with pytest.raises(TypeError):
+        db.slot_index(2).slots[0][key] = 99.0
