@@ -50,7 +50,8 @@ def _qparam(args) -> QParam:
 
 
 def _at_least(value: int, low: int, flag: str) -> None:
-    """Reject a count that would leave a report with nothing checked."""
+    """Reject a count below the least value with a meaning, such as one
+    that would leave a report with nothing checked."""
     if value < low:
         raise ConfigError(f"{flag} must be >= {low}, got {value}")
 
@@ -61,7 +62,17 @@ def _at_most(value: int, high: int, flag: str) -> None:
         raise ConfigError(f"{flag} is capped at {high}, got {value}")
 
 
+def _parsed(parse, *args):
+    """Run a grammar parser on command-line text; a parse error is a usage
+    error."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _spectrum_guard(args, q: float) -> None:
+    _at_least(args.nmax, 0, "--nmax")
     lo, hi = SPECTRUM_Q_RANGE
     if not (lo <= q <= hi):
         raise ConfigError(f"spectrum commands accept q in [{lo}, {hi}], got {q}")
@@ -218,8 +229,8 @@ def cmd_cohomology(args) -> tuple[int, dict]:
 
 def cmd_summability(args) -> tuple[int, dict]:
     p = _qparam(args)
-    _spectrum_guard(args, p.q)
     _at_least(args.nmax, 2, "--nmax")  # two shells give the first decay ratio
+    _spectrum_guard(args, p.q)
     cfg = dirac.DiracConfig(p=p, nmax=args.nmax, tol=args.tol)
     rep = dirac.summability_probe(cfg, args.eps)
     rep["command"] = "summability"
@@ -229,13 +240,13 @@ def cmd_summability(args) -> tuple[int, dict]:
 
 
 def cmd_rewrite(args) -> tuple[int, dict]:
-    f = ncrewrite.poly_from_string(args.expr)
+    f = _parsed(ncrewrite.poly_from_string, args.expr)
     nf = ncrewrite.normal_form(f)
     report = {
         "command": "rewrite", "input": args.expr,
         "normal_form": ncrewrite.poly_to_str(nf),
         "is_zero": not nf,
-        "grades": sorted({ncrewrite.grade(m) for m in nf}),
+        "grades": sorted({ncrewrite.grade(w) for w, _ in nf}),
     }
     return EXIT_OK, report
 
@@ -262,6 +273,7 @@ def cmd_verify_cp2_relations(args) -> tuple[int, dict]:
 
 def cmd_classical_check(args) -> tuple[int, dict]:
     _at_least(args.samples, 1, "--samples")
+    _at_least(args.seed, 0, "--seed")
     battery = classical.run_sample_battery(args.samples, args.seed, args.tol)
     reps = classical.classical_rep_check()
     local_rows = []
@@ -284,6 +296,7 @@ def cmd_classical_check(args) -> tuple[int, dict]:
 
 
 def cmd_decompose(args) -> tuple[int, dict]:
+    _at_least(args.nmax, 0, "--nmax")
     spec = peterweyl.SubspaceSpec(args.kind, args.nmax, args.N)
     basis = peterweyl.subspace_basis(spec)
     rows = []
@@ -306,7 +319,9 @@ def cmd_decompose(args) -> tuple[int, dict]:
 
 def cmd_evaluate(args) -> tuple[int, dict]:
     p = _qparam(args)
-    elem = ualg.element_from_string(args.expr, p)
+    elem = _parsed(ualg.element_from_string, args.expr, p)
+    _at_least(args.n1, 0, "--n1")
+    _at_least(args.n2, 0, "--n2")
     label = irreps.IrrepLabel(args.n1, args.n2)
     _at_most(irreps.dim(label), EVALUATE_DIM_GUARD, "the dimension of the --n1 --n2 irrep")
     mat = ualg.evaluate(elem, label, p)
@@ -387,7 +402,7 @@ def main(argv=None) -> int:
         report = {"error": str(exc), "passed": False}
         emit(report, args.format)
         return EXIT_VERIFICATION_FAILED
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         report = {"error": str(exc), "passed": False}
         emit(report, args.format)
         return EXIT_CONFIG_ERROR

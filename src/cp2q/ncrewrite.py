@@ -13,7 +13,13 @@ with min(a3, b3) = 0, using the defining relations
 
 oriented so that every rule strictly decreases the degree-lexicographic
 order (the sphere rule eliminates z3 z3*).  Coefficients are exact Laurent
-polynomials in q.  On top of the normal form sit the projective-plane
+polynomials in t = q^(1/12), stored flat: a polynomial is one dict
+{(word, k): c} for the sum of c t^k word, with c a nonzero int, or a
+Fraction where parsed input has a non-integral rational.  Zero terms are
+never stored, so two polynomials are equal exactly when their dicts are.
+LaurentScalar only prints a word's coefficient.  Normal forms of words are
+memoized in a dict that each top-level call creates and passes down, so no
+state outlives a call.  On top of the normal form sit the projective-plane
 generators p_ij = z_i* z_j, their verified relation list, the line-bundle
 grading, a diamond-lemma confluence certificate with an empirical
 cross-check, and a commutative cross-check at q = 1 on random points of the
@@ -26,7 +32,7 @@ import itertools
 import re
 from fractions import Fraction
 
-from .qarith import LaurentScalar
+from .qarith import LATTICE, LaurentScalar, _coeff
 
 # letter codes in reduction order
 Z1, Z2, Z3, Z3S, Z2S, Z1S = range(6)
@@ -35,128 +41,137 @@ STAR_OF = {1: Z1S, 2: Z2S, 3: Z3S}
 PLAIN_OF = {1: Z1, 2: Z2, 3: Z3}
 
 NCMonomial = tuple  # tuple of letter codes
-NCPoly = dict  # NCMonomial -> LaurentScalar
+NCPoly = dict  # (NCMonomial, t-exponent) -> nonzero int | Fraction
 
 
 class RewriteBudgetError(RuntimeError):
     """Reduction exceeded its step budget (would signal non-termination)."""
 
 
-def _q(k: int = 1, coeff=1) -> LaurentScalar:
-    return LaurentScalar.q_power(k, coeff)
+def _q(k: int) -> NCPoly:
+    """q^k, a polynomial on the empty word."""
+    return {((), LATTICE * k): 1}
 
 
-_ONE = LaurentScalar.one()
-_ONE_MINUS_Q2 = LaurentScalar.rational(1) - _q(2)
+_ONE_MINUS_Q2 = {((), 0): 1, ((), 2 * LATTICE): -1}
 
 
 def _build_rules() -> dict:
-    """Length-2 left-hand sides -> replacement polynomials."""
+    """Length-2 left-hand sides -> (replacement word, t-exponent, coefficient)
+    triples; a replacement with coefficient 1 - q^2 takes two triples."""
+    q = LATTICE
     rules: dict = {}
     # plain letters commute up to q: z_j z_i -> q^-1 z_i z_j for i < j
     for i, j in ((Z1, Z2), (Z1, Z3), (Z2, Z3)):
-        rules[(j, i)] = {(i, j): _q(-1)}
+        rules[(j, i)] = (((i, j), -q, 1),)
     # starred letters: z_a* z_b* -> q^-1 z_b* z_a* for a < b
     for a, b in ((1, 2), (1, 3), (2, 3)):
-        rules[(STAR_OF[a], STAR_OF[b])] = {(STAR_OF[b], STAR_OF[a]): _q(-1)}
+        rules[(STAR_OF[a], STAR_OF[b])] = (((STAR_OF[b], STAR_OF[a]), -q, 1),)
     # star past plain, distinct indices
     for a in (1, 2, 3):
         for j in (1, 2, 3):
             if a != j:
-                rules[(STAR_OF[a], PLAIN_OF[j])] = {(PLAIN_OF[j], STAR_OF[a]): _q(1)}
-    # diagonal commutators
-    rules[(Z1S, Z1)] = {(Z1, Z1S): _ONE}
-    rules[(Z2S, Z2)] = {(Z2, Z2S): _ONE, (Z1, Z1S): _ONE_MINUS_Q2}
-    rules[(Z3S, Z3)] = {(Z3, Z3S): _ONE, (Z1, Z1S): _ONE_MINUS_Q2, (Z2, Z2S): _ONE_MINUS_Q2}
+                rules[(STAR_OF[a], PLAIN_OF[j])] = (((PLAIN_OF[j], STAR_OF[a]), q, 1),)
+    # diagonal commutators, the correction words carrying 1 - q^2
+    rules[(Z1S, Z1)] = (((Z1, Z1S), 0, 1),)
+    rules[(Z2S, Z2)] = (((Z2, Z2S), 0, 1), ((Z1, Z1S), 0, 1), ((Z1, Z1S), 2 * q, -1))
+    rules[(Z3S, Z3)] = (((Z3, Z3S), 0, 1), ((Z1, Z1S), 0, 1), ((Z1, Z1S), 2 * q, -1),
+                        ((Z2, Z2S), 0, 1), ((Z2, Z2S), 2 * q, -1))
     # the sphere relation, oriented against z3 z3*
-    rules[(Z3, Z3S)] = {(): _ONE, (Z1, Z1S): -_ONE, (Z2, Z2S): -_ONE}
+    rules[(Z3, Z3S)] = (((), 0, 1), ((Z1, Z1S), 0, -1), ((Z2, Z2S), 0, -1))
     return rules
 
 
 RULES = _build_rules()
 
 
-def poly_add(a: NCPoly, b: NCPoly, scale: LaurentScalar | None = None) -> NCPoly:
-    out = dict(a)
-    for m, c in b.items():
-        cc = c * scale if scale is not None else c
-        acc = out.get(m)
-        acc = acc + cc if acc is not None else cc
-        if acc:
-            out[m] = acc
+def poly_add(out: NCPoly, f: NCPoly, k: int = 0, c=1) -> NCPoly:
+    """out += c t^k f in place, for a nonzero c; returns out."""
+    get = out.get
+    for (w, e), v in f.items():
+        key = (w, e + k)
+        v = get(key, 0) + v * c
+        if v:
+            out[key] = v
         else:
-            out.pop(m, None)
+            del out[key]
     return out
 
 
 def poly_sub(a: NCPoly, b: NCPoly) -> NCPoly:
-    return poly_add(a, b, LaurentScalar.rational(-1))
+    return poly_add(dict(a), b, 0, -1)
 
 
 def poly_mul(a: NCPoly, b: NCPoly) -> NCPoly:
     out: NCPoly = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = ma + mb
-            c = ca * cb
-            acc = out.get(m)
-            acc = acc + c if acc is not None else c
-            if acc:
-                out[m] = acc
-            else:
-                out.pop(m, None)
+    for (wa, ea), ca in a.items():
+        poly_add(out, {(wa + wb, eb): cb for (wb, eb), cb in b.items()}, ea, ca)
     return out
 
 
-def _first_redex(word: NCMonomial, start: int = 0) -> int:
-    for i in range(max(start, 0), len(word) - 1):
-        if (word[i], word[i + 1]) in RULES:
-            return i
-    return -1
+def _redexes(word: NCMonomial) -> list[int]:
+    """Start positions of the left-hand sides occurring in word."""
+    return [i for i in range(len(word) - 1) if (word[i], word[i + 1]) in RULES]
 
 
-_NF_CACHE: dict = {}
-
-
-def monomial_normal_form(word: NCMonomial, budget: list | None = None) -> NCPoly:
-    """Normal form of a single word, memoized across calls."""
-    cached = _NF_CACHE.get(word)
-    if cached is not None:
-        return cached
-    i = _first_redex(word)
-    if i < 0:
-        result = {word: _ONE}
-        _NF_CACHE[word] = result
-        return result
-    if budget is not None:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise RewriteBudgetError(f"reduction budget exhausted near {word_to_str(word)}")
-    out: NCPoly = {}
+def _reduct_normal_form(word: NCMonomial, i: int, memo: dict, budget: list | None) -> NCPoly:
+    """Normal form of the single-step reduct of word at the redex at i."""
+    nf: NCPoly = {}
     head, tail = word[:i], word[i + 2:]
-    for repl, coeff in RULES[(word[i], word[i + 1])].items():
-        sub = monomial_normal_form(head + repl + tail, budget)
-        out = poly_add(out, sub, coeff)
-    _NF_CACHE[word] = out
-    return out
+    for repl, k, c in RULES[(word[i], word[i + 1])]:
+        poly_add(nf, monomial_normal_form(head + repl + tail, memo, budget), k, c)
+    return nf
 
 
-def normal_form(f: NCPoly) -> NCPoly:
-    """Fixed point of the rule set; linear, idempotent, grade preserving."""
-    maxlen = max((len(m) for m in f), default=0)
-    budget = [2000 * (maxlen * maxlen + 1) * (len(f) + 1)]
+def monomial_normal_form(word: NCMonomial, memo: dict | None = None,
+                         budget: list | None = None) -> NCPoly:
+    """Normal form of a single word, reduced at its first redex.  `memo`
+    maps the words already reduced in the caller's run to their normal
+    forms; the result may be a memo entry, so it must not be mutated.  Each
+    memo miss on a reducible word takes one step of `budget`."""
+    if memo is None:
+        memo = {}
+    nf = memo.get(word)
+    if nf is not None:
+        return nf
+    for i in range(len(word) - 1):
+        if (word[i], word[i + 1]) in RULES:
+            if budget is not None:
+                budget[0] -= 1
+                if budget[0] < 0:
+                    raise RewriteBudgetError(f"reduction budget exhausted near {word_to_str(word)}")
+            nf = _reduct_normal_form(word, i, memo, budget)
+            break
+    else:
+        nf = {(word, 0): 1}
+    memo[word] = nf
+    return nf
+
+
+def _budget(words) -> list:
+    """Reduction steps allowed for reducing the given distinct words."""
+    maxlen = max(map(len, words), default=0)
+    return [2000 * (maxlen * maxlen + 1) * (len(words) + 1)]
+
+
+def normal_form(f: NCPoly, memo: dict | None = None) -> NCPoly:
+    """Fixed point of the rule set; linear, idempotent, grade preserving.
+    A call without a memo reduces in a memo of its own."""
+    if memo is None:
+        memo = {}
+    budget = _budget({w for w, _ in f})
     out: NCPoly = {}
-    for m, c in f.items():
-        out = poly_add(out, monomial_normal_form(m, budget), c)
+    for (w, k), c in f.items():
+        poly_add(out, monomial_normal_form(w, memo, budget), k, c)
     return out
 
 
 def is_normal(word: NCMonomial) -> bool:
-    return _first_redex(word) < 0
+    return not _redexes(word)
 
 
-def verify_identity(lhs: NCPoly, rhs: NCPoly) -> bool:
-    return not normal_form(poly_sub(lhs, rhs))
+def verify_identity(lhs: NCPoly, rhs: NCPoly, memo: dict | None = None) -> bool:
+    return not normal_form(poly_sub(lhs, rhs), memo)
 
 
 def grade(word: NCMonomial) -> int:
@@ -164,32 +179,27 @@ def grade(word: NCMonomial) -> int:
     return sum(1 if let <= Z3 else -1 for let in word)
 
 
-def z(i: int) -> NCPoly:
-    return {(PLAIN_OF[i],): _ONE}
-
-
-def zs(i: int) -> NCPoly:
-    return {(STAR_OF[i],): _ONE}
-
-
 def p_gen(i: int, j: int) -> NCPoly:
     """Projective-plane generator p_ij = z_i* z_j."""
-    return {(STAR_OF[i], PLAIN_OF[j]): _ONE}
+    return {((STAR_OF[i], PLAIN_OF[j]), 0): 1}
+
+
+_FLIP = {Z1: Z1S, Z2: Z2S, Z3: Z3S, Z3S: Z3, Z2S: Z2, Z1S: Z1}
 
 
 def star_poly(f: NCPoly) -> NCPoly:
     """Conjugate-transpose on words: reverse and star each letter."""
-    out: NCPoly = {}
-    flip = {Z1: Z1S, Z2: Z2S, Z3: Z3S, Z3S: Z3, Z2S: Z2, Z1S: Z1}
-    for m, c in f.items():
-        mm = tuple(flip[let] for let in reversed(m))
-        acc = out.get(mm)
-        out[mm] = acc + c if acc is not None else c
-    return out
+    return {(tuple(_FLIP[let] for let in reversed(w)), k): c for (w, k), c in f.items()}
 
 
 def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
+
+
+def _pp(i: int, j: int, k: int, l: int, scalar: NCPoly | None = None) -> NCPoly:
+    """p_ij p_kl, times a scalar polynomial when one is given."""
+    prod = poly_mul(p_gen(i, j), p_gen(k, l))
+    return poly_mul(scalar, prod) if scalar is not None else prod
 
 
 def cp2_relations() -> list[tuple[str, NCPoly, NCPoly]]:
@@ -201,41 +211,34 @@ def cp2_relations() -> list[tuple[str, NCPoly, NCPoly]]:
     reduction to zero in the test suite.
     """
     rels = []
-    one_minus_q2 = _ONE_MINUS_Q2
+    minus_one_minus_q2 = poly_sub({}, _ONE_MINUS_Q2)
 
     # family 1: p_ii p_jk = q^(sign(i-j)+sign(k-i)) p_jk p_ii, i,j,k distinct
     for i, j, k in itertools.permutations((1, 2, 3), 3):
-        lhs = poly_mul(p_gen(i, i), p_gen(j, k))
-        rhs = poly_add({}, poly_mul(p_gen(j, k), p_gen(i, i)),
-                       _q(_sign(i - j) + _sign(k - i)))
-        rels.append((f"f1:p{i}{i}p{j}{k}", lhs, rhs))
+        rhs = _pp(j, k, i, i, _q(_sign(i - j) + _sign(k - i)))
+        rels.append((f"f1:p{i}{i}p{j}{k}", _pp(i, i, j, k), rhs))
 
     # family 2: p_ii p_ij = q^(sign(j-i)+1) p_ij p_ii
     #           - (1-q^2) sum_{k<i} q^(2(i-k)) p_kk p_ij, i != j
     for i, j in itertools.permutations((1, 2, 3), 2):
-        lhs = poly_mul(p_gen(i, i), p_gen(i, j))
-        rhs = poly_add({}, poly_mul(p_gen(i, j), p_gen(i, i)), _q(_sign(j - i) + 1))
+        rhs = _pp(i, j, i, i, _q(_sign(j - i) + 1))
         for k in range(1, i):
-            rhs = poly_add(rhs, poly_mul(p_gen(k, k), p_gen(i, j)),
-                           -one_minus_q2 * _q(2 * (i - k)))
-        rels.append((f"f2:p{i}{i}p{i}{j}", lhs, rhs))
+            poly_add(rhs, _pp(k, k, i, j, minus_one_minus_q2), LATTICE * 2 * (i - k))
+        rels.append((f"f2:p{i}{i}p{i}{j}", _pp(i, i, i, j), rhs))
 
     # family 3: p_ij p_ik = q^sign(k-j) p_ik p_ij, i not in {j,k}
     for i in (1, 2, 3):
         for j, k in itertools.permutations([x for x in (1, 2, 3) if x != i], 2):
-            lhs = poly_mul(p_gen(i, j), p_gen(i, k))
-            rhs = poly_add({}, poly_mul(p_gen(i, k), p_gen(i, j)), _q(_sign(k - j)))
-            rels.append((f"f3:p{i}{j}p{i}{k}", lhs, rhs))
+            rhs = _pp(i, k, i, j, _q(_sign(k - j)))
+            rels.append((f"f3:p{i}{j}p{i}{k}", _pp(i, j, i, k), rhs))
 
     # family 4: p_ij p_jk = q^(sign(i-j)+sign(k-j)+1) p_jk p_ij
     #           - (1-q^2) sum_{l<j} p_il p_lk, i,j,k distinct
     for i, j, k in itertools.permutations((1, 2, 3), 3):
-        lhs = poly_mul(p_gen(i, j), p_gen(j, k))
-        rhs = poly_add({}, poly_mul(p_gen(j, k), p_gen(i, j)),
-                       _q(_sign(i - j) + _sign(k - j) + 1))
+        rhs = _pp(j, k, i, j, _q(_sign(i - j) + _sign(k - j) + 1))
         for l in range(1, j):
-            rhs = poly_add(rhs, poly_mul(p_gen(i, l), p_gen(l, k)), -one_minus_q2)
-        rels.append((f"f4:p{i}{j}p{j}{k}", lhs, rhs))
+            poly_add(rhs, _pp(i, l, l, k, minus_one_minus_q2))
+        rels.append((f"f4:p{i}{j}p{j}{k}", _pp(i, j, j, k), rhs))
 
     # family 5: q-weighted exchange of p_ij with p_ji against corner sums,
     #   p_ij p_ji = q^(2s) { p_ji p_ij + (1-q^2) sum_{l<i} p_jl p_lj }
@@ -243,14 +246,12 @@ def cp2_relations() -> list[tuple[str, NCPoly, NCPoly]]:
     # s = sign(i-j); the plain-commutator rendering is not an identity
     for i, j in itertools.permutations((1, 2, 3), 2):
         s = _sign(i - j)
-        lhs = poly_mul(p_gen(i, j), p_gen(j, i))
-        rhs = poly_add({}, poly_mul(p_gen(j, i), p_gen(i, j)), _q(2 * s))
+        rhs = _pp(j, i, i, j, _q(2 * s))
         for l in range(1, i):
-            rhs = poly_add(rhs, poly_mul(p_gen(j, l), p_gen(l, j)),
-                           one_minus_q2 * _q(2 * s))
+            poly_add(rhs, _pp(j, l, l, j, _ONE_MINUS_Q2), LATTICE * 2 * s)
         for l in range(1, j):
-            rhs = poly_add(rhs, poly_mul(p_gen(i, l), p_gen(l, i)), -one_minus_q2)
-        rels.append((f"f5:p{i}{j}p{j}{i}", lhs, rhs))
+            poly_add(rhs, _pp(i, l, l, i, minus_one_minus_q2))
+        rels.append((f"f5:p{i}{j}p{j}{i}", _pp(i, j, j, i), rhs))
 
     return rels
 
@@ -262,21 +263,23 @@ def projector_relations() -> list[tuple[str, NCPoly, NCPoly]]:
         for l in (1, 2, 3):
             lhs: NCPoly = {}
             for k in (1, 2, 3):
-                lhs = poly_add(lhs, poly_mul(p_gen(j, k), p_gen(k, l)))
+                poly_add(lhs, _pp(j, k, k, l))
             rels.append((f"P2:p{j}{l}", lhs, p_gen(j, l)))
-    trace = poly_add(poly_add(poly_add({}, p_gen(1, 1), _q(4)),
-                              p_gen(2, 2), _q(2)), p_gen(3, 3))
-    rels.append(("trace_q", trace, {(): _ONE}))
+    trace: NCPoly = {}
+    for i, power in ((1, 4), (2, 2), (3, 0)):
+        poly_add(trace, p_gen(i, i), LATTICE * power)
+    rels.append(("trace_q", trace, _q(0)))
     return rels
 
 
 def verify_cp2_relations() -> dict:
     """Run the full relation battery; every identity must reduce to zero
     with exact coefficients."""
+    memo: dict = {}
     report = []
     ok = True
     for name, lhs, rhs in cp2_relations() + projector_relations():
-        good = verify_identity(lhs, rhs)
+        good = verify_identity(lhs, rhs, memo)
         ok = ok and good
         report.append({"relation": name, "passed": good})
     return {"passed": ok, "count": len(report), "relations": report}
@@ -284,18 +287,16 @@ def verify_cp2_relations() -> dict:
 
 # -- confluence ---------------------------------------------------------------
 
-def _single_step_reducts(word: NCMonomial) -> list[NCPoly]:
-    out = []
-    for i in range(len(word) - 1):
-        repl = RULES.get((word[i], word[i + 1]))
-        if repl is None:
-            continue
-        head, tail = word[:i], word[i + 2:]
-        step: NCPoly = {}
-        for r, c in repl.items():
-            step = poly_add(step, {head + r + tail: c})
-        out.append(step)
-    return out
+def _unjoined(word: NCMonomial, redexes: list[int], memo: dict) -> dict | None:
+    """None when the single-step reducts of word at its redexes share one
+    normal form, otherwise a report of their normal forms.  Word's own
+    normal form is its first reduct's, since that is the redex it reduces."""
+    budget = _budget((word,))
+    nfs = [monomial_normal_form(word, memo, budget)]
+    nfs += [_reduct_normal_form(word, i, memo, budget) for i in redexes[1:]]
+    if all(nf == nfs[0] for nf in nfs[1:]):
+        return None
+    return {"word": word_to_str(word), "normal_forms": [poly_to_str(nf) for nf in nfs]}
 
 
 def confluence_check(max_deg: int) -> dict:
@@ -303,21 +304,18 @@ def confluence_check(max_deg: int) -> dict:
     to the degree bound reaches the same normal form.  With termination
     (each rule strictly decreases the graded order) this certifies
     confluence on the tested degree range."""
-    alphabet = range(6)
+    memo: dict = {}
     non_joinable = []
     checked = 0
     for length in range(2, max_deg + 1):
-        for word in itertools.product(alphabet, repeat=length):
-            reducts = _single_step_reducts(word)
-            if len(reducts) < 2:
+        for word in itertools.product(range(6), repeat=length):
+            redexes = _redexes(word)
+            if len(redexes) < 2:
                 continue
             checked += 1
-            nfs = [normal_form(r) for r in reducts]
-            if any(poly_sub(nf, nfs[0]) for nf in nfs[1:]):
-                non_joinable.append({
-                    "word": word_to_str(word),
-                    "normal_forms": [poly_to_str(nf) for nf in nfs],
-                })
+            bad = _unjoined(word, redexes, memo)
+            if bad:
+                non_joinable.append(bad)
     return {"max_deg": max_deg, "branching_words": checked,
             "non_joinable": non_joinable, "passed": not non_joinable}
 
@@ -330,21 +328,11 @@ def critical_pairs() -> dict:
     rules strictly decrease a semigroup order, so when every overlap
     resolves (its two single-step reducts share a normal form) the rewriting
     system is confluent in every degree, not only up to a degree bound."""
-    unresolved = []
-    overlaps = 0
-    for (a, b), (b2, c) in itertools.product(RULES, repeat=2):
-        if b != b2:
-            continue
-        overlaps += 1
-        word = (a, b, c)
-        nfs = [normal_form(r) for r in _single_step_reducts(word)]
-        if any(poly_sub(nf, nfs[0]) for nf in nfs[1:]):
-            unresolved.append({
-                "word": word_to_str(word),
-                "normal_forms": [poly_to_str(nf) for nf in nfs],
-            })
-    return {"overlaps": overlaps, "unresolved": unresolved,
-            "passed": overlaps > 0 and not unresolved}
+    memo: dict = {}
+    overlaps = [(a, b, c) for (a, b), (b2, c) in itertools.product(RULES, repeat=2) if b == b2]
+    unresolved = [bad for bad in (_unjoined(w, _redexes(w), memo) for w in overlaps) if bad]
+    return {"overlaps": len(overlaps), "unresolved": unresolved,
+            "passed": bool(overlaps) and not unresolved}
 
 
 # -- classical cross-check -----------------------------------------------------
@@ -353,10 +341,13 @@ def classical_value(f: NCPoly, zpt) -> complex:
     """Evaluate commutatively at q = 1 on a classical 5-sphere point."""
     vals = {Z1: zpt[0], Z2: zpt[1], Z3: zpt[2],
             Z1S: zpt[0].conjugate(), Z2S: zpt[1].conjugate(), Z3S: zpt[2].conjugate()}
+    at_one: dict = {}  # word -> its exact coefficient at t = 1
+    for (w, _), c in f.items():
+        at_one[w] = at_one.get(w, 0) + c
     total = 0.0 + 0.0j
-    for m, c in f.items():
-        term = complex(c.evaluate_at_one())
-        for let in m:
+    for w, c in at_one.items():
+        term = complex(c)
+        for let in w:
             term *= vals[let]
         total += term
     return total
@@ -401,17 +392,15 @@ def poly_from_string(text: str) -> NCPoly:
     either side (a leading "-" is a sign), and on a zero denominator."""
     pos = 0
     total: NCPoly = {}
-    coeff = LaurentScalar.one()
-    factor: NCPoly = {(): _ONE}
+    word, k, c = (), 0, 1  # the term c t^k word being read
     started = False
     operand_due = True  # no factor since the start or the last operator
 
     def flush():
-        nonlocal total, coeff, factor, started
-        if started:
-            total = poly_add(total, factor, coeff)
-        coeff = LaurentScalar.one()
-        factor = {(): _ONE}
+        nonlocal word, k, c, started
+        if started and c:
+            poly_add(total, {(word, 0): 1}, k, c)
+        word, k, c = (), 0, 1
         started = False
 
     while pos < len(text):
@@ -427,28 +416,28 @@ def poly_from_string(text: str) -> NCPoly:
             raise ValueError(f"operator {op!r} without a left operand at {text[start:].strip()!r}")
         operand_due = bool(op)
         if m.group("p"):
-            factor = poly_mul(factor, p_gen(int(m.group("pi")), int(m.group("pj"))))
+            word += (STAR_OF[int(m.group("pi"))], PLAIN_OF[int(m.group("pj"))])
             started = True
         elif m.group("z"):
             i = int(m.group("zi"))
-            factor = poly_mul(factor, zs(i) if m.group("star") else z(i))
+            word += (STAR_OF[i] if m.group("star") else PLAIN_OF[i],)
             started = True
         elif m.group("qpow"):
-            coeff = coeff * _q(int(m.group("qexp")))
+            k += LATTICE * int(m.group("qexp"))
             started = True
         elif m.group("rat"):
             try:
                 value = Fraction(m.group("rat"))
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in {m.group('rat')!r}") from None
-            coeff = coeff * LaurentScalar.rational(value)
+            c = _coeff(c * value)
             started = True
         else:
             if op == "*":
                 continue
             flush()
             if op == "-":
-                coeff = -LaurentScalar.one()
+                c = -1
     if operand_due:
         raise ValueError(f"dangling operator in {text!r}" if text.strip() else "empty polynomial")
     flush()
@@ -460,9 +449,12 @@ def word_to_str(word: NCMonomial) -> str:
 
 
 def poly_to_str(f: NCPoly) -> str:
+    """Terms by word in (length, letters) order, each word's coefficient
+    printed as the LaurentScalar it stands for."""
     if not f:
         return "0"
-    parts = []
-    for m in sorted(f, key=lambda w: (len(w), w)):
-        parts.append(f"({f[m]}) {word_to_str(m)}")
-    return " + ".join(parts)
+    by_word: dict = {}
+    for (w, k), c in f.items():
+        by_word.setdefault(w, {})[k] = c
+    return " + ".join(f"({LaurentScalar.from_dict(by_word[w])}) {word_to_str(w)}"
+                      for w in sorted(by_word, key=lambda w: (len(w), w)))

@@ -149,10 +149,6 @@ class LaurentScalar:
 
     def __mul__(self, other) -> "LaurentScalar":
         other = _coerce(other)
-        if len(other.coeffs) == 1:
-            return self._scaled(*other.coeffs[0])
-        if len(self.coeffs) == 1:
-            return other._scaled(*self.coeffs[0])
         d: dict = {}
         for e1, c1 in self.coeffs:
             for e2, c2 in other.coeffs:
@@ -165,13 +161,6 @@ class LaurentScalar:
         return LaurentScalar.from_dict(d)
 
     __rmul__ = __mul__
-
-    def _scaled(self, k: int, c) -> "LaurentScalar":
-        """self * c t^k for one nonzero term: a shift keeps the order, and a
-        product of nonzero rationals is nonzero."""
-        if k == 0 and c == 1:
-            return self
-        return LaurentScalar(tuple((e + k, _coeff(c * ce)) for e, ce in self.coeffs))
 
     def __pow__(self, n: int) -> "LaurentScalar":
         if n < 0:

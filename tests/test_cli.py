@@ -183,6 +183,17 @@ def test_other_errors_surface(monkeypatch):
     with pytest.raises(RuntimeError):
         run_cli(["rewrite", "p12 p21"])
 
+    # a ValueError from inside the engine is a bug too, not a usage error
+    def misread(f):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(ncrewrite, "normal_form", misread)
+    with pytest.raises(ValueError):
+        run_cli(["rewrite", "p12 p21"])
+    monkeypatch.setattr(ualg, "evaluate", lambda elem, label, p: misread(elem))
+    with pytest.raises(ValueError):
+        run_cli(["evaluate", "E1", "--n1", "0", "--n2", "1"])
+
 
 # one case per guard on unbounded work: the command line one past its cap,
 # the same command at its cap, and the workers with stub results

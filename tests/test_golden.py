@@ -3,8 +3,11 @@
 The files under tests/golden/ hold reports as the command line printed them
 before a change to the code behind them: the numeric cases before the lazy
 action-row provider, the rewrite cases before integer Laurent coefficients,
-and the q = 0.3 spectrum and q = 0.9 cohomology before forms became plain
-Peter-Weyl vectors.
+the q = 0.3 spectrum and q = 0.9 cohomology before forms became plain
+Peter-Weyl vectors, and the degree-4 relation battery before the rewriting
+engine moved to flat integer polynomials.  That last case is the only one
+that pins the verify-cp2-relations report: its key order and the last digit
+of its classical_max_error float.
 Any change to a number, a coefficient's printed form, a key order or a
 float's last digit shows up here as a failure.
 """
@@ -37,6 +40,7 @@ CASES = {
     "rewrite_p12_p21": ["rewrite", "p12 p21"],
     # a non-integral rational keeps its Fraction coefficient
     "rewrite_rational": ["rewrite", "1/2 p12 p21 - q^-2 p21 p12"],
+    "verify_cp2_relations_deg4": ["verify-cp2-relations", "--max-deg", "4"],
 }
 
 

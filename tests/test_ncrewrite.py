@@ -2,31 +2,39 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cp2q import cli
 from cp2q import ncrewrite as nc
-from cp2q.qarith import LaurentScalar
+from cp2q.qarith import LATTICE, LaurentScalar
 
-Q = LaurentScalar.q_power
-ONE = LaurentScalar.one()
+
+def word(*letters):
+    """The flat polynomial of one word with coefficient 1."""
+    return {(letters, 0): 1}
 
 
 def test_basic_rewrites():
-    assert nc.normal_form({(nc.Z2, nc.Z1): ONE}) == {(nc.Z1, nc.Z2): Q(-1)}
-    assert nc.normal_form({(nc.Z1S, nc.Z1): ONE}) == {(nc.Z1, nc.Z1S): ONE}
-    sphere = nc.normal_form({(nc.Z3, nc.Z3S): ONE})
-    assert sphere == {(): ONE, (nc.Z1, nc.Z1S): -ONE, (nc.Z2, nc.Z2S): -ONE}
+    assert nc.normal_form(word(nc.Z2, nc.Z1)) == {((nc.Z1, nc.Z2), -LATTICE): 1}
+    assert nc.normal_form(word(nc.Z1S, nc.Z1)) == word(nc.Z1, nc.Z1S)
+    sphere = nc.normal_form(word(nc.Z3, nc.Z3S))
+    assert sphere == {((), 0): 1, ((nc.Z1, nc.Z1S), 0): -1, ((nc.Z2, nc.Z2S), 0): -1}
 
 
 def test_normal_form_shape():
     rng = random.Random(11)
     for _ in range(40):
         w = tuple(rng.randrange(6) for _ in range(rng.randrange(0, 7)))
-        nf = nc.normal_form({w: ONE})
-        for m in nf:
+        nf = nc.normal_form(word(*w))
+        for m, _ in nf:
             assert nc.is_normal(m)
             assert list(m) == sorted(m)  # letters in reduction order
             # min(a3, b3) = 0: no surviving z3 z3* pair
@@ -39,12 +47,12 @@ def test_normal_form_idempotent_and_linear():
         f = {}
         for _ in range(3):
             w = tuple(rng.randrange(6) for _ in range(rng.randrange(0, 7)))
-            f = nc.poly_add(f, {w: LaurentScalar.rational(rng.randrange(1, 5))})
+            f = nc.poly_add(f, {(w, 0): rng.randrange(1, 5)})
         nf = nc.normal_form(f)
         assert not nc.poly_sub(nc.normal_form(nf), nf)
-    a = {(nc.Z2, nc.Z1): ONE}
-    b = {(nc.Z3S, nc.Z3): ONE}
-    lhs = nc.normal_form(nc.poly_add(a, b))
+    a = word(nc.Z2, nc.Z1)
+    b = word(nc.Z3S, nc.Z3)
+    lhs = nc.normal_form(nc.poly_add(dict(a), b))
     rhs = nc.poly_add(nc.normal_form(a), nc.normal_form(b))
     assert not nc.poly_sub(lhs, rhs)
 
@@ -60,13 +68,13 @@ def test_grade_preserved_by_rules():
     for _ in range(40):
         w = tuple(rng.randrange(6) for _ in range(rng.randrange(1, 7)))
         g = nc.grade(w)
-        assert all(nc.grade(m) == g for m in nc.normal_form({w: ONE}))
+        assert all(nc.grade(m) == g for m, _ in nc.normal_form(word(*w)))
 
 
 def test_star_poly_on_relations():
     # star of the family-1 relation p22 p13 = q^2 p13 p22 is again an identity
     lhs = nc.poly_mul(nc.p_gen(2, 2), nc.p_gen(1, 3))
-    rhs = nc.poly_add({}, nc.poly_mul(nc.p_gen(1, 3), nc.p_gen(2, 2)), Q(2))
+    rhs = nc.poly_add({}, nc.poly_mul(nc.p_gen(1, 3), nc.p_gen(2, 2)), 2 * LATTICE)
     assert nc.verify_identity(lhs, rhs)
     assert nc.verify_identity(nc.star_poly(lhs), nc.star_poly(rhs))
 
@@ -92,15 +100,21 @@ def test_confluence_small_degree():
     assert rep["branching_words"] > 0
 
 
+def single_step_reducts(w):
+    """Each rewrite of one left-hand side in w, as a flat polynomial."""
+    return [{(w[:i] + repl + w[i + 2:], k): c for repl, k, c in nc.RULES[w[i:i + 2]]}
+            for i in range(len(w) - 1) if w[i:i + 2] in nc.RULES]
+
+
 def test_overlap_triples_join():
     # the classic critical pairs: 3-letter words reducible at both positions
-    for word in itertools.product(range(6), repeat=3):
-        reducts = nc._single_step_reducts(word)
+    for w in itertools.product(range(6), repeat=3):
+        reducts = single_step_reducts(w)
         if len(reducts) < 2:
             continue
         nfs = [nc.normal_form(r) for r in reducts]
         for nf in nfs[1:]:
-            assert not nc.poly_sub(nf, nfs[0]), word
+            assert not nc.poly_sub(nf, nfs[0]), w
 
 
 def test_critical_pairs_certificate():
@@ -108,20 +122,50 @@ def test_critical_pairs_certificate():
     assert rep == {"overlaps": 26, "unresolved": [], "passed": True}
     # every overlap is a 3-letter word with two redexes, and conversely
     words = [w for w in itertools.product(range(6), repeat=3)
-             if len(nc._single_step_reducts(w)) == 2]
+             if len(single_step_reducts(w)) == 2]
     assert len(words) == rep["overlaps"]
 
 
+def test_sweep_and_certificate_report_a_broken_rule(monkeypatch):
+    # without its 1 - q^2 correction the z2* z2 rule no longer joins the
+    # sphere rule, so both confluence checks must fail with a witness
+    broken = {**nc.RULES, (nc.Z2S, nc.Z2): (((nc.Z2, nc.Z2S), 0, 1),)}
+    monkeypatch.setattr(nc, "RULES", broken)
+    conf = nc.confluence_check(3)
+    assert not conf["passed"]
+    assert all(len(set(bad["normal_forms"])) > 1 for bad in conf["non_joinable"])
+    pairs = nc.critical_pairs()
+    assert not pairs["passed"] and pairs["unresolved"]
+
+
 def test_budget_guard_raises_cleanly():
-    word = tuple([nc.Z3S, nc.Z3] * 6)
+    w = tuple([nc.Z3S, nc.Z3] * 6)
     with pytest.raises(nc.RewriteBudgetError):
-        nc.monomial_normal_form(word, budget=[1])
+        nc.monomial_normal_form(w, budget=[1])
+    # a sweep that reduced this shorter word leaves nothing behind that
+    # would let the next call skip its reduction steps
+    short = w[:4]
+    assert nc.confluence_check(4)["passed"]
+    with pytest.raises(nc.RewriteBudgetError):
+        nc.monomial_normal_form(short, budget=[1])
 
 
 def test_classical_cross_check():
     rep = nc.classical_cross_check(samples=30, seed=5)
     assert rep["passed"], rep
     assert rep["max_abs_error"] < 1e-10
+
+
+def test_classical_value_sums_each_words_coefficient_first():
+    # w2's coefficient 1 - q^2 is exactly 0 at q = 1, so w2 adds nothing;
+    # summing term by term would leave rounding from + w2 - w2 behind
+    w1, w2 = (nc.Z1, nc.Z2, nc.Z3S), (nc.Z2, nc.Z3, nc.Z3, nc.Z1S)
+    f = {(w1, 0): 1, (w2, 0): 1, (w2, 2 * LATTICE): -1}
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        v = rng.normal(size=3) + 1j * rng.normal(size=3)
+        v /= np.linalg.norm(v)
+        assert nc.classical_value(f, v) == nc.classical_value(word(*w1), v)
 
 
 def test_poly_parser():
@@ -131,12 +175,16 @@ def test_poly_parser():
     expect = nc.poly_mul(nc.p_gen(1, 2), nc.p_gen(2, 1))
     assert not nc.poly_sub(f, expect)
     f = nc.poly_from_string("1/2 z1 z1* + 1/2 z1 z1*")
-    assert not nc.poly_sub(f, {(nc.Z1, nc.Z1S): ONE})
+    assert not nc.poly_sub(f, word(nc.Z1, nc.Z1S))
     with pytest.raises(ValueError):
         nc.poly_from_string("z4")
     # a leading "-" is a sign, not a dangling operator
-    assert nc.poly_from_string("- z1") == {(nc.Z1,): -ONE}
-    assert nc.poly_from_string("z1 * z2") == {(nc.Z1, nc.Z2): ONE}
+    assert nc.poly_from_string("- z1") == {((nc.Z1,), 0): -1}
+    assert nc.poly_from_string("z1 * z2") == word(nc.Z1, nc.Z2)
+    # a non-integral rational keeps its Fraction, an integral one is an int
+    half = nc.poly_from_string("1/2 q^-1 z1")
+    assert half == {((nc.Z1,), -LATTICE): Fraction(1, 2)}
+    assert [type(c) for c in nc.poly_from_string("4/2 z1").values()] == [int]
 
 
 @pytest.mark.parametrize("expr", ["", "+", "z1 +", "1/0 z1", "z1 - + z2", "* z1"])
@@ -155,3 +203,78 @@ def test_poly_roundtrip_strings():
     f = nc.poly_from_string("q^2 p11 - z2* z2")
     s = nc.poly_to_str(nc.normal_form(f))
     assert "z1" in s or s == "0"
+
+
+def reference_rules():
+    """The defining relations of the module docstring, oriented the same
+    way, with LaurentScalar coefficients and replacements keyed by word."""
+    q, one = LaurentScalar.q_power, LaurentScalar.one()
+    corr = one - q(2)
+    star = {nc.Z1: nc.Z1S, nc.Z2: nc.Z2S, nc.Z3: nc.Z3S}
+    rules = {}
+    for i, j in itertools.combinations((nc.Z1, nc.Z2, nc.Z3), 2):
+        rules[(j, i)] = {(i, j): q(-1)}
+        rules[(star[i], star[j])] = {(star[j], star[i]): q(-1)}
+    for a, j in itertools.permutations((nc.Z1, nc.Z2, nc.Z3), 2):
+        rules[(star[a], j)] = {(j, star[a]): q(1)}
+    rules[(nc.Z1S, nc.Z1)] = {(nc.Z1, nc.Z1S): one}
+    rules[(nc.Z2S, nc.Z2)] = {(nc.Z2, nc.Z2S): one, (nc.Z1, nc.Z1S): corr}
+    rules[(nc.Z3S, nc.Z3)] = {(nc.Z3, nc.Z3S): one, (nc.Z1, nc.Z1S): corr, (nc.Z2, nc.Z2S): corr}
+    rules[(nc.Z3, nc.Z3S)] = {(): one, (nc.Z1, nc.Z1S): -one, (nc.Z2, nc.Z2S): -one}
+    return rules
+
+
+def reference_normal_form(w, rules, memo):
+    """{word: LaurentScalar}, reducing at the last redex (the engine takes
+    the first, so agreement also rests on confluence)."""
+    if w not in memo:
+        out = {w: LaurentScalar.one()}
+        for i in reversed(range(len(w) - 1)):
+            if w[i:i + 2] in rules:
+                out = {}
+                for repl, c in rules[w[i:i + 2]].items():
+                    sub = reference_normal_form(w[:i] + repl + w[i + 2:], rules, memo)
+                    for m, cm in sub.items():
+                        total = out.get(m, LaurentScalar.zero()) + c * cm
+                        if total:
+                            out[m] = total
+                        else:
+                            out.pop(m, None)
+                break
+        memo[w] = out
+    return memo[w]
+
+
+def test_flat_normal_forms_match_a_laurent_reference():
+    rules = reference_rules()
+    assert set(rules) == set(nc.RULES)
+    ref_memo, memo, checked = {}, {}, 0
+    for length in range(5):
+        for w in itertools.product(range(6), repeat=length):
+            flat = nc.monomial_normal_form(w, memo)
+            assert all(type(c) is int and c for c in flat.values()), w
+            by_word = {}
+            for (m, k), c in flat.items():
+                by_word.setdefault(m, {})[k] = c
+            got = {m: LaurentScalar.from_dict(d) for m, d in by_word.items()}
+            assert got == reference_normal_form(w, rules, ref_memo), w
+            checked += 1
+    assert checked == 1555
+
+
+def test_no_module_state_survives_a_sweep_or_a_query():
+    # a fresh interpreter, so no earlier test has filled anything
+    src = Path(nc.__file__).resolve().parents[1]
+    probe = ("from cp2q import ncrewrite as nc\n"
+             "def sizes():\n"
+             "    return {k: len(v) for k, v in vars(nc).items()\n"
+             "            if isinstance(v, (dict, list, set))}\n"
+             "before = sizes()\n"
+             "assert nc.confluence_check(3)['branching_words'] > 0\n"
+             "assert nc.critical_pairs()['passed'] and nc.verify_cp2_relations()['passed']\n"
+             "assert nc.normal_form(nc.poly_from_string('p12 p21 p33'))\n"
+             "assert nc.monomial_normal_form((nc.Z3S, nc.Z3, nc.Z2S, nc.Z2))\n"
+             "print(before == sizes())")
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "True"
