@@ -10,25 +10,19 @@ from .qarith import (
     LaurentScalar,
     QArithError,
     QParam,
-    UnsupportedModeError,
     qbinom,
     qfact,
     qint,
-    qparam_exact,
     qparam_float,
-    qpow,
 )
 
 __all__ = [
     "LaurentScalar",
     "QArithError",
     "QParam",
-    "UnsupportedModeError",
     "qbinom",
     "qfact",
     "qint",
-    "qparam_exact",
     "qparam_float",
-    "qpow",
     "__version__",
 ]

@@ -253,7 +253,7 @@ def classical_rep_check(tol: float = 1e-12) -> dict:
     # matrices agree exactly, the K's are q^(H/2) entrywise
     limit = {}
     for q in (0.9, 0.999):
-        p = QParam("float", q)
+        p = QParam(q)
         perm = [1, 2, 0]  # paper basis order of V(0,1)
         r = 0.0
         for gen, sig in (("E1", SIGMA_E1), ("E2", SIGMA_E2)):

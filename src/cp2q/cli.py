@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -46,7 +47,7 @@ def _qparam(args) -> QParam:
         raise ConfigError(f"cannot parse q: {args.q!r}") from exc
     if not (0.0 < q < 1.0):
         raise ConfigError(f"q must lie strictly inside (0,1), got {q}")
-    return QParam("float", q)
+    return QParam(q)
 
 
 def _at_least(value: int, low: int, flag: str) -> None:
@@ -60,6 +61,14 @@ def _at_most(value: int, high: int, flag: str) -> None:
     """Reject a size whose measured cost is out of desk scale."""
     if value > high:
         raise ConfigError(f"{flag} is capped at {high}, got {value}")
+
+
+def _tol_guard(args) -> None:
+    """Reject a tolerance no residual can be judged against: zero or below
+    fails every check, and NaN or infinity decides them all the same way."""
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"--tol must be finite and > 0, got {tol}")
 
 
 def _parsed(parse, *args):
@@ -253,6 +262,9 @@ def cmd_rewrite(args) -> tuple[int, dict]:
 
 def cmd_verify_cp2_relations(args) -> tuple[int, dict]:
     _at_least(args.samples, 1, "--samples")
+    # a word needs three letters to hold two redexes, so a lower degree
+    # leaves the confluence sweep with nothing to check
+    _at_least(args.max_deg, 3, "--max-deg")
     _at_most(args.max_deg, MAX_DEG_GUARD, "--max-deg")
     rep = ncrewrite.verify_cp2_relations()
     conf = ncrewrite.confluence_check(args.max_deg)
@@ -396,6 +408,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _tol_guard(args)
         code, report = args.fn(args)
     except (dolbeault.MembershipError, dirac.SpectrumSymmetryError,
             ncrewrite.RewriteBudgetError) as exc:

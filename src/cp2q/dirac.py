@@ -360,7 +360,7 @@ def classical_limit_scan(nmax: int, q_list) -> dict:
             classical = sqrt(n * (n + 2)) if family == "diag" else sqrt((n + 2) * (n + 3))
             deltas = []
             for q in q_list:
-                p = QParam("float", q)
+                p = QParam(q)
                 deltas.append(abs(closed_form_eigenvalue(family, n, p) - classical))
             rows.append({
                 "family": family, "n": n, "classical": classical,

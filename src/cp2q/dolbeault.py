@@ -201,17 +201,6 @@ def slot_matrix(apply, slots: list[FormVector]) -> np.ndarray:
     return mat
 
 
-def block_structure(nmax: int, p: QParam) -> list[dict]:
-    """All blocks up to the truncation with their slot bases and the matrix
-    of the raising differential in the orthonormal slot basis."""
-    out = []
-    for b in blocks(nmax):
-        slots = block_slots(b)
-        out.append({"block": b, "slots": slots,
-                    "dbar_matrix": slot_matrix(lambda s: dbar_raw(s, p)[0], slots)})
-    return out
-
-
 # -- slot coordinates -----------------------------------------------------------
 
 class SlotIndex(NamedTuple):

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qarith import LaurentScalar, QParam, UnsupportedModeError, qint
+from .qarith import QParam, qint
 
 
 class LabelError(ValueError):
@@ -141,11 +141,9 @@ def _qn(half_arg: int, p: QParam) -> float:
 def action_row(label, gen: str, triple, p: QParam) -> tuple:
     """gen|triple> as ((target triple, coefficient), ...), zeros dropped.
 
-    The single source of generator actions.  Float mode only; sparse by
-    construction (K/H: 1 entry, E1/F1: <=1, E2/F2: <=2).
+    The single source of generator actions; sparse by construction
+    (K/H: 1 entry, E1/F1: <=1, E2/F2: <=2).
     """
-    if p.is_exact:
-        raise UnsupportedModeError("generator actions are float-mode; exact mode covers diagonals only")
     label = check_label(label)
     q = p.q
     j1, j2, mm = triple
@@ -201,20 +199,9 @@ matrix_cache = _MatrixCache()
 
 
 def generator_matrix(label, gen: str, p: QParam):
-    """Generator matrix on the ordered GT basis.
-
-    Float mode returns a dense real ndarray.  Exact mode returns the list
-    of diagonal LaurentScalar entries for K/H generators and rejects E/F
-    (their entries carry square roots).
-    """
+    """Generator matrix on the ordered GT basis, as a dense read-only real
+    ndarray, memoized per (label, gen, q)."""
     label = check_label(label)
-    if p.is_exact:
-        if gen not in DIAGONAL_GENERATORS:
-            raise UnsupportedModeError(f"exact mode holds only diagonal generators, not {gen}")
-        return [
-            LaurentScalar.t_power(weight_twelfths(gen, label, t))
-            for t in gt_triples(label)
-        ]
 
     def build():
         action = generator_action(label, gen, p)

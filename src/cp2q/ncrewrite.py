@@ -376,7 +376,7 @@ def classical_cross_check(samples: int = 100, seed: int = 1, tol: float = 1e-10)
 _NC_TOKEN = re.compile(
     r"\s*(?:(?P<p>p(?P<pi>[123])(?P<pj>[123]))"
     r"|(?P<z>z(?P<zi>[123])(?P<star>\*)?)"
-    r"|(?P<qpow>q\^(?P<qexp>-?\d+))"
+    r"|(?P<qpower>q\^(?P<qexp>-?\d+))"
     r"|(?P<rat>-?\d+(?:/\d+)?)"
     r"|(?P<op>[+\-*])"
     r")"
@@ -422,7 +422,7 @@ def poly_from_string(text: str) -> NCPoly:
             i = int(m.group("zi"))
             word += (STAR_OF[i] if m.group("star") else PLAIN_OF[i],)
             started = True
-        elif m.group("qpow"):
+        elif m.group("qpower"):
             k += LATTICE * int(m.group("qexp"))
             started = True
         elif m.group("rat"):

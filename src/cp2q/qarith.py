@@ -1,26 +1,22 @@
-"""Exact and floating arithmetic for q-deformed quantities.
+"""Arithmetic for q-deformed quantities.
 
-Two modes share one interface.  Float mode fixes a numeric deformation
-parameter q in (0,1) and returns ordinary floats; it is the workhorse for
-everything involving square roots.  Exact mode works in the Laurent ring
-Q[t, t^-1] with t^12 = q, the smallest power lattice on which every
-diagonal weight occurring in the representation theory (halves, quarters,
-sixths and twelfths of q-exponents) is an integer power of t.
+The q-numbers, q-factorials and q-binomials take a numeric deformation
+parameter q in (0,1) and return ordinary floats.  Exponents live on the
+1/12 lattice: t = q^(1/12) is the smallest power on which every diagonal
+weight occurring in the representation theory (halves, quarters, sixths
+and twelfths of q-exponents) is an integer power of t.  LaurentScalar, a
+Laurent polynomial in t with rational coefficients, prints the exact
+coefficients of the rewriting engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 
 class QArithError(ValueError):
     """Argument outside the admissible q-power lattice or range."""
-
-
-class UnsupportedModeError(TypeError):
-    """Operation not representable in the requested arithmetic mode."""
 
 
 #: exponent lattice denominator: t = q^(1/12)
@@ -29,35 +25,17 @@ LATTICE = 12
 
 @dataclass(frozen=True)
 class QParam:
-    """Deformation parameter: numeric q in (0,1), or the formal variable t.
+    """Deformation parameter: a numeric q in (0,1)."""
 
-    In exact mode no numeric value is carried; scalars are LaurentScalar.
-    """
-
-    mode: str  # "float" | "exact"
-    q: float | None = None
+    q: float
 
     def __post_init__(self):
-        if self.mode == "float":
-            if self.q is None or not (0.0 < self.q < 1.0):
-                raise QArithError(f"float mode needs q strictly inside (0,1), got {self.q}")
-        elif self.mode == "exact":
-            if self.q is not None:
-                raise QArithError("exact mode carries no numeric value")
-        else:
-            raise QArithError(f"unknown mode {self.mode!r}")
-
-    @property
-    def is_exact(self) -> bool:
-        return self.mode == "exact"
+        if not (0.0 < self.q < 1.0):
+            raise QArithError(f"q must lie strictly inside (0,1), got {self.q}")
 
 
 def qparam_float(q: float) -> QParam:
-    return QParam("float", float(q))
-
-
-def qparam_exact() -> QParam:
-    return QParam("exact")
+    return QParam(float(q))
 
 
 def _as_twelfths(z) -> int:
@@ -162,25 +140,10 @@ class LaurentScalar:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentScalar":
-        if n < 0:
-            if len(self.coeffs) == 1:
-                e, c = self.coeffs[0]
-                # int ** -n is a float; the power is taken in Q
-                return LaurentScalar(((e * n, _coeff(Fraction(c) ** n)),))
-            raise QArithError("negative powers only for monomials")
-        out = LaurentScalar.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def evaluate(self, q: float) -> float:
-        """Numeric value at q; exact/float agreement is a tested invariant."""
+        """Numeric value at q."""
         t = q ** (1.0 / LATTICE)
         return sum(float(c) * t**e for e, c in self.coeffs)
-
-    def evaluate_at_one(self) -> Fraction:
-        return sum((c for _, c in self.coeffs), Fraction(0))
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -202,63 +165,27 @@ def _coerce(x) -> LaurentScalar:
     return LaurentScalar.rational(x)
 
 
-def qint(z, p: QParam):
-    """q-number [z] = (q^z - q^-z)/(q - q^-1), for 12z integral.
-
-    Exact mode supports integer z only: for fractional lattice exponents
-    [z] is not a Laurent polynomial in t (the denominator does not divide).
-    """
-    if isinstance(z, int):
-        tw = LATTICE * z
-    else:
+def qint(z, p: QParam) -> float:
+    """q-number [z] = (q^z - q^-z)/(q - q^-1), for 12z integral."""
+    if not isinstance(z, int):
         z = Fraction(z)
-        tw = _as_twelfths(z)
-    if not p.is_exact:
-        q = p.q
-        return (q ** float(z) - q ** float(-z)) / (q - 1.0 / q)
-    if tw % LATTICE != 0:
-        raise UnsupportedModeError(f"[{z}] is not a Laurent polynomial in t; use float mode")
-    n = tw // LATTICE
-    sign = 1 if n >= 0 else -1
-    n = abs(n)
-    # geometric form [n] = q^(n-1) + q^(n-3) + ... + q^(1-n)
-    d = {LATTICE * (n - 1 - 2 * i): sign for i in range(n)}
-    return LaurentScalar.from_dict(d)
+        _as_twelfths(z)  # rejects an exponent off the 1/12 lattice
+    q = p.q
+    return (q ** float(z) - q ** float(-z)) / (q - 1.0 / q)
 
 
-def qfact(n: int, p: QParam):
+def qfact(n: int, p: QParam) -> float:
     """q-factorial [n]! with [0]! = 1."""
     if n < 0:
         raise QArithError(f"q-factorial needs n >= 0, got {n}")
-    out = LaurentScalar.one() if p.is_exact else 1.0
+    out = 1.0
     for i in range(2, n + 1):
         out = out * qint(i, p)
     return out
 
 
-def qbinom(n: int, m: int, p: QParam):
+def qbinom(n: int, m: int, p: QParam) -> float:
     """q-binomial [n]! / ([m]! [n-m]!)."""
     if not (0 <= m <= n):
         raise QArithError(f"q-binomial needs 0 <= m <= n, got ({n},{m})")
-    if not p.is_exact:
-        return qfact(n, p) / (qfact(m, p) * qfact(n - m, p))
-    return _qbinom_exact(n, m)
-
-
-@lru_cache(maxsize=None)
-def _qbinom_exact(n: int, m: int) -> LaurentScalar:
-    # symmetric q-Pascal recurrence: B(n,m) = q^-m B(n-1,m) + q^(n-m) B(n-1,m-1)
-    if m == 0 or m == n:
-        return LaurentScalar.one()
-    a = LaurentScalar.q_power(-m) * _qbinom_exact(n - 1, m)
-    b = LaurentScalar.q_power(n - m) * _qbinom_exact(n - 1, m - 1)
-    return a + b
-
-
-def qpow(z, p: QParam):
-    """q^z on the 1/12 lattice, available in both modes."""
-    zf = Fraction(z)
-    tw = _as_twelfths(zf)
-    if p.is_exact:
-        return LaurentScalar.t_power(tw)
-    return p.q ** float(zf)
+    return qfact(n, p) / (qfact(m, p) * qfact(n - m, p))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import irreps
 from .irreps import GENERATORS
-from .qarith import QParam, UnsupportedModeError, qint
+from .qarith import QParam, qint
 
 Word = tuple  # tuple of generator names; () is the unit
 
@@ -113,8 +113,6 @@ def theta(elem: AlgebraElement) -> AlgebraElement:
 
 def qcommutator(a: AlgebraElement, b: AlgebraElement, p: QParam) -> AlgebraElement:
     """[a,b]_q = ab - q^-1 ba."""
-    if p.is_exact:
-        raise UnsupportedModeError("algebra elements carry float coefficients")
     return a * b - (1.0 / p.q) * (b * a)
 
 
@@ -150,11 +148,8 @@ def casimir_element(p: QParam) -> AlgebraElement:
     """The central element of the cube-root extension, as a word combination.
 
     Word level, no relations applied; its scalar value on V_(n1,n2) is
-    casimir_eigenvalue(n1, n2).  Needs a numeric q: the prefactors
-    (q - q^-1)^-2 and 2 [2]^-1 are not Laurent polynomials.
+    casimir_eigenvalue(n1, n2).
     """
-    if p.is_exact:
-        raise UnsupportedModeError("the Casimir prefactors need float mode")
     q = p.q
     w = AlgebraElement.word
     c2 = (q - 1.0 / q) ** -2
@@ -189,9 +184,7 @@ def casimir_eigenvalue(n1: int, n2: int, p: QParam) -> float:
 
 
 def evaluate(elem: AlgebraElement, label, p: QParam) -> np.ndarray:
-    """Matrix of an element on one irrep (float mode)."""
-    if p.is_exact:
-        raise UnsupportedModeError("evaluation is float-mode; exact mode covers diagonal words only")
+    """Matrix of an element on one irrep."""
     n = irreps.dim(label)
     out = np.zeros((n, n))
     eye = np.eye(n)
@@ -200,23 +193,6 @@ def evaluate(elem: AlgebraElement, label, p: QParam) -> np.ndarray:
         for g in w:
             mat = mat @ irreps.generator_matrix(label, g, p)
         out += c * mat
-    return out
-
-
-def evaluate_exact_diagonal(elem: AlgebraElement, label, p: QParam):
-    """Exact diagonal of an element whose words use only K/H generators."""
-    from .qarith import LaurentScalar
-
-    n = irreps.dim(label)
-    out = [LaurentScalar.zero()] * n
-    for w, c in elem.terms.items():
-        if any(g not in irreps.DIAGONAL_GENERATORS for g in w):
-            raise UnsupportedModeError(f"word {w} is not diagonal")
-        diag = [LaurentScalar.rational(Fraction(c))] * n
-        for g in w:
-            gd = irreps.generator_matrix(label, g, p)
-            diag = [d * e for d, e in zip(diag, gd)]
-        out = [a + b for a, b in zip(out, diag)]
     return out
 
 
@@ -375,7 +351,7 @@ def verify_coproduct_identity(p: QParam, tol: float = 1e-12, label=(0, 1)) -> di
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<gen>K1'|K2'|H'|K1|K2|E1|E2|F1|F2|H)"
-    r"|(?P<qpow>q\^(?P<qexp>-?\d+))"
+    r"|(?P<qpower>q\^(?P<qexp>-?\d+))"
     r"|(?P<rat>-?\d+(?:/\d+)?)"
     r"|(?P<op>[+\-*])"
     r")"
@@ -421,7 +397,7 @@ def element_from_string(text: str, p: QParam) -> AlgebraElement:
             g = _GEN_ALIAS.get(m.group("gen"), m.group("gen"))
             word.append(g)
             started = True
-        elif m.group("qpow"):
+        elif m.group("qpower"):
             coeff *= p.q ** int(m.group("qexp"))
             started = True
         elif m.group("rat"):

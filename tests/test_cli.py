@@ -129,6 +129,9 @@ def test_verify_commands_pass():
     ["classical-check", "--samples", "0"],
     ["verify-cp2-relations", "--samples", "0"],
     ["verify-complex", "--nmax", "-1"],
+    # no word below degree 3 holds two redexes, so the sweep checks nothing
+    ["verify-cp2-relations", "--max-deg", "2"],
+    ["verify-cp2-relations", "--max-deg", "-1"],
 ])
 def test_empty_checks_are_config_errors(argv):
     # each of these would check nothing and still report a pass
@@ -136,6 +139,40 @@ def test_empty_checks_are_config_errors(argv):
     assert code == cli.EXIT_CONFIG_ERROR
     report = json.loads(out)
     assert report["passed"] is False and report["error"]
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+TOL_COMMANDS = [
+    ["verify-hopf", "--total-degree", "1"],
+    ["verify-casimir", "--total-degree", "1"],
+    ["verify-gt", "--total-degree", "1"],
+    ["verify-coproduct"],
+    ["verify-complex", "--nmax", "1"],
+    ["spectrum", "--nmax", "1"],
+    ["cohomology", "--nmax", "1"],
+    ["summability", "--nmax", "2"],
+    ["classical-check", "--samples", "2"],
+]
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("argv", TOL_COMMANDS, ids=lambda a: a[0])
+def test_bad_tol_is_a_config_error(argv, tol):
+    # a tolerance of zero or below fails every check, and NaN or infinity
+    # decides them all alike: a usage error, reported as JSON
+    code, out = run_cli(argv + ["--tol", tol])
+    assert code == cli.EXIT_CONFIG_ERROR
+    report = _strict_json(out)
+    assert report["passed"] is False and "--tol" in report["error"]
+    # the same command line with a usable tolerance runs and passes
+    code, out = run_cli(argv + ["--tol", "1e-6"])
+    assert code == cli.EXIT_OK and _strict_json(out)["passed"] is True
 
 
 def test_membership_error_exits_1(monkeypatch):

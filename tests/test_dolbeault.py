@@ -18,6 +18,23 @@ def restrict(f, *parts):
     return {k: c for k, c in f.items() if db.part(k) in parts}
 
 
+def block_spans(nmax):
+    """Each block with the range of its slots in form_basis order, where the
+    blocks own consecutive slots."""
+    out, start = {}, 0
+    for b in db.blocks(nmax):
+        out[b] = range(start, start + len(db.block_slots(b)))
+        start += len(out[b])
+    return out
+
+
+def block_dbar_matrices(nmax, p):
+    """The raising differential restricted to each block's slots, read off
+    the assembled slot operator."""
+    mat = db.slot_operator("dbar", nmax, p).dense()
+    return {b: mat[np.ix_(span, span)] for b, span in block_spans(nmax).items()}
+
+
 def test_dbar_kills_constants():
     assert db.form_norm(db.dbar(const_form(), P5)) == 0.0
 
@@ -32,10 +49,10 @@ def test_dbar_squared_on_random_deg0():
 
 
 def test_dbar_diag_slot_coefficient_nonzero():
-    entries = {e["block"]: e for e in db.block_structure(3, P5)}
+    mats = block_dbar_matrices(3, P5)
     for n in (1, 2, 3):
         block = db.BlockIndex("diag", n, irreps.gt_triples((n, n))[0])
-        d = entries[block]["dbar_matrix"][1, 0]
+        d = mats[block][1, 0]
         expect = sqrt(2 * qint(n, P5) * qint(n + 2, P5) / qint(2, P5))
         assert d == pytest.approx(expect, rel=1e-13)
         assert d > 0
@@ -96,31 +113,33 @@ def test_equivariance_on_zero_form():
     assert db.form_norm(pw.white_act(h, {}, P5)) == 0.0
 
 
-def test_block_structure_counts():
-    bs = db.block_structure(0, P5)
-    assert len(bs) == 1 + irreps.dim((0, 3))
-    diag1 = [e for e in db.block_structure(1, P5)
-             if e["block"].family == "diag" and e["block"].n == 1]
+def test_block_slot_counts():
+    mats = block_dbar_matrices(0, P5)
+    assert len(mats) == 1 + irreps.dim((0, 3))
+    assert sum(len(m) for m in mats.values()) == db.slot_operator("dbar", 0, P5).size
+    diag1 = [m for b, m in block_dbar_matrices(1, P5).items() if b.family == "diag" and b.n == 1]
     assert len(diag1) == 8
-    for e in diag1:
-        assert len(e["slots"]) == 2
+    for m in diag1:
+        assert m.shape == (2, 2)
 
 
 def test_cross_block_elements_vanish():
-    entries = db.block_structure(1, P5)
-    for e in entries:
-        for s in e["slots"]:
-            img, junk = db.dbar_raw(s, P5)
+    basis = db.form_basis(1)
+    mat = db.slot_operator("dbar", 1, P5).dense()
+    for span in block_spans(1).values():
+        outside = [i for i in range(len(basis)) if i not in span]
+        assert np.abs(mat[np.ix_(outside, span)]).max(initial=0.0) < 1e-12
+        for j in span:
+            img, junk = db.dbar_raw(basis[j], P5)
             assert junk < 1e-12
             resid = dict(img)
-            for t in e["slots"]:
-                pw.add_into(resid, t, -db.inner_product(t, img))
+            for i in span:
+                pw.add_into(resid, basis[i], -mat[i, j])
             assert db.form_norm(resid) < 1e-12
 
 
 def test_block_dbar_matrix_is_strictly_raising():
-    for e in db.block_structure(2, P5):
-        mat = e["dbar_matrix"]
+    for mat in block_dbar_matrices(2, P5).values():
         assert np.abs(np.triu(mat)).max() == 0.0  # structural zeros on and above the diagonal
 
 

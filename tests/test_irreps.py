@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from cp2q import irreps
-from cp2q.qarith import UnsupportedModeError, qparam_exact, qparam_float
+from cp2q.qarith import qparam_float
 
 P5 = qparam_float(0.5)
-PE = qparam_exact()
 
 # paper ordering of the fundamental representation basis
 FUND_PERM = [1, 2, 0]  # (0,1,-1/2), (0,1,+1/2), (0,0,0)
@@ -103,18 +102,25 @@ def test_highest_weight_vector():
 
 
 def test_exact_diagonals_match_float():
-    for gen in irreps.DIAGONAL_GENERATORS:
-        diag = irreps.generator_matrix((2, 1), gen, PE)
-        flt = irreps.generator_matrix((2, 1), gen, P5)
-        for i, d in enumerate(diag):
-            assert d.evaluate(0.5) == pytest.approx(flt[i, i], rel=1e-14)
+    # the K/H generators scale each basis vector by q^(w/12), with the
+    # integer weight w exact
+    for label in ((2, 1), (0, 3), (3, 3)):
+        for gen in irreps.DIAGONAL_GENERATORS:
+            flt = irreps.generator_matrix(label, gen, P5)
+            assert np.array_equal(flt, np.diag(np.diag(flt)))
+            for i, t in enumerate(irreps.gt_triples(label)):
+                w = irreps.weight_twelfths(gen, label, t)
+                assert type(w) is int
+                assert 0.5 ** (w / 12) == pytest.approx(flt[i, i], rel=1e-14)
 
 
 def test_exact_mode_rejects_ladder_generators():
-    with pytest.raises(UnsupportedModeError):
-        irreps.generator_matrix((1, 1), "E1", PE)
-    with pytest.raises(UnsupportedModeError):
-        irreps.generator_action((1, 1), "E1", PE)
+    # exact weights exist for the diagonal generators only; a ladder
+    # generator has none, and its matrix has no diagonal
+    for gen in ("E1", "E2", "F1", "F2"):
+        with pytest.raises(irreps.LabelError):
+            irreps.weight_twelfths(gen, (1, 1), (0, 0, 0))
+        assert not np.diag(irreps.generator_matrix((1, 1), gen, P5)).any()
 
 
 def test_sparsity_pattern_of_ladder_actions():

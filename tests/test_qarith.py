@@ -1,25 +1,48 @@
 import random
 from fractions import Fraction
+from functools import lru_cache, reduce
+from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cp2q.qarith import (
+    LATTICE,
     LaurentScalar,
     QArithError,
-    UnsupportedModeError,
+    QParam,
     qbinom,
     qfact,
     qint,
-    qparam_exact,
     qparam_float,
-    qpow,
 )
 
 P5 = qparam_float(0.5)
-PE = qparam_exact()
 QS = (0.3, 0.5, 0.9)
+
+
+# -- exact q-numbers, as Laurent polynomials in t = q^(1/12) --------------------
+
+def exact_qint(n: int) -> LaurentScalar:
+    """[n] as the geometric sum q^(n-1) + q^(n-3) + ... + q^(1-n), odd in n."""
+    sign = 1 if n >= 0 else -1
+    return LaurentScalar.from_dict({LATTICE * (abs(n) - 1 - 2 * i): sign for i in range(abs(n))})
+
+
+def exact_qfact(n: int) -> LaurentScalar:
+    return reduce(mul, (exact_qint(i) for i in range(2, n + 1)), LaurentScalar.one())
+
+
+@lru_cache(maxsize=None)
+def exact_qbinom(n: int, m: int) -> LaurentScalar:
+    """The symmetric q-Pascal recurrence B(n,m) = q^-m B(n-1,m) + q^(n-m) B(n-1,m-1);
+    no division, so the value stays a Laurent polynomial."""
+    if m == 0 or m == n:
+        return LaurentScalar.one()
+    return (LaurentScalar.q_power(-m) * exact_qbinom(n - 1, m)
+            + LaurentScalar.q_power(n - m) * exact_qbinom(n - 1, m - 1))
 
 
 def test_qint_trivial_cases():
@@ -49,14 +72,9 @@ def test_qint_exact_matches_float_on_integers():
     for q in QS:
         p = qparam_float(q)
         for n in range(-8, 9):
-            exact = qint(n, PE).evaluate(q)
+            exact = exact_qint(n).evaluate(q)
             flt = qint(n, p)
             assert exact == pytest.approx(flt, rel=1e-12, abs=1e-12)
-
-
-def test_qint_exact_rejects_fractional():
-    with pytest.raises(UnsupportedModeError):
-        qint(Fraction(1, 2), PE)
 
 
 def test_qfact_values():
@@ -74,7 +92,13 @@ def test_qbinom_values():
     # classical limit
     p = qparam_float(1 - 1e-7)
     assert qbinom(4, 2, p) == pytest.approx(6.0, abs=1e-4)
-    assert qbinom(4, 2, PE).evaluate_at_one() == Fraction(6)
+    for n in range(7):
+        for m in range(n + 1):
+            at_one = sum(c for _, c in exact_qbinom(n, m).coeffs)
+            assert at_one == comb(n, m)
+            for q in QS:
+                assert exact_qbinom(n, m).evaluate(q) == pytest.approx(qbinom(n, m, qparam_float(q)),
+                                                                      rel=1e-12)
     with pytest.raises(QArithError):
         qbinom(2, 3, P5)
 
@@ -83,26 +107,28 @@ def test_qbinom_symmetry():
     for n in range(7):
         for m in range(n + 1):
             assert qbinom(n, m, P5) == pytest.approx(qbinom(n, n - m, P5), rel=1e-12)
-            assert qbinom(n, m, PE) == qbinom(n, n - m, PE)
+            assert exact_qbinom(n, m) == exact_qbinom(n, n - m)
 
 
-def test_qbinom_exact_times_factorials_is_factorial():
+def test_exact_qbinom_times_factorials_is_factorial():
     for n in range(8):
         for m in range(n + 1):
-            assert qbinom(n, m, PE) * qfact(m, PE) * qfact(n - m, PE) == qfact(n, PE)
+            assert exact_qbinom(n, m) * exact_qfact(m) * exact_qfact(n - m) == exact_qfact(n)
+        for q in QS:
+            assert exact_qfact(n).evaluate(q) == pytest.approx(qfact(n, qparam_float(q)), rel=1e-12)
 
 
 def test_spectrum_lemma_identities_exact():
     # [n+1]^2 - 1 = [n][n+2], used to rewrite the Casimir gap on V(n,n)
     one = LaurentScalar.one()
     for n in range(9):
-        lhs = qint(n + 1, PE) * qint(n + 1, PE) - one
-        rhs = qint(n, PE) * qint(n + 2, PE)
+        lhs = exact_qint(n + 1) * exact_qint(n + 1) - one
+        rhs = exact_qint(n) * exact_qint(n + 2)
         assert lhs == rhs
     # [a]^2 + [a+1]^2 - 1 = [2][a][a+1], the off-diagonal family rewrite
     for a in range(9):
-        lhs = qint(a, PE) * qint(a, PE) + qint(a + 1, PE) * qint(a + 1, PE) - one
-        rhs = qint(2, PE) * qint(a, PE) * qint(a + 1, PE)
+        lhs = exact_qint(a) * exact_qint(a) + exact_qint(a + 1) * exact_qint(a + 1) - one
+        rhs = exact_qint(2) * exact_qint(a) * exact_qint(a + 1)
         assert lhs == rhs
 
 
@@ -132,16 +158,17 @@ def test_laurent_no_zero_coeffs_stored():
     assert a == LaurentScalar.zero()
 
 
-def test_qpow_both_modes():
-    assert qpow(Fraction(1, 2), P5) == pytest.approx(0.5**0.5)
-    assert qpow(Fraction(1, 12), PE).evaluate(0.5) == pytest.approx(0.5 ** (1 / 12))
-
-
 def test_qparam_validation():
     with pytest.raises(QArithError):
         qparam_float(1.5)
     with pytest.raises(QArithError):
         qparam_float(0.0)
+    with pytest.raises(QArithError):
+        QParam(1.0)
+    # a QParam keys the operator caches: equal q, equal and hash-equal params
+    assert QParam(0.5) == qparam_float(0.5) == P5
+    assert hash(QParam(0.5)) == hash(P5)
+    assert QParam(0.5).q == 0.5
 
 
 # -- integer storage against a dict-of-Fraction reference ---------------------
@@ -188,21 +215,10 @@ def test_laurent_ring_ops_match_fraction_reference(da, db, n):
     assert _agrees(a - b, _ref_add(ra, {e: -c for e, c in rb.items()}))
     assert _agrees(-a, {e: -c for e, c in ra.items()})
     assert _agrees(a * b, _ref_mul(ra, rb))
-    power = {0: Fraction(1)}
+    power, ref_power = LaurentScalar.one(), {0: Fraction(1)}
     for _ in range(n):
-        power = _ref_mul(power, ra)
-    assert _agrees(a**n, power)
-
-
-@settings(deadline=None, derandomize=True)
-@given(st.integers(-30, 30), _COEFF.filter(bool), st.integers(-4, -1))
-@example(5, 2, -1)
-@example(-7, -3, -2)
-@example(0, 1, -3)
-def test_laurent_negative_power_of_monomial(e, c, n):
-    m = LaurentScalar.t_power(e, c)
-    assert _agrees(m**n, {e * n: Fraction(c) ** n})
-    assert m**n * m**-n == LaurentScalar.one()
+        power, ref_power = power * a, _ref_mul(ref_power, ra)
+    assert _agrees(power, ref_power)
 
 
 def test_laurent_constructors_store_int_coefficients():
@@ -210,9 +226,9 @@ def test_laurent_constructors_store_int_coefficients():
                     (LaurentScalar.rational(Fraction(4, 2)), {0: 2}),
                     (LaurentScalar.q_power(-1, Fraction(-6, 3)), {-12: -2}),
                     (LaurentScalar.t_power(5, Fraction(1, 2)), {5: Fraction(1, 2)}),
-                    (qint(3, PE), {-24: 1, 0: 1, 24: 1}),
-                    (qint(-2, PE), {-12: -1, 12: -1}),
-                    (qbinom(4, 2, PE), {-48: 1, -24: 1, 0: 2, 24: 1, 48: 1})):
+                    (exact_qint(3), {-24: 1, 0: 1, 24: 1}),
+                    (exact_qint(-2), {-12: -1, 12: -1}),
+                    (exact_qbinom(4, 2), {-48: 1, -24: 1, 0: 2, 24: 1, 48: 1})):
         assert _agrees(x, _ref(want))
 
 
@@ -226,5 +242,5 @@ def test_laurent_int_and_fraction_storage_are_one_value():
 def test_laurent_repr():
     assert repr(LaurentScalar.rational(Fraction(1, 2))) == "1/2"
     assert repr(LaurentScalar.q_power(-2, -1)) == "-1*q^-2"
-    assert repr(qint(3, PE)) == "1*q^-2 + 1 + 1*q^2"
+    assert repr(exact_qint(3)) == "1*q^-2 + 1 + 1*q^2"
     assert repr(LaurentScalar.t_power(3, Fraction(-2, 3))) == "-2/3*t^3"

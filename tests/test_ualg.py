@@ -170,32 +170,27 @@ def test_identity_battery_casimir_central():
 
 
 def test_exact_diagonal_evaluation():
-    from fractions import Fraction
-
-    from cp2q.qarith import qparam_exact
-
-    pe = qparam_exact()
-    elem = WORD(("K1", "K2", "K2")) + Fraction(1, 2) * WORD(("H", "Hinv"))
-    diag = ualg.evaluate_exact_diagonal(elem, (2, 1), pe)
-    flt = ualg.evaluate(ualg.element_from_string("K1 K2 K2 + 1/2 H H'", P5), (2, 1), P5)
-    for i, d in enumerate(diag):
-        assert d.evaluate(0.5) == pytest.approx(flt[i, i], rel=1e-14)
-    # exact weight bookkeeping: K1 K2^2 scales |j1,j2,m> by q^((3/2)(j1-j2)+(n2-n1))
-    from cp2q import irreps as ir
-    from cp2q.qarith import LaurentScalar
-
-    k1k22 = ualg.evaluate_exact_diagonal(WORD(("K1", "K2", "K2")), (2, 1), pe)
-    for d, (j1, j2, mm) in zip(k1k22, ir.gt_triples((2, 1))):
-        assert d == LaurentScalar.t_power(18 * (j1 - j2) - 12)
+    label = (2, 1)
+    flt = ualg.evaluate(ualg.element_from_string("K1 K2 K2 + 1/2 H H'", P5), label, P5)
+    assert np.array_equal(flt, np.diag(np.diag(flt)))
+    for i, t in enumerate(irreps.gt_triples(label)):
+        # a diagonal word scales by q^(w/12), w the sum of its letters' weights
+        w = sum(irreps.weight_twelfths(g, label, t) for g in ("K1", "K2", "K2"))
+        assert irreps.weight_twelfths("H", label, t) + irreps.weight_twelfths("Hinv", label, t) == 0
+        # exact weight bookkeeping: K1 K2^2 scales |j1,j2,m> by q^((3/2)(j1-j2)+(n2-n1))
+        j1, j2, _ = t
+        assert w == 18 * (j1 - j2) - 12
+        assert flt[i, i] == pytest.approx(0.5 ** (w / 12) + 0.5, rel=1e-14)
 
 
 def test_exact_diagonal_rejects_ladder_words():
-    from cp2q.qarith import UnsupportedModeError, qparam_exact
-
-    with pytest.raises(UnsupportedModeError):
-        ualg.evaluate_exact_diagonal(GEN("E1"), (1, 1), qparam_exact())
-    with pytest.raises(UnsupportedModeError):
-        ualg.evaluate(GEN("K1"), (1, 1), qparam_exact())
+    # a word with a ladder letter has no exact weight, and moves every
+    # basis vector off itself
+    label = (1, 1)
+    t = irreps.gt_triples(label)[0]
+    with pytest.raises(irreps.LabelError):
+        sum(irreps.weight_twelfths(g, label, t) for g in ("K1", "E1"))
+    assert not np.diag(ualg.evaluate(WORD(("K1", "E1")), label, P5)).any()
 
 
 def test_element_parser():
