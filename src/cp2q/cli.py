@@ -63,12 +63,17 @@ def _at_most(value: int, high: int, flag: str) -> None:
         raise ConfigError(f"{flag} is capped at {high}, got {value}")
 
 
+def _finite_positive(value: float, flag: str) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{flag} must be finite and > 0, got {value}")
+
+
 def _tol_guard(args) -> None:
     """Reject a tolerance no residual can be judged against: zero or below
     fails every check, and NaN or infinity decides them all the same way."""
     tol = getattr(args, "tol", None)
-    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
-        raise ConfigError(f"--tol must be finite and > 0, got {tol}")
+    if tol is not None:
+        _finite_positive(tol, "--tol")
 
 
 def _parsed(parse, *args):
@@ -240,6 +245,8 @@ def cmd_summability(args) -> tuple[int, dict]:
     p = _qparam(args)
     _at_least(args.nmax, 2, "--nmax")  # two shells give the first decay ratio
     _spectrum_guard(args, p.q)
+    for eps in args.eps:  # 0+ summability is a claim about each finite eps > 0
+        _finite_positive(eps, "--eps")
     cfg = dirac.DiracConfig(p=p, nmax=args.nmax, tol=args.tol)
     rep = dirac.summability_probe(cfg, args.eps)
     rep["command"] = "summability"
@@ -287,6 +294,11 @@ def cmd_classical_check(args) -> tuple[int, dict]:
     _at_least(args.samples, 1, "--samples")
     _at_least(args.seed, 0, "--seed")
     battery = classical.run_sample_battery(args.samples, args.seed, args.tol)
+    if "bad_sample" in battery:
+        return EXIT_VERIFICATION_FAILED, {
+            "command": "classical-check", "samples": args.samples, "seed": args.seed,
+            "error": f"sample of seed {battery['bad_sample']} is not special unitary",
+            "bad_sample": battery["bad_sample"], **battery["detail"], "passed": False}
     reps = classical.classical_rep_check()
     local_rows = []
     ok = battery["passed"] and reps["passed"]

@@ -40,6 +40,104 @@ def test_sample_battery():
     assert rep["passed"], rep
 
 
+# -- per-sample reference for the stacked battery ------------------------------
+# The loop the battery ran before it worked on stacks, one sample and one
+# chart pair at a time, kept here as its independent oracle.
+
+def _ref_sample(seed):
+    if seed == 0:
+        return np.eye(3, dtype=complex)
+    rng = np.random.default_rng(seed)
+    gin = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    qmat, r = np.linalg.qr(gin)
+    ph = np.diag(r).copy()
+    qmat = qmat @ np.diag(ph / np.abs(ph))
+    det = np.linalg.det(qmat)
+    return qmat / det ** (1.0 / 3.0)
+
+
+_REF_COLS = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
+
+
+def _ref_comparison(g, chart):
+    z = g[2, :]
+    k, l = _REF_COLS[chart]
+    top = [g[0, k - 1], g[0, l - 1]]
+    bot = [-g[1, k - 1], -g[1, l - 1]]
+    return z[chart - 1].conjugate() * np.array([top, bot])
+
+
+def _ref_transition(z, j, k):
+    zb = z.conj()
+    if (j, k) == (1, 2):
+        return (zb[1] / zb[0] ** 2) * np.array([[-zb[1], 0.0], [-zb[2], zb[0]]])
+    if (j, k) == (2, 3):
+        return (zb[2] / zb[1] ** 2) * np.array([[zb[1], -zb[0]], [0.0, -zb[2]]])
+    if (j, k) == (3, 1):
+        return (zb[0] / zb[2] ** 2) * np.array([[0.0, -zb[0]], [zb[2], -zb[1]]])
+    return np.linalg.inv(_ref_transition(z, k, j))
+
+
+def _ref_transition_check(g):
+    z = g[2, :]
+    charts = [j for j in (1, 2, 3) if abs(z[j - 1]) > 0.1]
+    res = dict.fromkeys(cl.BATTERY_FAMILIES, 0.0)
+    for j in charts:
+        for k in charts:
+            if j != k:
+                lhs = _ref_comparison(g, j) @ _ref_transition(z, j, k)
+                res["transition"] = max(res["transition"],
+                                        float(np.abs(lhs - _ref_comparison(g, k)).max()))
+            if j < k:
+                prod = _ref_transition(z, j, k) @ _ref_transition(z, k, j)
+                res["transition_inverse"] = max(res["transition_inverse"],
+                                                float(np.abs(prod - np.eye(2)).max()))
+        det = np.linalg.det(_ref_comparison(g, j))
+        res["determinant"] = max(res["determinant"],
+                                 abs(det - (-1.0) ** j * z[j - 1].conjugate() ** 3))
+    for j in (1, 2):
+        res["row_orthogonality"] = max(res["row_orthogonality"],
+                                       abs(np.sum(z.conj() * g[j - 1, :])))
+    p = np.outer(z.conj(), z)
+    res["projector"] = max(float(np.abs(p @ p - p).max()),
+                           float(np.abs(p - p.conj().T).max()), abs(np.trace(p) - 1.0))
+    return res
+
+
+@pytest.mark.parametrize("samples,seed", [(1000, 716), (100, 1), (30, 2), (5, 0)])
+def test_stacked_battery_matches_the_per_sample_loop(samples, seed):
+    stack = cl.sample_stack(seed, samples)
+    worst = dict.fromkeys(cl.BATTERY_FAMILIES, 0.0)
+    for i in range(samples):
+        g = _ref_sample(seed + i)
+        assert np.array_equal(stack[i], g), seed + i
+        for name, r in _ref_transition_check(g).items():
+            worst[name] = max(worst[name], r)
+    rep = cl.run_sample_battery(samples, seed)
+    assert rep["passed"] and set(rep["residuals"]) == set(worst)
+    for name, r in worst.items():
+        assert abs(rep["residuals"][name] - r) <= 1e-15, (name, rep["residuals"][name], r)
+
+
+def test_battery_in_blocks_equals_one_stack(monkeypatch):
+    whole = cl.run_sample_battery(samples=100, seed=3)
+    assert cl.SAMPLE_BLOCK >= 100
+    monkeypatch.setattr(cl, "SAMPLE_BLOCK", 7)
+    assert cl.run_sample_battery(samples=100, seed=3) == whole
+
+
+@pytest.mark.parametrize("h", [1e-5, -1e-5, 1e-3, -1e-3])
+def test_eigh_exponential_matches_scipy_expm(h):
+    linalg = pytest.importorskip("scipy.linalg")
+    flows = [a for pair in cl.black_flows() for a in pair]
+    assert len(flows) == 4
+    for a in flows:
+        assert np.abs(a + a.conj().T).max() == 0.0  # antihermitian
+        u = cl.expm_antihermitian(h * a)
+        assert np.abs(u - linalg.expm(h * a)).max() <= 2e-15
+        assert np.abs(u @ u.conj().T - np.eye(3)).max() <= 2e-15
+
+
 def test_projector_properties_at_samples():
     for seed in (1, 9):
         p = cl.projector_of(cl.sample_su3(seed)[2, :])

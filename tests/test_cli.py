@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cp2q import cli, dirac, dolbeault, ncrewrite, ualg
+from cp2q import classical, cli, dirac, dolbeault, ncrewrite, ualg
 
 
 def run_cli(argv):
@@ -175,6 +175,35 @@ def test_bad_tol_is_a_config_error(argv, tol):
     assert code == cli.EXIT_OK and _strict_json(out)["passed"] is True
 
 
+@pytest.mark.parametrize("eps", ["-1", "0", "nan", "inf"])
+def test_bad_eps_is_a_config_error(eps):
+    # one bad value among good ones is a usage error, reported as JSON
+    code, out = run_cli(["summability", "--nmax", "2", "--eps", "0.1", eps])
+    assert code == cli.EXIT_CONFIG_ERROR
+    report = _strict_json(out)
+    assert report["passed"] is False and "--eps" in report["error"]
+    code, out = run_cli(["summability", "--nmax", "2", "--eps", "0.1"])
+    assert code == cli.EXIT_OK and _strict_json(out)["passed"] is True
+
+
+def test_classical_check_reports_a_bad_sample(monkeypatch):
+    stack = classical.sample_stack
+
+    def scaled(seed, n):  # the sample of seed 13 is twice a unitary matrix
+        g = stack(seed, n)
+        if seed <= 13 < seed + n:
+            g[13 - seed] *= 2.0
+        return g
+
+    monkeypatch.setattr(classical, "sample_stack", scaled)
+    monkeypatch.setattr(classical, "SAMPLE_BLOCK", 2)  # seed 13 sits in the second block
+    code, out = run_cli(["classical-check", "--samples", "5", "--seed", "10"])
+    assert code == cli.EXIT_VERIFICATION_FAILED
+    report = _strict_json(out)
+    assert report["passed"] is False and report["bad_sample"] == 13
+    assert "seed 13" in report["error"] and report["unitarity"] > 1.0 and report["det"] > 1.0
+
+
 def test_membership_error_exits_1(monkeypatch):
     raw = dolbeault.dbar_raw
     monkeypatch.setattr(dolbeault, "dbar_raw", lambda f, p: (raw(f, p)[0], 1.0))
@@ -264,10 +293,33 @@ def test_unbounded_work_is_refused_before_it_starts(monkeypatch, over, at, worke
     assert called == [name for _, name, _ in workers]
 
 
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def _python(*args):
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True)
+
+
 def test_cli_import_loads_no_scipy():
-    src = Path(cli.__file__).resolve().parents[1]
     probe = ("import sys, cp2q.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = _python("-c", probe)
+    assert out.returncode == 0 and out.stdout.strip() == "[]"
+
+
+def test_classical_check_loads_no_scipy():
+    probe = ("import contextlib, io, sys; from cp2q import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = cli.main(['classical-check', '--samples', '5'])\n"
+             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = _python("-c", probe)
+    assert out.returncode == 0 and out.stdout.strip() == "0 []"
+
+
+def test_classical_check_at_the_identity_sample_is_quiet():
+    # seed 0 is the identity, where charts 1 and 2 are inactive: the masked
+    # battery must raise no division or inverse warning
+    out = _python("-m", "cp2q.cli", "classical-check", "--samples", "5", "--seed", "0")
+    assert out.returncode == 0 and out.stderr == ""
+    assert json.loads(out.stdout)["passed"] is True
