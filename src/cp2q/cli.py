@@ -14,10 +14,10 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import classical, dirac, dolbeault, irreps, ncrewrite, peterweyl, ualg
-from .qarith import QParam
+# only the exact path loads at import; each numeric command imports its
+# modules, and with them numpy, when it runs
+from . import ncrewrite
+from .qarith import QParam, VerificationError
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -27,10 +27,12 @@ SPECTRUM_Q_RANGE = (0.3, 0.95)
 NMAX_GUARD = 8
 # caps on unbounded work, from the measured cost table in the README:
 # evaluate holds and prints dense dim x dim matrices (about 170 bytes of
-# memory and 11 of output per entry), and verify-cp2-relations walks all
-# 6^d words of each degree d (time and memory grow about 7x per degree)
+# memory and 11 of output per entry), verify-cp2-relations walks all 6^d
+# words of each degree d (time and memory grow about 7x per degree), and
+# its q = 1 cross-check takes about 0.5 ms per sample point
 EVALUATE_DIM_GUARD = 1000
 MAX_DEG_GUARD = 7
+CROSS_CHECK_SAMPLES_GUARD = 10_000
 
 
 class ConfigError(ValueError):
@@ -118,10 +120,12 @@ def emit(report: dict, fmt: str, stream=None) -> None:
 
 
 def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
+    np = sys.modules.get("numpy")  # a numpy value exists only once numpy is loaded
+    if np is not None:
+        if isinstance(obj, (np.floating, np.integer, np.bool_)):
+            return obj.item()
+        if isinstance(obj, np.ndarray):
+            return obj.tolist()
     if isinstance(obj, tuple):
         return list(obj)
     raise TypeError(f"not serializable: {type(obj)}")
@@ -143,6 +147,8 @@ def _emit_table(report: dict, stream) -> None:
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_verify_hopf(args) -> tuple[int, dict]:
+    from . import irreps
+
     p = _qparam(args)
     _at_least(args.total_degree, 0, "--total-degree")
     labels = irreps.labels_up_to(args.total_degree)
@@ -162,6 +168,8 @@ def cmd_verify_hopf(args) -> tuple[int, dict]:
 
 
 def cmd_verify_casimir(args) -> tuple[int, dict]:
+    from . import irreps, ualg
+
     p = _qparam(args)
     _at_least(args.total_degree, 0, "--total-degree")
     labels = irreps.labels_up_to(args.total_degree)
@@ -181,6 +189,8 @@ def cmd_verify_casimir(args) -> tuple[int, dict]:
 
 
 def cmd_verify_gt(args) -> tuple[int, dict]:
+    from . import irreps, peterweyl
+
     p = _qparam(args)
     _at_least(args.total_degree, 0, "--total-degree")
     _at_least(args.powers, 1, "--powers")
@@ -200,6 +210,8 @@ def cmd_verify_gt(args) -> tuple[int, dict]:
 
 
 def cmd_verify_coproduct(args) -> tuple[int, dict]:
+    from . import ualg
+
     p = _qparam(args)
     rep = ualg.verify_coproduct_identity(p, args.tol)
     rep["command"] = "verify-coproduct"
@@ -207,6 +219,8 @@ def cmd_verify_coproduct(args) -> tuple[int, dict]:
 
 
 def cmd_verify_complex(args) -> tuple[int, dict]:
+    from . import dolbeault
+
     p = _qparam(args)
     _at_least(args.nmax, 0, "--nmax")
     _at_most(args.nmax, NMAX_GUARD, "--nmax")
@@ -219,6 +233,8 @@ def cmd_verify_complex(args) -> tuple[int, dict]:
 
 
 def cmd_spectrum(args) -> tuple[int, dict]:
+    from . import dirac
+
     p = _qparam(args)
     _spectrum_guard(args, p.q)
     cfg = dirac.DiracConfig(p=p, nmax=args.nmax, tol=args.tol)
@@ -233,6 +249,8 @@ def cmd_spectrum(args) -> tuple[int, dict]:
 
 
 def cmd_cohomology(args) -> tuple[int, dict]:
+    from . import dirac
+
     p = _qparam(args)
     _spectrum_guard(args, p.q)
     cfg = dirac.DiracConfig(p=p, nmax=args.nmax, tol=args.tol)
@@ -242,6 +260,8 @@ def cmd_cohomology(args) -> tuple[int, dict]:
 
 
 def cmd_summability(args) -> tuple[int, dict]:
+    from . import dirac
+
     p = _qparam(args)
     _at_least(args.nmax, 2, "--nmax")  # two shells give the first decay ratio
     _spectrum_guard(args, p.q)
@@ -269,6 +289,7 @@ def cmd_rewrite(args) -> tuple[int, dict]:
 
 def cmd_verify_cp2_relations(args) -> tuple[int, dict]:
     _at_least(args.samples, 1, "--samples")
+    _at_most(args.samples, CROSS_CHECK_SAMPLES_GUARD, "--samples")
     # a word needs three letters to hold two redexes, so a lower degree
     # leaves the confluence sweep with nothing to check
     _at_least(args.max_deg, 3, "--max-deg")
@@ -291,6 +312,8 @@ def cmd_verify_cp2_relations(args) -> tuple[int, dict]:
 
 
 def cmd_classical_check(args) -> tuple[int, dict]:
+    from . import classical
+
     _at_least(args.samples, 1, "--samples")
     _at_least(args.seed, 0, "--seed")
     battery = classical.run_sample_battery(args.samples, args.seed, args.tol)
@@ -320,6 +343,8 @@ def cmd_classical_check(args) -> tuple[int, dict]:
 
 
 def cmd_decompose(args) -> tuple[int, dict]:
+    from . import peterweyl
+
     _at_least(args.nmax, 0, "--nmax")
     spec = peterweyl.SubspaceSpec(args.kind, args.nmax, args.N)
     basis = peterweyl.subspace_basis(spec)
@@ -342,6 +367,8 @@ def cmd_decompose(args) -> tuple[int, dict]:
 
 
 def cmd_evaluate(args) -> tuple[int, dict]:
+    from . import irreps, ualg
+
     p = _qparam(args)
     elem = _parsed(ualg.element_from_string, args.expr, p)
     _at_least(args.n1, 0, "--n1")
@@ -422,8 +449,7 @@ def main(argv=None) -> int:
     try:
         _tol_guard(args)
         code, report = args.fn(args)
-    except (dolbeault.MembershipError, dirac.SpectrumSymmetryError,
-            ncrewrite.RewriteBudgetError) as exc:
+    except VerificationError as exc:
         report = {"error": str(exc), "passed": False}
         emit(report, args.format)
         return EXIT_VERIFICATION_FAILED

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dolbeault as db, irreps, peterweyl as pw, ualg
-from .qarith import QParam, qint
+from .qarith import QParam, VerificationError, qint
 
 
 def default_s(p: QParam) -> float:
@@ -49,7 +49,7 @@ class DiracConfig:
         return default_s(self.p) if self.s is None else self.s
 
 
-class SpectrumSymmetryError(ArithmeticError):
+class SpectrumSymmetryError(VerificationError, ArithmeticError):
     """A block's two eigenvalues are not each other's negatives."""
 
 

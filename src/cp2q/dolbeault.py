@@ -36,10 +36,10 @@ import numpy as np
 
 from . import irreps, peterweyl as pw, ualg
 from .peterweyl import PWVector, add_into
-from .qarith import QParam
+from .qarith import QParam, VerificationError
 
 
-class MembershipError(ArithmeticError):
+class MembershipError(VerificationError, ArithmeticError):
     """Operator image left the form spaces beyond tolerance."""
 
 

@@ -19,7 +19,11 @@ Fraction where parsed input has a non-integral rational.  Zero terms are
 never stored, so two polynomials are equal exactly when their dicts are.
 LaurentScalar only prints a word's coefficient.  Normal forms of words are
 memoized in a dict that each top-level call creates and passes down, so no
-state outlives a call.  On top of the normal form sit the projective-plane
+state outlives a call.  A memo entry (c, k, base) stands for c t^k base,
+with base a flat polynomial shared by reference: a reduct through a rule
+with a one-term replacement reuses its target's base and only scales it,
+so most entries build no dict, and two entries on one base compare by
+their scalars alone.  On top of the normal form sit the projective-plane
 generators p_ij = z_i* z_j, their verified relation list, the line-bundle
 grading, a diamond-lemma confluence certificate with an empirical
 cross-check, and a commutative cross-check at q = 1 on random points of the
@@ -32,7 +36,7 @@ import itertools
 import re
 from fractions import Fraction
 
-from .qarith import LATTICE, LaurentScalar, _coeff
+from .qarith import LATTICE, LaurentScalar, VerificationError, _coeff
 
 # letter codes in reduction order
 Z1, Z2, Z3, Z3S, Z2S, Z1S = range(6)
@@ -44,7 +48,7 @@ NCMonomial = tuple  # tuple of letter codes
 NCPoly = dict  # (NCMonomial, t-exponent) -> nonzero int | Fraction
 
 
-class RewriteBudgetError(RuntimeError):
+class RewriteBudgetError(VerificationError, RuntimeError):
     """Reduction exceeded its step budget (would signal non-termination)."""
 
 
@@ -114,23 +118,29 @@ def _redexes(word: NCMonomial) -> list[int]:
     return [i for i in range(len(word) - 1) if (word[i], word[i + 1]) in RULES]
 
 
-def _reduct_normal_form(word: NCMonomial, i: int, memo: dict, budget: list | None) -> NCPoly:
-    """Normal form of the single-step reduct of word at the redex at i."""
-    nf: NCPoly = {}
+def _reduct_normal_form(word: NCMonomial, i: int, memo: dict, budget: list | None) -> tuple:
+    """Scaled normal form of the single-step reduct of word at the redex at
+    i.  A one-term rule scales its target's base; only a rule with several
+    terms builds a dict."""
     head, tail = word[:i], word[i + 2:]
-    for repl, k, c in RULES[(word[i], word[i + 1])]:
-        poly_add(nf, monomial_normal_form(head + repl + tail, memo, budget), k, c)
-    return nf
+    terms = RULES[(word[i], word[i + 1])]
+    if len(terms) == 1:
+        (repl, k, c), = terms
+        c2, k2, base = _scaled_normal_form(head + repl + tail, memo, budget)
+        return c * c2, k + k2, base
+    nf: NCPoly = {}
+    for repl, k, c in terms:
+        c2, k2, base = _scaled_normal_form(head + repl + tail, memo, budget)
+        poly_add(nf, base, k + k2, c * c2)
+    return 1, 0, nf
 
 
-def monomial_normal_form(word: NCMonomial, memo: dict | None = None,
-                         budget: list | None = None) -> NCPoly:
-    """Normal form of a single word, reduced at its first redex.  `memo`
-    maps the words already reduced in the caller's run to their normal
-    forms; the result may be a memo entry, so it must not be mutated.  Each
-    memo miss on a reducible word takes one step of `budget`."""
-    if memo is None:
-        memo = {}
+def _scaled_normal_form(word: NCMonomial, memo: dict, budget: list | None) -> tuple:
+    """Normal form of a single word as (c, k, base), standing for c t^k base,
+    reduced at its first redex.  `memo` maps the words already reduced in
+    the caller's run to these triples, whose bases are shared by reference
+    and must never be mutated.  Each memo miss on a reducible word takes one
+    step of `budget`."""
     nf = memo.get(word)
     if nf is not None:
         return nf
@@ -143,26 +153,62 @@ def monomial_normal_form(word: NCMonomial, memo: dict | None = None,
             nf = _reduct_normal_form(word, i, memo, budget)
             break
     else:
-        nf = {(word, 0): 1}
+        nf = (1, 0, {(word, 0): 1})
     memo[word] = nf
     return nf
 
 
-def _budget(words) -> list:
-    """Reduction steps allowed for reducing the given distinct words."""
-    maxlen = max(map(len, words), default=0)
-    return [2000 * (maxlen * maxlen + 1) * (len(words) + 1)]
+def materialize(nf: tuple) -> NCPoly:
+    """The fresh flat polynomial c t^k base of a scaled normal form."""
+    c, k, base = nf
+    return {(w, e + k): c * v for (w, e), v in base.items()} if c else {}
+
+
+def scaled_equal(a: tuple, b: tuple) -> bool:
+    """Whether two scaled normal forms materialize to the same polynomial,
+    without materializing either.  Bases hold no zero terms, so a shared
+    nonzero base matches only under the same scalar, and otherwise every
+    term of one base must meet its scaled image in the other."""
+    (ca, ka, fa), (cb, kb, fb) = a, b
+    if not (ca and fa) or not (cb and fb):
+        return not (ca and fa) and not (cb and fb)
+    if fa is fb:
+        return ca == cb and ka == kb
+    if len(fa) != len(fb):
+        return False
+    shift = ka - kb
+    get = fb.get
+    for (w, e), v in fa.items():
+        if ca * v != cb * get((w, e + shift), 0):
+            return False
+    return True
+
+
+def monomial_normal_form(word: NCMonomial, memo: dict | None = None,
+                         budget: list | None = None) -> NCPoly:
+    """Normal form of a single word as a fresh flat polynomial; `memo` and
+    `budget` are as for the scaled form."""
+    return materialize(_scaled_normal_form(word, {} if memo is None else memo, budget))
+
+
+def _steps(maxlen: int, count: int = 1) -> int:
+    """Reduction steps allowed for reducing `count` distinct words of at
+    most `maxlen` letters."""
+    return 2000 * (maxlen * maxlen + 1) * (count + 1)
 
 
 def normal_form(f: NCPoly, memo: dict | None = None) -> NCPoly:
     """Fixed point of the rule set; linear, idempotent, grade preserving.
-    A call without a memo reduces in a memo of its own."""
+    A call without a memo reduces in a memo of its own.  The result is a
+    fresh dict that shares nothing with the memo."""
     if memo is None:
         memo = {}
-    budget = _budget({w for w, _ in f})
+    words = {w for w, _ in f}
+    budget = [_steps(max(map(len, words), default=0), len(words))]
     out: NCPoly = {}
     for (w, k), c in f.items():
-        poly_add(out, monomial_normal_form(w, memo, budget), k, c)
+        c2, k2, base = _scaled_normal_form(w, memo, budget)
+        poly_add(out, base, k + k2, c * c2)
     return out
 
 
@@ -287,16 +333,18 @@ def verify_cp2_relations() -> dict:
 
 # -- confluence ---------------------------------------------------------------
 
-def _unjoined(word: NCMonomial, redexes: list[int], memo: dict) -> dict | None:
+def _unjoined(word: NCMonomial, redexes: list[int], memo: dict, steps: int) -> dict | None:
     """None when the single-step reducts of word at its redexes share one
     normal form, otherwise a report of their normal forms.  Word's own
-    normal form is its first reduct's, since that is the redex it reduces."""
-    budget = _budget((word,))
-    nfs = [monomial_normal_form(word, memo, budget)]
+    normal form is its first reduct's, since that is the redex it reduces.
+    `steps` is the word's reduction budget."""
+    budget = [steps]
+    nfs = [_scaled_normal_form(word, memo, budget)]
     nfs += [_reduct_normal_form(word, i, memo, budget) for i in redexes[1:]]
-    if all(nf == nfs[0] for nf in nfs[1:]):
+    if all(scaled_equal(nf, nfs[0]) for nf in nfs[1:]):
         return None
-    return {"word": word_to_str(word), "normal_forms": [poly_to_str(nf) for nf in nfs]}
+    return {"word": word_to_str(word),
+            "normal_forms": [poly_to_str(materialize(nf)) for nf in nfs]}
 
 
 def confluence_check(max_deg: int) -> dict:
@@ -308,12 +356,13 @@ def confluence_check(max_deg: int) -> dict:
     non_joinable = []
     checked = 0
     for length in range(2, max_deg + 1):
+        steps = _steps(length)
         for word in itertools.product(range(6), repeat=length):
             redexes = _redexes(word)
             if len(redexes) < 2:
                 continue
             checked += 1
-            bad = _unjoined(word, redexes, memo)
+            bad = _unjoined(word, redexes, memo, steps)
             if bad:
                 non_joinable.append(bad)
     return {"max_deg": max_deg, "branching_words": checked,
@@ -330,7 +379,8 @@ def critical_pairs() -> dict:
     system is confluent in every degree, not only up to a degree bound."""
     memo: dict = {}
     overlaps = [(a, b, c) for (a, b), (b2, c) in itertools.product(RULES, repeat=2) if b == b2]
-    unresolved = [bad for bad in (_unjoined(w, _redexes(w), memo) for w in overlaps) if bad]
+    unresolved = [bad for bad in (_unjoined(w, _redexes(w), memo, _steps(3)) for w in overlaps)
+                  if bad]
     return {"overlaps": len(overlaps), "unresolved": unresolved,
             "passed": bool(overlaps) and not unresolved}
 

@@ -19,6 +19,12 @@ class QArithError(ValueError):
     """Argument outside the admissible q-power lattice or range."""
 
 
+class VerificationError(Exception):
+    """A check failed while it ran; the command line reports it and exits 1.
+    The failures named by the engine derive from it, so the command line
+    needs none of their modules to catch them."""
+
+
 #: exponent lattice denominator: t = q^(1/12)
 LATTICE = 12
 
@@ -81,24 +87,12 @@ class LaurentScalar:
         return LaurentScalar(((0, 1),))
 
     @staticmethod
-    def rational(c) -> "LaurentScalar":
-        c = _coeff(c)
-        return LaurentScalar(((0, c),) if c else ())
-
-    @staticmethod
     def q_power(z, coeff=1) -> "LaurentScalar":
         """coeff * q^z for a lattice exponent z (12z integral)."""
         c = _coeff(coeff)
         if not c:
             return LaurentScalar.zero()
         return LaurentScalar(((_as_twelfths(z), c),))
-
-    @staticmethod
-    def t_power(k: int, coeff=1) -> "LaurentScalar":
-        c = _coeff(coeff)
-        if not c:
-            return LaurentScalar.zero()
-        return LaurentScalar(((int(k), c),))
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -116,15 +110,6 @@ class LaurentScalar:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "LaurentScalar":
-        return LaurentScalar(tuple((e, -c) for e, c in self.coeffs))
-
-    def __sub__(self, other) -> "LaurentScalar":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "LaurentScalar":
-        return _coerce(other) + (-self)
-
     def __mul__(self, other) -> "LaurentScalar":
         other = _coerce(other)
         d: dict = {}
@@ -139,11 +124,6 @@ class LaurentScalar:
         return LaurentScalar.from_dict(d)
 
     __rmul__ = __mul__
-
-    def evaluate(self, q: float) -> float:
-        """Numeric value at q."""
-        t = q ** (1.0 / LATTICE)
-        return sum(float(c) * t**e for e, c in self.coeffs)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -160,9 +140,11 @@ class LaurentScalar:
 
 
 def _coerce(x) -> LaurentScalar:
+    """x itself, or the constant LaurentScalar of a rational x."""
     if isinstance(x, LaurentScalar):
         return x
-    return LaurentScalar.rational(x)
+    c = _coeff(x)
+    return LaurentScalar(((0, c),) if c else ())
 
 
 def qint(z, p: QParam) -> float:

@@ -275,6 +275,12 @@ GUARDS = [
      ["verify-cp2-relations", "--max-deg", str(cli.MAX_DEG_GUARD)],
      [(ncrewrite, "verify_cp2_relations", {"passed": True, "count": 0}),
       (ncrewrite, "confluence_check", {"passed": True, "branching_words": 0})]),
+    (["verify-cp2-relations", "--samples", str(cli.CROSS_CHECK_SAMPLES_GUARD + 1)],
+     ["verify-cp2-relations", "--samples", str(cli.CROSS_CHECK_SAMPLES_GUARD)],
+     [(ncrewrite, "verify_cp2_relations", {"passed": True, "count": 0}),
+      (ncrewrite, "confluence_check", {"passed": True, "branching_words": 0}),
+      (ncrewrite, "critical_pairs", {"passed": True, "overlaps": 0}),
+      (ncrewrite, "classical_cross_check", {"passed": True, "max_abs_error": 0.0})]),
 ]
 
 
@@ -323,3 +329,18 @@ def test_classical_check_at_the_identity_sample_is_quiet():
     out = _python("-m", "cp2q.cli", "classical-check", "--samples", "5", "--seed", "0")
     assert out.returncode == 0 and out.stderr == ""
     assert json.loads(out.stdout)["passed"] is True
+
+
+
+@pytest.mark.parametrize("argv, code", [([], None), (["rewrite", "p12 p21"], 0), (["rewrite", "z4"], 2)],
+                         ids=("import", "rewrite", "malformed-rewrite"))
+def test_exact_launches_load_no_numpy(argv, code):
+    # importing the command line, a rewrite and a malformed rewrite (a usage
+    # error) all stay on the exact path
+    probe = ("import contextlib, io, sys; from cp2q import cli\n"
+             f"argv = {argv!r}\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = cli.main(argv) if argv else None\n"
+             "print(code, 'numpy' in sys.modules)")
+    out = _python("-c", probe)
+    assert out.returncode == 0 and out.stdout.split() == [str(code), "False"], out.stderr

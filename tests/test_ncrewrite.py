@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cp2q import cli
 from cp2q import ncrewrite as nc
@@ -209,7 +211,7 @@ def reference_rules():
     """The defining relations of the module docstring, oriented the same
     way, with LaurentScalar coefficients and replacements keyed by word."""
     q, one = LaurentScalar.q_power, LaurentScalar.one()
-    corr = one - q(2)
+    corr = one + q(2, -1)
     star = {nc.Z1: nc.Z1S, nc.Z2: nc.Z2S, nc.Z3: nc.Z3S}
     rules = {}
     for i, j in itertools.combinations((nc.Z1, nc.Z2, nc.Z3), 2):
@@ -220,7 +222,7 @@ def reference_rules():
     rules[(nc.Z1S, nc.Z1)] = {(nc.Z1, nc.Z1S): one}
     rules[(nc.Z2S, nc.Z2)] = {(nc.Z2, nc.Z2S): one, (nc.Z1, nc.Z1S): corr}
     rules[(nc.Z3S, nc.Z3)] = {(nc.Z3, nc.Z3S): one, (nc.Z1, nc.Z1S): corr, (nc.Z2, nc.Z2S): corr}
-    rules[(nc.Z3, nc.Z3S)] = {(): one, (nc.Z1, nc.Z1S): -one, (nc.Z2, nc.Z2S): -one}
+    rules[(nc.Z3, nc.Z3S)] = {(): one, (nc.Z1, nc.Z1S): q(0, -1), (nc.Z2, nc.Z2S): q(0, -1)}
     return rules
 
 
@@ -278,3 +280,105 @@ def test_no_module_state_survives_a_sweep_or_a_query():
     out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "True"
+
+
+# -- scaled normal forms --------------------------------------------------------
+
+_SCALAR = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=3))
+_NONZERO = _SCALAR.filter(bool)
+_SHIFT = st.integers(-30, 30)
+_BASE = st.dictionaries(st.tuples(st.tuples(*[st.integers(0, 5)] * 2), st.integers(-6, 6)),
+                        _NONZERO, max_size=4)
+
+
+@st.composite
+def scaled_pairs(draw):
+    """Two scaled normal forms: on one base object, on a rescaled and
+    shifted copy of it (equal, off by a scalar or with a term added), or
+    on unrelated bases."""
+    base = draw(_BASE)
+    a = (draw(_SCALAR), draw(_SHIFT), base)
+    kind = draw(st.sampled_from(("shared", "copy", "unrelated")))
+    if kind == "shared":
+        return a, (draw(_SCALAR), draw(_SHIFT), base)
+    if kind == "unrelated":
+        return a, (draw(_SCALAR), draw(_SHIFT), draw(_BASE))
+    s, m = draw(_NONZERO), draw(_SHIFT)
+    copy = nc.materialize((s, m, base))
+    if draw(st.booleans()):
+        copy.update(draw(_BASE))
+    c = Fraction(a[0]) / s if draw(st.booleans()) else draw(_SCALAR)
+    return a, (c, a[1] - m, copy)
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(scaled_pairs())
+@example(((1, 0, {}), (-1, 5, {})))  # empty bases, different scalars
+@example(((0, 0, {((0, 1), 0): 1}), (1, 0, {})))  # zero scalar on a nonzero base
+@example(((Fraction(1, 2), 3, {((), 0): 2}), (1, 3, {((), 0): 1})))  # Fraction meets int
+@example(((1, 0, {((0, 1), 0): 1}), (1, 0, {((0, 1), 0): 1, ((1, 2), 0): 1})))  # one term more
+def test_scaled_equality_is_equality_of_the_materialized_dicts(pair):
+    a, b = pair
+    same = nc.materialize(a) == nc.materialize(b)
+    assert nc.scaled_equal(a, b) is same
+    assert nc.scaled_equal(b, a) is same
+
+
+def test_mutating_results_leaves_the_shared_bases_unchanged():
+    memo = {}
+    words = [(nc.Z1, nc.Z2), (nc.Z2, nc.Z1), (nc.Z3, nc.Z3S), (nc.Z3S, nc.Z3, nc.Z2S, nc.Z2)]
+    first = [nc.normal_form(word(*w), memo) for w in words]
+    first += [nc.monomial_normal_form(w, memo) for w in words]
+    frozen = {w: (c, k, dict(base)) for w, (c, k, base) in memo.items()}
+    bases = [base for _, _, base in memo.values()]
+    for f in first:
+        assert all(f is not base for base in bases)
+        f.clear()
+        f[((nc.Z1,), 0)] = 7
+    assert {w: (c, k, dict(base)) for w, (c, k, base) in memo.items()} == frozen
+    again = [nc.normal_form(word(*w), memo) for w in words]
+    assert again == [nc.normal_form(word(*w)) for w in words]
+    assert again[0] == word(nc.Z1, nc.Z2) and again[1] == {((nc.Z1, nc.Z2), -LATTICE): 1}
+
+
+@pytest.mark.parametrize("max_deg, count", [(3, 26), (4, 532), (5, 5636), (6, 44584)])
+def test_branching_words_match_a_brute_force_count(max_deg, count):
+    # words of 2..max_deg letters holding two or more left-hand sides of the
+    # reference rules; counting them needs no reduction
+    left_sides = set(reference_rules())
+    brute = sum(1 for length in range(2, max_deg + 1)
+                for w in itertools.product(range(6), repeat=length)
+                if sum(w[i:i + 2] in left_sides for i in range(length - 1)) >= 2)
+    assert brute == count
+    rep = nc.confluence_check(max_deg)
+    assert rep["passed"] and rep["branching_words"] == count
+
+
+def naive_normal_form(w):
+    """Reduction at the first redex with no memo and no sharing."""
+    for i in range(len(w) - 1):
+        if w[i:i + 2] in nc.RULES:
+            out = {}
+            for repl, k, c in nc.RULES[w[i:i + 2]]:
+                for (m, e), v in naive_normal_form(w[:i] + repl + w[i + 2:]).items():
+                    out[(m, e + k)] = out.get((m, e + k), 0) + c * v
+            return {key: v for key, v in out.items() if v}
+    return {(w, 0): 1}
+
+
+def test_scaled_memo_carries_the_coefficients_of_one_term_rules(monkeypatch):
+    # every one-term rule of the relations has coefficient 1, so rescale
+    # them (the rules are no longer confluent, but reduction at the first
+    # redex is still defined) to see the scalars travel through the memo
+    scaled = {lhs: tuple((repl, k, Fraction(-1, 2) * c if len(terms) == 1 else c)
+                         for repl, k, c in terms) for lhs, terms in nc.RULES.items()}
+    monkeypatch.setattr(nc, "RULES", scaled)
+    memo = {}
+    for length in range(5):
+        for w in itertools.product(range(6), repeat=length):
+            assert nc.monomial_normal_form(w, memo) == naive_normal_form(w), w
+    f = {((nc.Z3S, nc.Z2, nc.Z1), 5): 3, ((nc.Z2, nc.Z1), 0): Fraction(1, 3)}
+    want = {}
+    for (w, k), c in f.items():
+        nc.poly_add(want, naive_normal_form(w), k, c)
+    assert nc.normal_form(f, memo) == want

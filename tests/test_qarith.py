@@ -13,6 +13,7 @@ from cp2q.qarith import (
     LaurentScalar,
     QArithError,
     QParam,
+    _coerce,
     qbinom,
     qfact,
     qint,
@@ -21,6 +22,23 @@ from cp2q.qarith import (
 
 P5 = qparam_float(0.5)
 QS = (0.3, 0.5, 0.9)
+
+
+# LaurentScalar keeps only the ring operations the engine uses; these
+# test-local helpers stand in for the rest
+
+def t_power(k: int, coeff=1) -> LaurentScalar:
+    return LaurentScalar.from_dict({k: coeff})
+
+
+def sub(a: LaurentScalar, b) -> LaurentScalar:
+    return a + b * -1
+
+
+def evaluate(x: LaurentScalar, q: float) -> float:
+    """Numeric value at q."""
+    t = q ** (1.0 / LATTICE)
+    return sum(float(c) * t**e for e, c in x.coeffs)
 
 
 # -- exact q-numbers, as Laurent polynomials in t = q^(1/12) --------------------
@@ -72,7 +90,7 @@ def test_qint_exact_matches_float_on_integers():
     for q in QS:
         p = qparam_float(q)
         for n in range(-8, 9):
-            exact = exact_qint(n).evaluate(q)
+            exact = evaluate(exact_qint(n), q)
             flt = qint(n, p)
             assert exact == pytest.approx(flt, rel=1e-12, abs=1e-12)
 
@@ -97,8 +115,8 @@ def test_qbinom_values():
             at_one = sum(c for _, c in exact_qbinom(n, m).coeffs)
             assert at_one == comb(n, m)
             for q in QS:
-                assert exact_qbinom(n, m).evaluate(q) == pytest.approx(qbinom(n, m, qparam_float(q)),
-                                                                      rel=1e-12)
+                assert evaluate(exact_qbinom(n, m), q) == pytest.approx(qbinom(n, m, qparam_float(q)),
+                                                                       rel=1e-12)
     with pytest.raises(QArithError):
         qbinom(2, 3, P5)
 
@@ -115,19 +133,19 @@ def test_exact_qbinom_times_factorials_is_factorial():
         for m in range(n + 1):
             assert exact_qbinom(n, m) * exact_qfact(m) * exact_qfact(n - m) == exact_qfact(n)
         for q in QS:
-            assert exact_qfact(n).evaluate(q) == pytest.approx(qfact(n, qparam_float(q)), rel=1e-12)
+            assert evaluate(exact_qfact(n), q) == pytest.approx(qfact(n, qparam_float(q)), rel=1e-12)
 
 
 def test_spectrum_lemma_identities_exact():
     # [n+1]^2 - 1 = [n][n+2], used to rewrite the Casimir gap on V(n,n)
     one = LaurentScalar.one()
     for n in range(9):
-        lhs = exact_qint(n + 1) * exact_qint(n + 1) - one
+        lhs = sub(exact_qint(n + 1) * exact_qint(n + 1), one)
         rhs = exact_qint(n) * exact_qint(n + 2)
         assert lhs == rhs
     # [a]^2 + [a+1]^2 - 1 = [2][a][a+1], the off-diagonal family rewrite
     for a in range(9):
-        lhs = exact_qint(a) * exact_qint(a) + exact_qint(a + 1) * exact_qint(a + 1) - one
+        lhs = sub(exact_qint(a) * exact_qint(a) + exact_qint(a + 1) * exact_qint(a + 1), one)
         rhs = exact_qint(2) * exact_qint(a) * exact_qint(a + 1)
         assert lhs == rhs
 
@@ -135,8 +153,8 @@ def test_spectrum_lemma_identities_exact():
 def _random_scalar(rng) -> LaurentScalar:
     out = LaurentScalar.zero()
     for _ in range(rng.randrange(1, 5)):
-        out = out + LaurentScalar.t_power(rng.randrange(-20, 21),
-                                          Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)))
+        out = out + t_power(rng.randrange(-20, 21),
+                            Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)))
     return out
 
 
@@ -145,15 +163,15 @@ def test_evaluation_homomorphism():
     for _ in range(40):
         a, b = _random_scalar(rng), _random_scalar(rng)
         for q in QS:
-            prod = (a * b).evaluate(q)
-            sum_ = (a + b).evaluate(q)
+            prod = evaluate(a * b, q)
+            sum_ = evaluate(a + b, q)
             scale = max(abs(prod), abs(sum_), 1.0)
-            assert abs(prod - a.evaluate(q) * b.evaluate(q)) < 1e-12 * scale
-            assert abs(sum_ - (a.evaluate(q) + b.evaluate(q))) < 1e-12 * scale
+            assert abs(prod - evaluate(a, q) * evaluate(b, q)) < 1e-12 * scale
+            assert abs(sum_ - (evaluate(a, q) + evaluate(b, q))) < 1e-12 * scale
 
 
 def test_laurent_no_zero_coeffs_stored():
-    a = LaurentScalar.t_power(3) - LaurentScalar.t_power(3)
+    a = sub(t_power(3), t_power(3))
     assert not a.coeffs
     assert a == LaurentScalar.zero()
 
@@ -212,8 +230,9 @@ def test_laurent_ring_ops_match_fraction_reference(da, db, n):
     ra, rb = _ref(da), _ref(db)
     assert _agrees(a, ra) and _agrees(b, rb)
     assert _agrees(a + b, _ref_add(ra, rb))
-    assert _agrees(a - b, _ref_add(ra, {e: -c for e, c in rb.items()}))
-    assert _agrees(-a, {e: -c for e, c in ra.items()})
+    assert _agrees(sub(a, b), _ref_add(ra, {e: -c for e, c in rb.items()}))
+    assert _agrees(a * -1, {e: -c for e, c in ra.items()})
+    assert _agrees(a * Fraction(1, 2), {e: c / 2 for e, c in ra.items()})
     assert _agrees(a * b, _ref_mul(ra, rb))
     power, ref_power = LaurentScalar.one(), {0: Fraction(1)}
     for _ in range(n):
@@ -223,9 +242,9 @@ def test_laurent_ring_ops_match_fraction_reference(da, db, n):
 
 def test_laurent_constructors_store_int_coefficients():
     for x, want in ((LaurentScalar.one(), {0: 1}),
-                    (LaurentScalar.rational(Fraction(4, 2)), {0: 2}),
+                    (_coerce(Fraction(4, 2)), {0: 2}),
                     (LaurentScalar.q_power(-1, Fraction(-6, 3)), {-12: -2}),
-                    (LaurentScalar.t_power(5, Fraction(1, 2)), {5: Fraction(1, 2)}),
+                    (t_power(5, Fraction(1, 2)), {5: Fraction(1, 2)}),
                     (exact_qint(3), {-24: 1, 0: 1, 24: 1}),
                     (exact_qint(-2), {-12: -1, 12: -1}),
                     (exact_qbinom(4, 2), {-48: 1, -24: 1, 0: 2, 24: 1, 48: 1})):
@@ -240,7 +259,7 @@ def test_laurent_int_and_fraction_storage_are_one_value():
 
 
 def test_laurent_repr():
-    assert repr(LaurentScalar.rational(Fraction(1, 2))) == "1/2"
+    assert repr(_coerce(Fraction(1, 2))) == "1/2"
     assert repr(LaurentScalar.q_power(-2, -1)) == "-1*q^-2"
     assert repr(exact_qint(3)) == "1*q^-2 + 1 + 1*q^2"
-    assert repr(LaurentScalar.t_power(3, Fraction(-2, 3))) == "-2/3*t^3"
+    assert repr(t_power(3, Fraction(-2, 3))) == "-2/3*t^3"

@@ -1,3 +1,5 @@
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -18,3 +20,16 @@ def test_tier1_workflow_runs_the_suite_and_the_benchmark_selftest():
     assert {"pytest", "hypothesis", "pyyaml", "mpmath", "scipy"} <= set(install.split())
     assert "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors" in runs
     assert "python3 perfbench/selftest.py" in runs
+
+
+def test_tier1_workflow_runs_every_benchmark_workload_with_its_oracles():
+    # the oracles judge live reports only when the workloads run; the result
+    # line's "correct" is the verdict, since run.py exits 0 on failed commands
+    yaml = pytest.importorskip("yaml")
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
+    bench = [s["run"] for s in steps if "perfbench/run.py" in s.get("run", "")]
+    assert len(bench) == 1
+    names = [w["name"] for w in json.loads((WORKFLOW.parents[2] / "BENCHMARK.json").read_text())["workloads"]]
+    assert re.search(r"for w in ([\w ]+); do", bench[0]).group(1).split() == names
+    assert 'python3 perfbench/run.py --workload "$w" --seed 2 --seconds 1 --trace 0' in bench[0]
+    assert """grep -F '"correct": true'""" in bench[0]
