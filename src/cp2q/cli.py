@@ -29,10 +29,17 @@ NMAX_GUARD = 8
 # evaluate holds and prints dense dim x dim matrices (about 170 bytes of
 # memory and 11 of output per entry), verify-cp2-relations walks all 6^d
 # words of each degree d (time and memory grow about 7x per degree), and
-# its q = 1 cross-check takes about 0.5 ms per sample point
+# its q = 1 cross-check takes about 0.5 ms per sample point; verify-hopf
+# and verify-casimir keep every generator matrix of each irrep up to
+# --total-degree (memory grows about 1.5x per degree), verify-gt forms
+# products of lowering words (time about 3.5x per degree), and its
+# --powers identities expand [F2,F1]_q^n into 2^n words
 EVALUATE_DIM_GUARD = 1000
 MAX_DEG_GUARD = 7
 CROSS_CHECK_SAMPLES_GUARD = 10_000
+TOTAL_DEGREE_GUARD = 12
+GT_TOTAL_DEGREE_GUARD = 9
+GT_POWERS_GUARD = 12
 
 
 class ConfigError(ValueError):
@@ -151,6 +158,7 @@ def cmd_verify_hopf(args) -> tuple[int, dict]:
 
     p = _qparam(args)
     _at_least(args.total_degree, 0, "--total-degree")
+    _at_most(args.total_degree, TOTAL_DEGREE_GUARD, "--total-degree")
     labels = irreps.labels_up_to(args.total_degree)
     worst = 0.0
     failed = []
@@ -172,6 +180,7 @@ def cmd_verify_casimir(args) -> tuple[int, dict]:
 
     p = _qparam(args)
     _at_least(args.total_degree, 0, "--total-degree")
+    _at_most(args.total_degree, TOTAL_DEGREE_GUARD, "--total-degree")
     labels = irreps.labels_up_to(args.total_degree)
     rows = []
     ok = True
@@ -193,7 +202,9 @@ def cmd_verify_gt(args) -> tuple[int, dict]:
 
     p = _qparam(args)
     _at_least(args.total_degree, 0, "--total-degree")
+    _at_most(args.total_degree, GT_TOTAL_DEGREE_GUARD, "--total-degree")
     _at_least(args.powers, 1, "--powers")
+    _at_most(args.powers, GT_POWERS_GUARD, "--powers")
     ok = True
     rows = []
     for label in irreps.labels_up_to(args.total_degree):

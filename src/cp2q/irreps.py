@@ -17,6 +17,7 @@ square-root coefficients built from q-numbers, and F_i are the transposes
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import sqrt
 from typing import NamedTuple
 
@@ -198,18 +199,88 @@ class _MatrixCache:
 matrix_cache = _MatrixCache()
 
 
+@lru_cache(maxsize=None)
+def _qn_table(p: QParam, top: int) -> np.ndarray:
+    """_qn(h) for h = 0 .. 2*top + 4: every q-number an irrep of total
+    degree top reaches, indexed by twice its argument.  Read-only, as it is
+    shared."""
+    table = np.array([_qn(h, p) for h in range(2 * top + 5)])
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _basis_arrays(label: IrrepLabel) -> tuple:
+    """(j1, j2, mm) over the ordered basis, and offset[j1, j2], the index of
+    the first triple of block (j1, j2): triple (j1, j2, mm) sits at
+    offset[j1, j2] + (mm + j1 + j2) // 2.  Read-only, as they are shared."""
+    n1, n2 = label
+    sizes = np.add.outer(np.arange(n1 + 1), np.arange(n2 + 1)) + 1
+    offset = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
+    out = (*np.array(gt_triples(label)).T, offset)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _assemble(label: IrrepLabel, gen: str, p: QParam) -> np.ndarray:
+    """Dense matrix of one generator, from action_row's formulas evaluated
+    elementwise over the whole basis, with the same float operations in the
+    same order, so each entry equals action_row's coefficient bit for bit."""
+    n1, n2 = label
+    j1, j2, mm, offset = _basis_arrays(label)
+    s = j1 + j2
+    mat = np.zeros((len(mm), len(mm)))
+    if gen in DIAGONAL_GENERATORS:
+        # Python's float ** int per distinct weight: np.power need not round
+        # the way libm does
+        w = weight_twelfths(gen, label, (j1, j2, mm)).tolist()
+        base = p.q ** (1.0 / 12.0)
+        power = {x: base ** x for x in set(w)}
+        np.fill_diagonal(mat, [power[x] for x in w])
+        return mat
+    qn = _qn_table(p, n1 + n2)
+
+    def qi(z):  # qint of an integer array
+        return qn[2 * z]
+
+    def a(j1, j2):
+        return np.sqrt(qi(n1 - j1) * qi(n2 + j1 + 2) * qi(j1 + 1) / (qi(j1 + j2 + 1) * qi(j1 + j2 + 2)))
+
+    def b(j1, j2):
+        return np.sqrt(qi(n1 + j2 + 1) * qi(n2 - j2 + 1) * qi(j2) / (qi(j1 + j2) * qi(j1 + j2 + 1)))
+
+    # per move: the sources whose target is a basis vector, the shift from
+    # source to target (j1, j2, mm), and the coefficient on every source; off
+    # those sources it may be 0/0 and is never read
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if gen == "E1":
+            moves = [(mm + 2 <= s, (0, 0, 2), np.sqrt(qn[s - mm] * qn[s + mm + 2]))]
+        elif gen == "F1":
+            moves = [(mm - 2 >= -s, (0, 0, -2), np.sqrt(qn[s + mm] * qn[s - mm + 2]))]
+        elif gen == "E2":
+            moves = [(j1 + 1 <= n1, (1, 0, -1), np.sqrt(qn[s - mm + 2]) * a(j1, j2)),
+                     ((j2 >= 1) & (mm - 1 >= 1 - s), (0, -1, -1), np.sqrt(qn[s + mm]) * b(j1, j2))]
+        elif gen == "F2":
+            moves = [((j1 >= 1) & (mm + 1 <= s - 1), (-1, 0, 1), np.sqrt(qn[s - mm]) * a(j1 - 1, j2)),
+                     (j2 + 1 <= n2, (0, 1, 1), np.sqrt(qn[s + mm + 2]) * b(j1, j2 + 1))]
+        else:
+            raise LabelError(f"unknown generator {gen!r}")
+    for valid, (d1, d2, dm), c in moves:
+        src = np.flatnonzero(valid & (c != 0))
+        t1, t2, tm = j1[src] + d1, j2[src] + d2, mm[src] + dm
+        mat[offset[t1, t2] + (tm + t1 + t2) // 2, src] = c[src]
+    return mat
+
+
 def generator_matrix(label, gen: str, p: QParam):
     """Generator matrix on the ordered GT basis, as a dense read-only real
-    ndarray, memoized per (label, gen, q)."""
+    ndarray, memoized per (label, gen, q).  Entry [i, j] is the coefficient
+    of basis vector i in action_row of basis vector j."""
     label = check_label(label)
 
     def build():
-        action = generator_action(label, gen, p)
-        n = len(action)
-        mat = np.zeros((n, n))
-        for src, targets in enumerate(action):
-            for tgt, c in targets:
-                mat[tgt, src] += c
+        mat = _assemble(label, gen, p)
         mat.setflags(write=False)
         return mat
 

@@ -189,12 +189,15 @@ def basis_dump_lines(spec: SubspaceSpec) -> list[str]:
 
 # -- the lowering-operator machinery ----------------------------------------
 
-def gt_lowering_word(n1: int, n2: int, j1: int, j2: int, mm: int, p: QParam) -> ualg.AlgebraElement:
+def gt_lowering_word(n1: int, n2: int, j1: int, j2: int, mm: int, p: QParam,
+                     pieces: dict | None = None) -> ualg.AlgebraElement:
     """Lowering element carrying the highest-weight vector onto |j1,j2,m>.
 
     Sum over k of q-binomially weighted words F1^a [F2,F1]_q^b F2^c with the
     square-root normalization factor; reproduces each basis vector when
     evaluated on the irrep and applied to the highest-weight vector.
+    `pieces` memoizes the products F1^a [F2,F1]_q^b F2^c by (a, b, c), for
+    callers that build many elements at one q.
     """
     label = irreps.check_label((n1, n2))
     if not irreps.valid_triple(label, (j1, j2, mm)):
@@ -213,10 +216,8 @@ def gt_lowering_word(n1: int, n2: int, j1: int, j2: int, mm: int, p: QParam) -> 
     )
     nfac = sqrt(norm_sq)
 
-    f1 = ualg.AlgebraElement.gen("F1")
-    f2 = ualg.AlgebraElement.gen("F2")
-    qc = ualg.qcommutator(f2, f1, p)
-
+    if pieces is None:
+        pieces = {}
     total = ualg.AlgebraElement.zero()
     for k in range(n1 - j1 + 1):
         coeff = (
@@ -224,28 +225,71 @@ def gt_lowering_word(n1: int, n2: int, j1: int, j2: int, mm: int, p: QParam) -> 
             / qfact(s + k + 1, p)
             * qbinom(n1 - j1, k, p)
         )
-        word = ualg.power(f1, half_minus + k) * ualg.power(qc, n1 - j1 - k) * ualg.power(f2, j2 + k)
-        total = total + coeff * word
+        total = total + coeff * _lowering_piece(half_minus + k, n1 - j1 - k, j2 + k, p, pieces)
     return nfac * total
+
+
+def _lowering_piece(a: int, b: int, c: int, p: QParam, pieces: dict) -> ualg.AlgebraElement:
+    """F1^a [F2,F1]_q^b F2^c, through the memo `pieces`, which also holds
+    [F2,F1]_q^b under the key b."""
+    key = (a, b, c)
+    hit = pieces.get(key)
+    if hit is None:
+        f1 = ualg.AlgebraElement.gen("F1")
+        f2 = ualg.AlgebraElement.gen("F2")
+        if b not in pieces:
+            pieces[b] = ualg.power(ualg.qcommutator(f2, f1, p), b)
+        hit = pieces[key] = ualg.power(f1, a) * pieces[b] * ualg.power(f2, c)
+    return hit
+
+
+def _word_columns(words, label, p: QParam, col: int) -> dict:
+    """Column `col` of the matrix of each word, formed as ualg.evaluate forms
+    it: eye @ G1 @ G2 @ ..., left to right.  Words are walked in sorted order
+    and only the current word's chain of prefix products is kept, so a word
+    reuses the products of the prefix it shares with the one before."""
+    import numpy as np
+
+    mats = {g: irreps.generator_matrix(label, g, p) for g in {g for w in words for g in w}}
+    chain = [np.eye(irreps.dim(label))]  # chain[k]: product of the first k letters
+    prev: tuple = ()
+    out = {}
+    for w in sorted(words):
+        shared = 0
+        while shared < min(len(w), len(prev)) and w[shared] == prev[shared]:
+            shared += 1
+        del chain[shared + 1:]
+        for g in w[shared:]:
+            chain.append(chain[-1] @ mats[g])
+        out[w] = chain[-1][:, col].copy()
+        prev = w
+    return out
 
 
 def verify_gt_lowering(label, p: QParam, tol: float = 1e-9) -> dict:
     """Apply every lowering element to the highest-weight vector and compare
-    with the unit basis vector it should reproduce."""
+    with the unit basis vector it should reproduce.
+
+    Only the highest-weight column of each element's matrix is read, so
+    each distinct word's column is formed once (_word_columns) and each
+    element sums c * column over its terms in order, as ualg.evaluate sums
+    c * matrix."""
     import numpy as np
 
     label = irreps.check_label(label)
-    hw = irreps.highest_weight_triple(label)
-    index = irreps.gt_index(label)
-    hw_idx = index[hw]
+    triples = irreps.gt_triples(label)
+    hw_idx = triples.index(irreps.highest_weight_triple(label))
+    pieces: dict = {}
+    elems = [gt_lowering_word(label.n1, label.n2, *t, p, pieces) for t in triples]
+    columns = _word_columns({w for e in elems for w in e.terms}, label, p, hw_idx)
     worst = 0.0
     failures = []
-    for t in irreps.gt_triples(label):
-        elem = gt_lowering_word(label.n1, label.n2, *t, p)
-        mat = ualg.evaluate(elem, label, p)
-        got = mat[:, hw_idx]
-        expect = np.zeros(len(index))
-        expect[index[t]] = 1.0
+    for i, (t, elem) in enumerate(zip(triples, elems)):
+        got = np.zeros(len(triples))
+        for w, c in elem.terms.items():
+            got += c * columns[w]
+        expect = np.zeros(len(triples))
+        expect[i] = 1.0
         r = float(np.abs(got - expect).max())
         worst = max(worst, r)
         if r >= tol:

@@ -204,8 +204,9 @@ def verify_casimir_scalar(label, p: QParam, tol: float = 1e-10) -> dict:
     comm = 0.0
     for gname in GENERATORS:
         g = irreps.generator_matrix(label, gname, p)
-        scale = max(np.abs(cas @ g).max(initial=0.0), 1.0)
-        comm = max(comm, float(np.abs(cas @ g - g @ cas).max() / scale))
+        cg = cas @ g
+        scale = max(np.abs(cg).max(initial=0.0), 1.0)
+        comm = max(comm, float(np.abs(cg - g @ cas).max() / scale))
     return {
         "label": list(label),
         "scalar": value,

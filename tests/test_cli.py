@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cp2q import classical, cli, dirac, dolbeault, ncrewrite, ualg
+from cp2q import classical, cli, dirac, dolbeault, irreps, ncrewrite, peterweyl, ualg
 
 
 def run_cli(argv):
@@ -281,6 +281,27 @@ GUARDS = [
       (ncrewrite, "confluence_check", {"passed": True, "branching_words": 0}),
       (ncrewrite, "critical_pairs", {"passed": True, "overlaps": 0}),
       (ncrewrite, "classical_cross_check", {"passed": True, "max_abs_error": 0.0})]),
+    # the irrep battery: labels_up_to is stubbed to one label, so each
+    # worker runs once at the cap, and the cap is checked before the labels
+    (["verify-hopf", "--total-degree", str(cli.TOTAL_DEGREE_GUARD + 1)],
+     ["verify-hopf", "--total-degree", str(cli.TOTAL_DEGREE_GUARD)],
+     [(irreps, "labels_up_to", [irreps.IrrepLabel(1, 1)]),
+      (irreps, "verify_hopf_relations", {"passed": True, "max_residual": 0.0})]),
+    (["verify-casimir", "--total-degree", str(cli.TOTAL_DEGREE_GUARD + 1)],
+     ["verify-casimir", "--total-degree", str(cli.TOTAL_DEGREE_GUARD)],
+     [(irreps, "labels_up_to", [irreps.IrrepLabel(1, 1)]),
+      (ualg, "verify_casimir_scalar", {"passed": True, "scalar": 0.0,
+                                       "off_scalar_residual": 0.0, "commutator_residual": 0.0})]),
+    (["verify-gt", "--total-degree", str(cli.GT_TOTAL_DEGREE_GUARD + 1)],
+     ["verify-gt", "--total-degree", str(cli.GT_TOTAL_DEGREE_GUARD)],
+     [(irreps, "labels_up_to", [irreps.IrrepLabel(1, 1)]),
+      (peterweyl, "verify_gt_lowering", {"passed": True, "max_residual": 0.0}),
+      (peterweyl, "verify_lemma_commutators", {"passed": True, "max_residual": 0.0})]),
+    (["verify-gt", "--powers", str(cli.GT_POWERS_GUARD + 1)],
+     ["verify-gt", "--powers", str(cli.GT_POWERS_GUARD)],
+     [(irreps, "labels_up_to", [irreps.IrrepLabel(1, 1)]),
+      (peterweyl, "verify_gt_lowering", {"passed": True, "max_residual": 0.0}),
+      (peterweyl, "verify_lemma_commutators", {"passed": True, "max_residual": 0.0})]),
 ]
 
 

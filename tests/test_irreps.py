@@ -139,10 +139,12 @@ def test_sparsity_pattern_of_ladder_actions():
         assert len(targets) <= 2
 
 
-@pytest.mark.parametrize("q", [0.5, 0.9])
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 0.95])
 def test_generator_matrix_is_dense_assembly_of_action_rows(q):
+    # bit for bit: the whole-irrep assembly repeats action_row's float
+    # operations in action_row's order
     p = qparam_float(q)
-    for label in irreps.labels_up_to(3):
+    for label in irreps.labels_up_to(8):
         index = irreps.gt_index(label)
         for gen in irreps.GENERATORS:
             dense = np.zeros((len(index), len(index)))
@@ -150,6 +152,11 @@ def test_generator_matrix_is_dense_assembly_of_action_rows(q):
                 for tgt, c in irreps.action_row(label, gen, src, p):
                     dense[index[tgt], i] += c
             assert np.array_equal(dense, irreps.generator_matrix(label, gen, p)), (label, gen)
+
+
+def test_generator_matrix_rejects_an_unknown_generator():
+    with pytest.raises(irreps.LabelError):
+        irreps.generator_matrix((1, 1), "X1", P5)
 
 
 def test_matrix_cache_returns_same_object():

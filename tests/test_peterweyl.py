@@ -118,6 +118,39 @@ def test_gt_lowering_full_sweep(label):
     assert rep["passed"], rep
 
 
+def _reference_gt_lowering(label, p, tol):
+    """verify_gt_lowering as each element's full matrix would give it: one
+    ualg.evaluate per element, read at the highest-weight column."""
+    import numpy as np
+
+    label = irreps.check_label(label)
+    index = irreps.gt_index(label)
+    hw_idx = index[irreps.highest_weight_triple(label)]
+    worst, failures = 0.0, []
+    for t in irreps.gt_triples(label):
+        got = ualg.evaluate(pw.gt_lowering_word(label.n1, label.n2, *t, p), label, p)[:, hw_idx]
+        expect = np.zeros(len(index))
+        expect[index[t]] = 1.0
+        r = float(np.abs(got - expect).max())
+        worst = max(worst, r)
+        if r >= tol:
+            failures.append({"triple": list(t), "residual": r})
+    return {"label": list(label), "max_residual": worst, "passed": not failures,
+            "failures": failures}
+
+
+@pytest.mark.parametrize("q", [0.3, 0.9])
+def test_gt_lowering_matches_the_full_matrix_reference(q):
+    p = qparam_float(q)
+    tight = 0
+    for label in irreps.labels_up_to(5):
+        for tol in (1e-9, 1e-15):
+            rep = pw.verify_gt_lowering(label, p, tol)
+            assert rep == _reference_gt_lowering(label, p, tol), (label, tol)
+            tight += bool(rep["failures"])
+    assert tight  # the tight tol does fail somewhere, so failure lists are compared too
+
+
 def test_gt_lowering_rejects_invalid():
     with pytest.raises(irreps.LabelError):
         pw.gt_lowering_word(1, 1, 2, 0, 0, P5)
