@@ -6,7 +6,8 @@ The commands are every `perfbench/run.py --list` command of the chosen
 workloads (all four by default) at the chosen seeds (1 and 2 by default),
 listed by this checkout's benchmark, plus each --cmd, a shell-quoted cp2q
 argument string such as "verify-gt --q 0.3 --total-degree 7" (a bare
---workload runs the --cmd commands alone).  The committed files of REV
+--workload runs the --cmd commands alone).  --workload and --seed may
+repeat, and their values add up.  The committed files of REV
 are exported into a temporary directory with `git archive`, so the
 repository gains no worktree entry, and each command runs in a fresh
 `python -m cp2q.cli` under REV's `src/` and under this checkout's `src/`.
@@ -58,13 +59,15 @@ def run(tree: Path, argv: list[str]) -> tuple[int, bytes]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev")
-    ap.add_argument("--workload", nargs="*", choices=WORKLOADS, default=list(WORKLOADS))
-    ap.add_argument("--seed", nargs="*", type=int, default=[1, 2])
+    ap.add_argument("--workload", nargs="*", action="extend", choices=WORKLOADS)
+    ap.add_argument("--seed", nargs="*", action="extend", type=int)
     ap.add_argument("--cmd", action="append", default=[],
                     help="an extra cp2q argument string; may repeat")
     args = ap.parse_args(argv)
 
-    commands = [c for w in args.workload for s in args.seed for c in listed(w, s)]
+    workloads = WORKLOADS if args.workload is None else args.workload
+    seeds = (1, 2) if args.seed is None else args.seed
+    commands = [c for w in workloads for s in seeds for c in listed(w, s)]
     commands += [shlex.split(c) for c in args.cmd]
     with tempfile.TemporaryDirectory(prefix="cp2q-stdout-diff-") as tmp:
         try:

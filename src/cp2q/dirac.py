@@ -50,7 +50,7 @@ class DiracConfig:
 
 
 class SpectrumSymmetryError(VerificationError, ArithmeticError):
-    """A block's two eigenvalues are not each other's negatives."""
+    """A block is not symmetric with a zero diagonal: its spectrum is not +-d."""
 
 
 class SpectrumRow(NamedTuple):
@@ -96,18 +96,19 @@ def dirac_apply(f: db.FormVector, cfg: DiracConfig) -> db.FormVector:
     return out
 
 
-def _families(nmax: int):
-    for n in range(1, nmax + 1):
-        yield ("diag", n)
-    for m in range(nmax + 1):
-        yield ("offdiag", m)
+def _weighted(d: np.ndarray, dd: np.ndarray, deg: np.ndarray, s: float) -> np.ndarray:
+    """The operator from the differentials' matrices in slot coordinates, each
+    row weighted by its slot's degree as dirac_apply weights image parts."""
+    return np.where(deg == 2, s, 1.0)[:, None] * d + np.where(deg == 1, s, 1.0)[:, None] * dd
+
+
+def _black_blocks(family: str, n: int, p: QParam) -> tuple:
+    return tuple(db.black_block(name, family, n, p) for name in ("dbar", "dbar_dag"))
 
 
 def _family_block(family: str, n: int, cfg: DiracConfig) -> np.ndarray:
-    """Matrix of the operator on one block, from the slot vectors."""
-    w = irreps.gt_triples(db.family_label(family, n))[0]
-    slots = db.block_slots(db.BlockIndex(family, n, w))
-    return db.slot_matrix(lambda v: dirac_apply(v, cfg), slots)
+    """Matrix of the operator on one block, from the black blocks."""
+    return _weighted(*_black_blocks(family, n, cfg.p), np.array(db.block_degrees(family, n)), cfg.s_value)
 
 
 def closed_form_eigenvalue(family: str, n: int, p: QParam) -> float:
@@ -129,13 +130,16 @@ def spectrum(cfg: DiracConfig) -> SpectrumTable:
     table = SpectrumTable(q=p.q, s=cfg.s_value, nmax=cfg.nmax)
     table.rows.append(SpectrumRow("zero", 0, 0.0, 1))
 
-    for family, n in _families(cfg.nmax):
-        evs = np.linalg.eigvalsh(_family_block(family, n, cfg))
-        lam = float(np.abs(evs).max())
-        if abs(evs[0] + evs[1]) > cfg.tol * max(lam, 1.0):
-            raise SpectrumSymmetryError(f"block ({family},{n}) spectrum not symmetric: {evs}")
+    for family, n, _, mult, _ in db.families(cfg.nmax):
+        if (family, n) == ("diag", 0):
+            continue  # the constants: the zero row
+        block = _family_block(family, n, cfg)
+        # eigvalsh reads only the lower triangle, so the block itself is checked
+        (b00, b01), (b10, b11) = block.tolist()
+        if b00 or b11 or abs(b01 - b10) > cfg.tol * max(abs(b10), 1.0):
+            raise SpectrumSymmetryError(f"block ({family},{n}) not symmetric with zero diagonal: {block.tolist()}")
+        lam = float(np.abs(np.linalg.eigvalsh(block)).max())
         name = "alpha" if family == "diag" else "beta"
-        mult = family_multiplicity(family, n)
         table.rows.append(SpectrumRow(name, n, -lam, mult))
         table.rows.append(SpectrumRow(name, n, +lam, mult))
     return table
@@ -162,13 +166,10 @@ def verify_spectrum_closed_form(table: SpectrumTable, p: QParam, rtol: float = 1
 
 def dense_spectrum(cfg: DiracConfig) -> np.ndarray:
     """Brute-force oracle: assemble the operator on the full truncated slot
-    basis, ignoring the block structure, and diagonalize densely.  The
-    assembled differentials are weighted by the degree of each image slot
-    as dirac_apply weights image parts: s into degree 2 and out of it."""
-    nmax, p, s = cfg.nmax, cfg.p, cfg.s_value
-    deg = db.slot_index(nmax).degrees
-    mat = (np.where(deg == 2, s, 1.0)[:, None] * db.slot_operator("dbar", nmax, p).dense()
-           + np.where(deg == 1, s, 1.0)[:, None] * db.slot_operator("dbar_dag", nmax, p).dense())
+    basis, ignoring the block structure, and diagonalize densely."""
+    nmax, p = cfg.nmax, cfg.p
+    mat = _weighted(db.slot_operator("dbar", nmax, p).dense(), db.slot_operator("dbar_dag", nmax, p).dense(),
+                    db.slot_index(nmax).degrees, cfg.s_value)
     if np.abs(mat - mat.T).max() > 1e-10:
         raise ArithmeticError("assembled operator is not symmetric")
     return np.linalg.eigvalsh(mat)
@@ -216,36 +217,34 @@ def verify_laplacian_identity(cfg: DiracConfig, trials: int = 6, seed: int = 3) 
             "per_block": per_block, "passed": passed}
 
 
-def cohomology(cfg: DiracConfig) -> dict:
-    """Harmonic dimensions per degree from the per-degree kernels, plus the
-    three-way orthogonal (harmonic / exact / coexact) rank bookkeeping."""
-    p = cfg.p
-    # per-degree dimensions of the truncated complex
-    dim0 = sum(irreps.dim((n, n)) for n in range(cfg.nmax + 1))
-    dim1 = sum(irreps.dim((n, n)) for n in range(1, cfg.nmax + 1)) + \
-        sum(irreps.dim((n, n + 3)) for n in range(cfg.nmax + 1))
-    dim2 = sum(irreps.dim((n, n + 3)) for n in range(cfg.nmax + 1))
+def _rank(b: np.ndarray, tol: float) -> int:
+    """Number of singular values above tol of a block of at most 2x2."""
+    # in closed form: cohomology makes no other LAPACK call, and the first
+    # one costs the command about 1 MB of resident memory
+    (b00, b01), (b10, b11) = np.pad(b, [(0, 2 - len(b))] * 2).tolist()
+    f, det = b00 * b00 + b01 * b01 + b10 * b10 + b11 * b11, abs(b00 * b11 - b01 * b10)
+    top = sqrt((f + sqrt(max(f * f - 4.0 * det * det, 0.0))) / 2.0)
+    return int(top > tol) + int(top > tol and det > tol * top)
 
-    # block accounting: each diag(n>=1) block contributes one exact degree-1
-    # direction and one coexact degree-0 direction; offdiag blocks pair
-    # degree 1 with degree 2.
-    n_diag = sum(irreps.dim((n, n)) for n in range(1, cfg.nmax + 1))
-    n_off = sum(irreps.dim((n, n + 3)) for n in range(cfg.nmax + 1))
-    harmonic = [0, 0, 0]
-    # kernels per degree: a slot contributes to the kernel iff the block's
-    # operator matrix vanishes on it; verified numerically per family
-    for n in range(cfg.nmax + 1):
-        for family in ("diag", "offdiag"):
-            block = _family_block(family, n, cfg)
-            degrees = (0, 1) if family == "diag" else (1, 2)
-            for i in range(block.shape[1]):
-                if np.abs(block[:, i]).max() < cfg.tol:
-                    harmonic[degrees[i]] += irreps.dim(db.family_label(family, n))
-    ranks = {
-        "deg0": {"harmonic": harmonic[0], "exact": 0, "coexact": n_diag, "dim": dim0},
-        "deg1": {"harmonic": harmonic[1], "exact": n_diag, "coexact": n_off, "dim": dim1},
-        "deg2": {"harmonic": harmonic[2], "exact": n_off, "coexact": 0, "dim": dim2},
-    }
+
+def cohomology(cfg: DiracConfig) -> dict:
+    """Harmonic dimensions per degree from the kernels of the operator's
+    blocks, and the harmonic + exact + coexact = dim bookkeeping, with exact
+    and coexact counted as black-block ranks times the irrep's dimension."""
+    p = cfg.p
+    harmonic, exact, coexact, dims = ([0, 0, 0] for _ in range(4))
+    for family, n, _, size, deg in db.families(cfg.nmax):
+        d, dd = _black_blocks(family, n, p)
+        block = _weighted(d, dd, np.array(deg), cfg.s_value)
+        for i, k in enumerate(deg):
+            dims[k] += size
+            # a slot is harmonic iff the block's operator vanishes on it
+            if np.abs(block[:, i]).max() < cfg.tol:
+                harmonic[k] += size
+        exact[deg[-1]] += size * _rank(d, cfg.tol)
+        coexact[deg[0]] += size * _rank(dd, cfg.tol)
+    ranks = {f"deg{k}": {"harmonic": harmonic[k], "exact": exact[k], "coexact": coexact[k], "dim": dims[k]}
+             for k in range(3)}
     bookkeeping_ok = all(
         r["harmonic"] + r["exact"] + r["coexact"] == r["dim"] for r in ranks.values()
     )
@@ -259,51 +258,21 @@ def cohomology(cfg: DiracConfig) -> dict:
 
 
 def verify_hodge_projectors(cfg: DiracConfig, degree: int = 1) -> float:
-    """Assemble explicit orthonormal bases of the harmonic, exact and
-    coexact summands in one degree and check the three projectors sum to
-    the identity; returns the sup residual."""
-    p = cfg.p
-    pieces: list[db.FormVector] = []
+    """The projectors onto the harmonic, exact and coexact summands of one
+    degree, from SVD bases of the assembled differentials, must sum to the
+    identity there; returns the largest column norm of the residual."""
+    nmax, p, tol = cfg.nmax, cfg.p, cfg.tol
+    on = np.flatnonzero(db.slot_index(nmax).degrees == degree)
+    d, dd = (db.slot_operator(name, nmax, p).dense() for name in ("dbar", "dbar_dag"))
 
-    parts = {0: ("0",), 1: ("+", "-"), 2: ("2",)}[degree]
+    def image_basis(mat):
+        u, sv, _ = np.linalg.svd(mat)
+        return u[:, :np.count_nonzero(sv > tol)]
 
-    def restrict(f: db.FormVector) -> db.FormVector:
-        return {k: c for k, c in f.items() if db.part(k) in parts}
-
-    for v in db.form_basis(cfg.nmax):
-        h = restrict(v)
-        if db.form_norm(h) > 0:
-            img = dirac_apply(v, cfg)
-            if db.form_norm(img) < cfg.tol:
-                pieces.append(h)  # harmonic
-    for v in db.form_basis(cfg.nmax):
-        for op in (db.dbar, db.dbar_dag):
-            img = restrict(op(v, p))
-            nrm = db.form_norm(img)
-            if nrm > cfg.tol:
-                pieces.append(pw.scaled(img, 1.0 / nrm))
-    # Gram-Schmidt inside the degree; pieces across summands are orthogonal
-    # already, within a summand blocks do not overlap
-    basis: list[db.FormVector] = []
-    for v in pieces:
-        w = dict(v)
-        for u in basis:
-            pw.add_into(w, u, -db.inner_product(u, w))
-        nrm = db.form_norm(w)
-        if nrm > 1e-8:
-            basis.append(pw.scaled(w, 1.0 / nrm))
-    # projector completeness on the degree slice of the slot basis
-    worst = 0.0
-    for v in db.form_basis(cfg.nmax):
-        h = restrict(v)
-        if db.form_norm(h) == 0:
-            continue
-        proj = {}
-        for u in basis:
-            pw.add_into(proj, u, db.inner_product(u, h))
-        pw.add_into(proj, h, -1.0)
-        worst = max(worst, db.form_norm(proj))
-    return worst
+    _, sv, vt = np.linalg.svd(np.vstack([d[:, on], dd[:, on]]))
+    kernel = vt[np.count_nonzero(sv > tol):].T
+    basis = np.hstack([kernel, image_basis(d[on]), image_basis(dd[on])])
+    return float(np.linalg.norm(basis @ basis.T - np.eye(len(on)), axis=0).max())
 
 
 def summability_probe(cfg: DiracConfig, epsilons) -> dict:

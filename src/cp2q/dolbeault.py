@@ -11,15 +11,14 @@ the mirrored lowering words.  Everything is orthonormal in the Peter-Weyl
 basis, with doublets carrying squared norm 2, so the normalized degree-1
 slot vectors pick up a 1/sqrt(2).
 
-The operators never leave the decomposition into (irrep, white index)
-blocks; block assembly exploits that and is cross-checked against the
-direct action.
-
-The checks over the whole truncated complex run in slot coordinates: the
-slot basis is indexed once per truncation, and the differentials and the
-white generators are assembled once per (truncation, q) as sparse
-matrices, column by column from the checked dict path above, which stays
-the oracle.
+The differentials act only on the black leg and the white generators only
+on the white leg, so on the slots of one (family, n) pair, white index by
+white index, a differential is I_dim (x) B with B its black block, and a
+white generator is G (x) I_k with G from the generator's action rows.  A
+black block is read from the checked dict path above on the first white
+index (black_block); the checks over the whole truncated complex run in
+slot coordinates, on sparse matrices assembled from these blocks and
+generator rows once per (truncation, q).
 """
 
 from __future__ import annotations
@@ -173,6 +172,13 @@ def blocks(nmax: int) -> list[BlockIndex]:
             for n in range(nmax + 1) for w in irreps.gt_triples(family_label(family, n))]
 
 
+def block_degrees(family: str, n: int) -> tuple[int, ...]:
+    """Form degree of each slot of a (family, n) block, in block_slots order."""
+    if family == "diag":
+        return (0,) if n == 0 else (0, 1)
+    return (1, 2)
+
+
 def block_slots(block: BlockIndex) -> list[FormVector]:
     """Orthonormal slot vectors of one block, in degree order.
 
@@ -190,27 +196,54 @@ def block_slots(block: BlockIndex) -> list[FormVector]:
     return [singlet, doublet] if block.family == "diag" else [doublet, singlet]
 
 
+# largest distance of an image from the span of the slots, relative to the
+# image's largest coefficient
+_SPAN_TOL = 1e-9
+
+
 def slot_matrix(apply, slots: list[FormVector]) -> np.ndarray:
     """Matrix of a linear map in an orthonormal slot basis: entry (i, j) is
-    <slots[i], apply(slots[j])>."""
+    <slots[i], apply(slots[j])>.  Raises MembershipError when an image is
+    not a combination of the slots."""
     mat = np.zeros((len(slots), len(slots)))
     for j, s in enumerate(slots):
         img = apply(s)
+        resid = dict(img)
         for i, t in enumerate(slots):
-            mat[i, j] = inner_product(t, img)
+            mat[i, j] = c = inner_product(t, img)
+            add_into(resid, t, -c)
+        junk = max(map(abs, resid.values()), default=0.0)
+        if junk > _SPAN_TOL * max(max(map(abs, img.values()), default=0.0), 1.0):
+            raise MembershipError(f"image left the span of the slots: residual {junk:.3e}")
     return mat
+
+
+def black_block(name: str, family: str, n: int, p: QParam) -> np.ndarray:
+    """Matrix of "dbar" or "dbar_dag" on the slots of a (family, n) block, from
+    the checked dict path on the first white index, (0, 0, 0) in every irrep:
+    the differentials act on the black leg alone, so every white index has
+    this block."""
+    apply = functools.partial(dbar if name == "dbar" else dbar_dag, p=p)
+    return slot_matrix(apply, block_slots(BlockIndex(family, n, (0, 0, 0))))
 
 
 # -- slot coordinates -----------------------------------------------------------
 
+def families(nmax: int):
+    """(family, n, first slot, irrep dimension, slot degrees) of each
+    (family, n) pair, in slot order; its slots run white index by white index."""
+    start = 0
+    for family in ("diag", "offdiag"):
+        for n in range(nmax + 1):
+            dim, deg = irreps.dim(family_label(family, n)), block_degrees(family, n)
+            yield family, n, start, dim, deg
+            start += dim * len(deg)
+
+
 class SlotIndex(NamedTuple):
     """The orthonormal slot basis of the truncated complex, indexed once."""
     slots: tuple  # read-only slot vectors, in form_basis order
-    slot_of: Mapping  # Peter-Weyl key -> index of the one slot holding it
     degrees: np.ndarray  # form degree of each slot: 0, 1 or 2
-
-
-_DEGREE = {"0": 0, "+": 1, "-": 1, "2": 2}
 
 
 @functools.lru_cache(maxsize=4)
@@ -218,10 +251,9 @@ def slot_index(nmax: int) -> SlotIndex:
     """The slot basis up to the truncation, in form_basis order.  Every
     caller shares it, so the slots are read-only."""
     slots = tuple(MappingProxyType(s) for b in blocks(nmax) for s in block_slots(b))
-    degrees = np.array([_DEGREE[part(next(iter(s)))] for s in slots], dtype=np.intp)
+    degrees = np.concatenate([np.tile(deg, dim) for _, _, _, dim, deg in families(nmax)])
     degrees.flags.writeable = False
-    slot_of = {k: j for j, s in enumerate(slots) for k in s}
-    return SlotIndex(slots, MappingProxyType(slot_of), degrees)
+    return SlotIndex(slots, degrees)
 
 
 def form_basis(nmax: int) -> list[FormVector]:
@@ -238,30 +270,8 @@ def random_form(nmax: int, rng) -> FormVector:
 
 
 def _random_coordinates(n: int, rng) -> np.ndarray:
-    """Slot coordinates of a random form: the draws of random_form."""
-    return np.array([rng.uniform(-1.0, 1.0) for _ in range(n)])
-
-
-# largest distance of an operator image from the span of the slots,
-# relative to the image's largest coefficient
-_SPAN_TOL = 1e-9
-
-
-def _project(img: FormVector, index: SlotIndex) -> dict[int, float]:
-    """Slot coordinates of a form, by slot index; raises MembershipError when
-    the form is not a combination of the slots."""
-    coords: dict[int, float] = {}
-    for k in img:
-        j = index.slot_of.get(k)
-        if j is not None and j not in coords:
-            coords[j] = inner_product(index.slots[j], img)
-    resid = dict(img)
-    for j, c in coords.items():
-        add_into(resid, index.slots[j], -c)
-    junk = max(map(abs, resid.values()), default=0.0)
-    if junk > _SPAN_TOL * max(max(map(abs, img.values()), default=0.0), 1.0):
-        raise MembershipError(f"image left the span of the slots: residual {junk:.3e}")
-    return coords
+    """The draws of random_form, formed from rng.random() as rng.uniform does."""
+    return -1.0 + 2.0 * np.array([rng.random() for _ in range(n)])
 
 
 class SlotOperator(NamedTuple):
@@ -287,34 +297,48 @@ WHITE_GENERATORS = ("E1", "F1", "E2", "F2", "K1", "K2")
 @functools.lru_cache(maxsize=32)
 def slot_operator(name: str, nmax: int, p: QParam) -> SlotOperator:
     """The operator `name` in slot coordinates, assembled once per (nmax, p):
-    "dbar", "dbar_dag" or the white action of one of WHITE_GENERATORS.
-    Column j holds the slot coordinates of the checked dict-path image of
-    slot j."""
-    if name in ("dbar", "dbar_dag"):
-        apply = functools.partial(dbar if name == "dbar" else dbar_dag, p=p)
-    else:
-        apply = functools.partial(pw.white_act, ualg.AlgebraElement.gen(name), p=p)
-    index = slot_index(nmax)
-    rows, cols, vals = [], [], []
-    for j, s in enumerate(index.slots):
-        for i, c in _project(apply(s), index).items():
-            if c != 0.0:
-                rows.append(i)
-                cols.append(j)
-                vals.append(c)
-    arrays = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-              np.array(vals, dtype=float))
-    for a in arrays:
-        a.flags.writeable = False
-    return SlotOperator(*arrays, len(index.slots))
+    "dbar", "dbar_dag" or the white action of one of WHITE_GENERATORS.  On
+    each (family, n) pair a differential is I (x) black_block and a white
+    generator G (x) I, G from its action rows; a doublet slot's entry is
+    2.0 * (r * (r * g)), r = 1/sqrt(2), as the dict path's inner product
+    forms it.  Sorted by column, so a product sums each row in column order."""
+    rows, cols, vals = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
+    r = 1.0 / sqrt(2.0)
+    size = 0
+    for family, n, start, dim, deg in families(nmax):
+        k, white = len(deg), np.arange(dim)
+        size = start + dim * k
+        if name in ("dbar", "dbar_dag"):
+            b = black_block(name, family, n, p)
+            for a, c in zip(*np.nonzero(b)):
+                rows.append(start + white * k + a)
+                cols.append(start + white * k + c)
+                vals.append(np.full(dim, b[a, c]))
+            continue
+        action = irreps.generator_action(family_label(family, n), name, p)
+        src = np.repeat(white, [len(row) for row in action])
+        pairs = [pair for row in action for pair in row]
+        tgt = np.array([i for i, _ in pairs], dtype=np.intp)
+        g = np.array([x for _, x in pairs], dtype=float)
+        for a, d in enumerate(deg):
+            rows.append(start + tgt * k + a)
+            cols.append(start + src * k + a)
+            vals.append(2.0 * (r * (r * g)) if d == 1 else g)
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    keep = np.flatnonzero(vals != 0.0)
+    keep = keep[np.argsort(cols[keep], kind="stable")]
+    arrays = (rows[keep], cols[keep], vals[keep])
+    for x in arrays:
+        x.flags.writeable = False
+    return SlotOperator(*arrays, size)
 
 
 def verify_complex(nmax: int, p: QParam, tol: float = 1e-10, trials: int = 20, seed: int = 7) -> dict:
     """Squared differentials vanish and the two are adjoint to each other on
     the truncated complex, on random forms in slot coordinates."""
     rng = random.Random(seed)
-    n = len(slot_index(nmax).slots)
     d, dd = slot_operator("dbar", nmax, p), slot_operator("dbar_dag", nmax, p)
+    n = d.size
     worst_d2 = worst_dd2 = worst_adj = 0.0
     vecs = [_random_coordinates(n, rng) for _ in range(trials)]
     for u in vecs:
@@ -343,8 +367,8 @@ def verify_equivariance(nmax: int, p: QParam, tol: float = 1e-10, trials: int = 
     about the paper's operators.
     """
     rng = random.Random(seed)
-    n = len(slot_index(nmax).slots)
     ops = (slot_operator("dbar", nmax, p), slot_operator("dbar_dag", nmax, p))
+    n = ops[0].size
     residuals = {}
     for gname in WHITE_GENERATORS:
         h = slot_operator(gname, nmax, p)

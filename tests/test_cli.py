@@ -221,6 +221,16 @@ def test_spectrum_symmetry_error_exits_1(monkeypatch):
     assert report["passed"] is False and "not symmetric" in report["error"]
 
 
+def test_spectrum_rejects_an_asymmetric_block(monkeypatch):
+    # tripling dbar_dag into degree 0 makes each V(n,n) block [[0, 3d], [d, 0]]:
+    # eigvalsh, which reads one triangle, would still report +-d
+    monkeypatch.setitem(dolbeault._DBAR_DAG, "0", (("+", "X", 3.0), ("-", "F2", 3.0)))
+    code, out = run_cli(["spectrum", "--q", "0.5", "--nmax", "2"])
+    assert code == cli.EXIT_VERIFICATION_FAILED
+    report = json.loads(out)
+    assert report["passed"] is False and "not symmetric" in report["error"]
+
+
 def test_rewrite_budget_error_exits_1(monkeypatch):
     def exhausted(f):
         raise ncrewrite.RewriteBudgetError("reduction budget exhausted")

@@ -172,6 +172,33 @@ def test_hodge_projectors_resolve_identity():
         assert dr.verify_hodge_projectors(c, degree) < 1e-10
 
 
+def test_hodge_projectors_fail_without_the_adjoint(monkeypatch, fresh_operators):
+    # with dbar_dag zero, degree 0 keeps only the constants and degree 1
+    # counts the exact doublets twice (harmonic and exact)
+    monkeypatch.setattr(db, "_DBAR_DAG", {})
+    c = cfg(nmax=2)
+    for degree in (0, 1):
+        assert dr.verify_hodge_projectors(c, degree) >= 0.5
+
+
+def test_cohomology_bookkeeping_counts_black_block_ranks(monkeypatch):
+    # an extra entry in one dbar block leaves every block column nonzero, so
+    # the harmonic dimensions hold, but raises that block's rank to 2
+    block = db.black_block
+
+    def corrupted(name, family, n, p):
+        b = block(name, family, n, p)
+        if (name, family, n) == ("dbar", "diag", 1):
+            b[0, 1] = 1.0
+        return b
+
+    monkeypatch.setattr(db, "black_block", corrupted)
+    rep = dr.cohomology(cfg(nmax=2))
+    assert rep["harmonic_dimensions"] == (1, 0, 0)
+    assert rep["ranks"]["deg1"]["exact"] == dr.family_multiplicity("diag", 1) * 2 + dr.family_multiplicity("diag", 2)
+    assert not rep["bookkeeping_exact"] and not rep["passed"]
+
+
 def test_summability_probe():
     probe = dr.summability_probe(cfg(nmax=8), [0.1, 4.0])
     for shell in probe["shells"]:

@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 from math import sqrt
 
@@ -205,27 +207,94 @@ def test_random_form_draws_one_uniform_per_slot():
     assert len(f) == sum(len(s) for s in basis)
 
 
-def form_of(coords, basis):
-    f = {}
-    for s, c in zip(basis, coords):
-        pw.add_into(f, s, c)
-    return f
+def column_assembly(name, nmax, p):
+    """The operator assembled column by column from the dict path: column j
+    holds the slot coordinates of the checked image of slot j, read off the
+    slots that hold its keys, which must span the image."""
+    if name in ("dbar", "dbar_dag"):
+        apply = functools.partial(db.dbar if name == "dbar" else db.dbar_dag, p=p)
+    else:
+        apply = functools.partial(pw.white_act, ualg.AlgebraElement.gen(name), p=p)
+    slots = db.slot_index(nmax).slots
+    slot_of = {k: j for j, s in enumerate(slots) for k in s}
+    triplets = []
+    for j, s in enumerate(slots):
+        img = apply(s)
+        coords = {}
+        for k in img:
+            i = slot_of.get(k)
+            if i is not None and i not in coords:
+                coords[i] = db.inner_product(slots[i], img)
+        resid = dict(img)
+        for i, c in coords.items():
+            pw.add_into(resid, slots[i], -c)
+        assert max(map(abs, resid.values()), default=0.0) <= 1e-9 * max(max(map(abs, img.values()), default=0.0), 1.0)
+        triplets += [(i, j, c) for i, c in coords.items() if c != 0.0]
+    rows, cols, vals = zip(*triplets)
+    return db.SlotOperator(np.array(rows), np.array(cols), np.array(vals), len(slots))
+
+
+def oracle_mismatches(name, nmax, p):
+    """What differs between slot_operator and the column-by-column oracle:
+    the triplet sets, bit for bit (order within a column may differ), the
+    bits of a product, or the column order of the triplets."""
+    got, ref = db.slot_operator(name, nmax, p), column_assembly(name, nmax, p)
+
+    def triplets(op):
+        return sorted(zip(op.rows.tolist(), op.cols.tolist(), op.vals.tolist()))
+
+    u = np.random.default_rng(nmax).uniform(-1.0, 1.0, ref.size)
+    return [what for what, same in (
+        ("triplets", triplets(got) == triplets(ref)),
+        ("matmul", got.size == ref.size and (got @ u).tobytes() == (ref @ u).tobytes()),
+        ("column order", bool(np.all(np.diff(got.cols) >= 0))),
+    ) if not same]
+
+
+SLOT_OPERATORS = ("dbar", "dbar_dag", *db.WHITE_GENERATORS)
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
 def test_slot_operators_match_the_dict_path(q):
-    p, nmax = qparam_float(q), 3
-    basis = db.form_basis(nmax)
-    u = np.random.default_rng(int(100 * q)).uniform(-1.0, 1.0, len(basis))
-    f = form_of(u, basis)
-    paths = {"dbar": lambda f: db.dbar(f, p), "dbar_dag": lambda f: db.dbar_dag(f, p)}
-    for g in db.WHITE_GENERATORS:
-        paths[g] = lambda f, h=ualg.AlgebraElement.gen(g): pw.white_act(h, f, p)
-    for name, apply in paths.items():
-        img = apply(f)
-        expect = np.array([db.inner_product(s, img) for s in basis])
-        got = db.slot_operator(name, nmax, p) @ u
-        assert np.abs(got - expect).max() <= 1e-12 * max(np.abs(expect).max(), 1.0), name
+    p = qparam_float(q)
+    for nmax in range(5):
+        for name in SLOT_OPERATORS:
+            assert oracle_mismatches(name, nmax, p) == [], (name, nmax)
+
+
+def test_slot_operators_match_the_dict_path_at_nmax_6():
+    p = qparam_float(0.72)
+    for name in SLOT_OPERATORS:
+        assert oracle_mismatches(name, 6, p) == [], name
+
+
+def test_oracle_catches_a_perturbed_black_block_entry(monkeypatch, fresh_operators):
+    block = db.black_block
+
+    def perturbed(name, family, n, p):
+        b = block(name, family, n, p)
+        if (name, family, n) == ("dbar", "diag", 1):
+            b[1, 0] = math.nextafter(b[1, 0], math.inf)
+        return b
+
+    monkeypatch.setattr(db, "black_block", perturbed)
+    assert oracle_mismatches("dbar", 2, P5) == ["triplets", "matmul"]
+    assert oracle_mismatches("dbar_dag", 2, P5) == []
+
+
+def test_oracle_catches_a_perturbed_generator_coefficient(monkeypatch, fresh_operators):
+    action = irreps.generator_action
+
+    def perturbed(label, gen, p):
+        rows = action(label, gen, p)
+        if (tuple(label), gen) == ((1, 1), "E2"):
+            i, c = rows[0][0]
+            rows[0][0] = (i, math.nextafter(c, math.inf))
+        return rows
+
+    monkeypatch.setattr(irreps, "generator_action", perturbed)
+    assert oracle_mismatches("E2", 2, P5) == ["triplets", "matmul"]
+    assert oracle_mismatches("F2", 2, P5) == []
 
 
 def test_assembly_rejects_images_off_the_slot_span(monkeypatch):
@@ -298,6 +367,12 @@ def test_slot_checks_draw_the_dict_path_stream(monkeypatch):
     rep = db.verify_complex(2, p, trials=3, seed=7)
     eq = db.verify_equivariance(2, p, trials=2, seed=11)
     assert [r.getstate() for r in made] == [ref_rng.getstate(), ref_eq_rng.getstate()]
+    # the batched draws are rng.uniform's bits, and leave the stream where it would
+    for seed in (3, 7, 11, 17):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = db._random_coordinates(1000, rng)
+        assert got.tobytes() == np.array([ref_rng.uniform(-1.0, 1.0) for _ in range(1000)]).tobytes()
+        assert rng.getstate() == ref_rng.getstate()
     for key, value in ref.items():
         assert type(rep[key]) is float and abs(rep[key] - value) < 1e-13
     assert rep["passed"] and eq["passed"]

@@ -4,14 +4,18 @@ The files under tests/golden/ hold reports as the command line printed them
 before a change to the code behind them: the numeric cases before the lazy
 action-row provider, the rewrite cases before integer Laurent coefficients,
 the q = 0.3 spectrum and q = 0.9 cohomology before forms became plain
-Peter-Weyl vectors, and the degree-4 relation battery before the rewriting
-engine moved to flat integer polynomials.  That last case is the only one
-that pins the verify-cp2-relations report: its key order and the last digit
-of its classical_max_error float.
+Peter-Weyl vectors, the degree-4 relation battery before the rewriting
+engine moved to flat integer polynomials, and the verify-complex cases
+before the slot operators were assembled from black blocks.  The relation
+battery is the only case that pins the verify-cp2-relations report: its
+key order and the last digit of its classical_max_error float.
 Any change to a number, a coefficient's printed form, a key order or a
 float's last digit shows up here as a failure.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,7 +45,19 @@ CASES = {
     # a non-integral rational keeps its Fraction coefficient
     "rewrite_rational": ["rewrite", "1/2 p12 p21 - q^-2 p21 p12"],
     "verify_cp2_relations_deg4": ["verify-cp2-relations", "--max-deg", "4"],
+    # the seed-1 query of the benchmark's forms workload, and a larger truncation
+    "verify_complex_q072_nmax4": ["verify-complex", "--q", "0.72", "--nmax", "4"],
+    "verify_complex_nmax8": ["verify-complex", "--q", "0.5", "--nmax", "8"],
 }
+
+
+# OpenBLAS splits a dot product over its threads past 10,000 entries, which
+# moves the last bits of the sum; verify-complex at nmax 8 works on 11,069
+# slots.  That case runs as scripts/stdout_diff.py and perfbench run every
+# command: in a fresh process with BLAS pinned to one thread.
+PINNED = {"verify_complex_nmax8"}
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 def run_cli(argv):
@@ -54,8 +70,16 @@ def run_cli(argv):
     return code, buf.getvalue()
 
 
+def run_pinned(argv):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env.update({"PYTHONPATH": str(src), **dict.fromkeys(THREAD_VARS, "1")})
+    proc = subprocess.run([sys.executable, "-m", "cp2q.cli", *argv], capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(name):
-    code, out = run_cli(CASES[name])
+    code, out = (run_pinned if name in PINNED else run_cli)(CASES[name])
     assert code == cli.EXIT_OK
     assert out == (GOLDEN / f"{name}.out").read_text()

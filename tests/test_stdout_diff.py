@@ -24,7 +24,8 @@ def _git_checkout() -> bool:
 
 @pytest.mark.skipif(not _git_checkout(), reason="needs a git checkout with a HEAD commit")
 def test_spectral_stdout_matches_head():
-    out = subprocess.run([sys.executable, str(SCRIPT), "HEAD", "--workload", "spectral", "--seed", "1"],
-                         capture_output=True, text=True)
+    # seed 1 of the spectral workload and of the forms workload (verify-complex)
+    out = subprocess.run([sys.executable, str(SCRIPT), "HEAD", "--workload", "spectral", "--workload", "forms",
+                          "--seed", "1"], capture_output=True, text=True)
     assert out.returncode == 0, out.stdout + out.stderr
-    assert out.stdout.splitlines()[-1] == "5 commands, 0 differ from HEAD"
+    assert out.stdout.splitlines()[-1] == "6 commands, 0 differ from HEAD"
