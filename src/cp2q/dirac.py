@@ -11,8 +11,10 @@ is [[0, d], [d, 0]] in the orthonormal slot basis with
 
 plus the one-dimensional kernel of constants.  Blocks are exact:
 truncation only limits which n appear, it never perturbs an included
-eigenvalue.  A dense diagonalization of the assembled operator provides a
-brute-force oracle at small truncation.
+eigenvalue.  Each block is checked to be symmetric with a zero diagonal,
+and its eigenvalues +-|d| are then read off its lower entry, in plain
+Python.  The tests keep two oracles: numpy's eigvalsh of each block, and a
+dense diagonalization of the assembled operator at small truncation.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import sqrt
 from typing import NamedTuple
-
-import numpy as np
 
 from . import dolbeault as db, irreps, peterweyl as pw, ualg
 from .qarith import QParam, VerificationError, qint
@@ -96,19 +96,25 @@ def dirac_apply(f: db.FormVector, cfg: DiracConfig) -> db.FormVector:
     return out
 
 
-def _weighted(d: np.ndarray, dd: np.ndarray, deg: np.ndarray, s: float) -> np.ndarray:
-    """The operator from the differentials' matrices in slot coordinates, each
-    row weighted by its slot's degree as dirac_apply weights image parts."""
-    return np.where(deg == 2, s, 1.0)[:, None] * d + np.where(deg == 1, s, 1.0)[:, None] * dd
+def _row_weights(deg, s: float) -> tuple[list, list]:
+    """Weights of the rows of dbar's and dbar_dag's matrices in slot
+    coordinates, by each row's slot degree, as dirac_apply weights image
+    parts: s on the degree 1 <-> 2 legs."""
+    return [s if k == 2 else 1.0 for k in deg], [s if k == 1 else 1.0 for k in deg]
+
+
+def _weighted(d: list, dd: list, deg, s: float) -> list[list[float]]:
+    """The operator on one block from the differentials' black blocks."""
+    return [[a * x + b * y for x, y in zip(rd, rdd)] for a, b, rd, rdd in zip(*_row_weights(deg, s), d, dd)]
 
 
 def _black_blocks(family: str, n: int, p: QParam) -> tuple:
     return tuple(db.black_block(name, family, n, p) for name in ("dbar", "dbar_dag"))
 
 
-def _family_block(family: str, n: int, cfg: DiracConfig) -> np.ndarray:
+def _family_block(family: str, n: int, cfg: DiracConfig) -> list[list[float]]:
     """Matrix of the operator on one block, from the black blocks."""
-    return _weighted(*_black_blocks(family, n, cfg.p), np.array(db.block_degrees(family, n)), cfg.s_value)
+    return _weighted(*_black_blocks(family, n, cfg.p), db.block_degrees(family, n), cfg.s_value)
 
 
 def closed_form_eigenvalue(family: str, n: int, p: QParam) -> float:
@@ -124,8 +130,8 @@ def family_multiplicity(family: str, n: int) -> int:
 
 
 def spectrum(cfg: DiracConfig) -> SpectrumTable:
-    """Spectrum by 2x2 block diagonalization, verified against the closed
-    forms; rows sorted (family, n, sign), multiplicities per sign."""
+    """Spectrum read off the checked 2x2 blocks, to be verified against the
+    closed forms; rows sorted (family, n, sign), multiplicities per sign."""
     p = cfg.p
     table = SpectrumTable(q=p.q, s=cfg.s_value, nmax=cfg.nmax)
     table.rows.append(SpectrumRow("zero", 0, 0.0, 1))
@@ -134,11 +140,10 @@ def spectrum(cfg: DiracConfig) -> SpectrumTable:
         if (family, n) == ("diag", 0):
             continue  # the constants: the zero row
         block = _family_block(family, n, cfg)
-        # eigvalsh reads only the lower triangle, so the block itself is checked
-        (b00, b01), (b10, b11) = block.tolist()
+        (b00, b01), (b10, b11) = block
         if b00 or b11 or abs(b01 - b10) > cfg.tol * max(abs(b10), 1.0):
-            raise SpectrumSymmetryError(f"block ({family},{n}) not symmetric with zero diagonal: {block.tolist()}")
-        lam = float(np.abs(np.linalg.eigvalsh(block)).max())
+            raise SpectrumSymmetryError(f"block ({family},{n}) not symmetric with zero diagonal: {block}")
+        lam = abs(b10)
         name = "alpha" if family == "diag" else "beta"
         table.rows.append(SpectrumRow(name, n, -lam, mult))
         table.rows.append(SpectrumRow(name, n, +lam, mult))
@@ -167,15 +172,19 @@ def verify_spectrum_closed_form(table: SpectrumTable, p: QParam, rtol: float = 1
 def dense_spectrum(cfg: DiracConfig) -> np.ndarray:
     """Brute-force oracle: assemble the operator on the full truncated slot
     basis, ignoring the block structure, and diagonalize densely."""
+    import numpy as np
+
     nmax, p = cfg.nmax, cfg.p
-    mat = _weighted(db.slot_operator("dbar", nmax, p).dense(), db.slot_operator("dbar_dag", nmax, p).dense(),
-                    db.slot_index(nmax).degrees, cfg.s_value)
+    wd, wdd = (np.array(w)[:, None] for w in _row_weights(db.slot_index(nmax).degrees, cfg.s_value))
+    mat = wd * db.slot_operator("dbar", nmax, p).dense() + wdd * db.slot_operator("dbar_dag", nmax, p).dense()
     if np.abs(mat - mat.T).max() > 1e-10:
         raise ArithmeticError("assembled operator is not symmetric")
     return np.linalg.eigvalsh(mat)
 
 
 def spectrum_as_sorted_list(table: SpectrumTable) -> np.ndarray:
+    import numpy as np
+
     vals = []
     for r in table.rows:
         vals.extend([r.eigenvalue] * r.multiplicity)
@@ -188,13 +197,15 @@ def verify_laplacian_identity(cfg: DiracConfig, trials: int = 6, seed: int = 3) 
     complex against the word-level Casimir element itself."""
     import random
 
+    import numpy as np
+
     p = cfg.p
     two = qint(2, p)
     per_block = []
     worst = 0.0
     for n in range(cfg.nmax + 1):
         for family in ("diag", "offdiag"):
-            block = _family_block(family, n, cfg)
+            block = np.array(_family_block(family, n, cfg))
             expect = (ualg.casimir_eigenvalue(*db.family_label(family, n), p) - 2.0) / two
             resid = float(np.abs(block @ block - expect * np.eye(block.shape[0])).max()
                           / max(abs(expect), 1.0))
@@ -217,11 +228,10 @@ def verify_laplacian_identity(cfg: DiracConfig, trials: int = 6, seed: int = 3) 
             "per_block": per_block, "passed": passed}
 
 
-def _rank(b: np.ndarray, tol: float) -> int:
+def _rank(b: list, tol: float) -> int:
     """Number of singular values above tol of a block of at most 2x2."""
-    # in closed form: cohomology makes no other LAPACK call, and the first
-    # one costs the command about 1 MB of resident memory
-    (b00, b01), (b10, b11) = np.pad(b, [(0, 2 - len(b))] * 2).tolist()
+    # in closed form, so cohomology needs no numpy
+    (b00, b01), (b10, b11) = b if len(b) == 2 else ((b[0][0], 0.0), (0.0, 0.0))
     f, det = b00 * b00 + b01 * b01 + b10 * b10 + b11 * b11, abs(b00 * b11 - b01 * b10)
     top = sqrt((f + sqrt(max(f * f - 4.0 * det * det, 0.0))) / 2.0)
     return int(top > tol) + int(top > tol and det > tol * top)
@@ -235,11 +245,11 @@ def cohomology(cfg: DiracConfig) -> dict:
     harmonic, exact, coexact, dims = ([0, 0, 0] for _ in range(4))
     for family, n, _, size, deg in db.families(cfg.nmax):
         d, dd = _black_blocks(family, n, p)
-        block = _weighted(d, dd, np.array(deg), cfg.s_value)
+        block = _weighted(d, dd, deg, cfg.s_value)
         for i, k in enumerate(deg):
             dims[k] += size
             # a slot is harmonic iff the block's operator vanishes on it
-            if np.abs(block[:, i]).max() < cfg.tol:
+            if max(abs(row[i]) for row in block) < cfg.tol:
                 harmonic[k] += size
         exact[deg[-1]] += size * _rank(d, cfg.tol)
         coexact[deg[0]] += size * _rank(dd, cfg.tol)
@@ -261,6 +271,8 @@ def verify_hodge_projectors(cfg: DiracConfig, degree: int = 1) -> float:
     """The projectors onto the harmonic, exact and coexact summands of one
     degree, from SVD bases of the assembled differentials, must sum to the
     identity there; returns the largest column norm of the residual."""
+    import numpy as np
+
     nmax, p, tol = cfg.nmax, cfg.p, cfg.tol
     on = np.flatnonzero(db.slot_index(nmax).degrees == degree)
     d, dd = (db.slot_operator(name, nmax, p).dense() for name in ("dbar", "dbar_dag"))

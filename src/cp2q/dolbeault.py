@@ -31,8 +31,6 @@ from math import sqrt
 from types import MappingProxyType
 from typing import NamedTuple
 
-import numpy as np
-
 from . import irreps, peterweyl as pw, ualg
 from .peterweyl import PWVector, add_into
 from .qarith import QParam, VerificationError
@@ -201,16 +199,16 @@ def block_slots(block: BlockIndex) -> list[FormVector]:
 _SPAN_TOL = 1e-9
 
 
-def slot_matrix(apply, slots: list[FormVector]) -> np.ndarray:
-    """Matrix of a linear map in an orthonormal slot basis: entry (i, j) is
-    <slots[i], apply(slots[j])>.  Raises MembershipError when an image is
-    not a combination of the slots."""
-    mat = np.zeros((len(slots), len(slots)))
+def slot_matrix(apply, slots: list[FormVector]) -> list[list[float]]:
+    """Matrix of a linear map in an orthonormal slot basis, as a list of rows:
+    entry [i][j] is <slots[i], apply(slots[j])>.  Raises MembershipError when
+    an image is not a combination of the slots."""
+    mat = [[0.0] * len(slots) for _ in slots]
     for j, s in enumerate(slots):
         img = apply(s)
         resid = dict(img)
         for i, t in enumerate(slots):
-            mat[i, j] = c = inner_product(t, img)
+            mat[i][j] = c = float(inner_product(t, img))  # an empty image's product is the int 0
             add_into(resid, t, -c)
         junk = max(map(abs, resid.values()), default=0.0)
         if junk > _SPAN_TOL * max(max(map(abs, img.values()), default=0.0), 1.0):
@@ -218,7 +216,7 @@ def slot_matrix(apply, slots: list[FormVector]) -> np.ndarray:
     return mat
 
 
-def black_block(name: str, family: str, n: int, p: QParam) -> np.ndarray:
+def black_block(name: str, family: str, n: int, p: QParam) -> list[list[float]]:
     """Matrix of "dbar" or "dbar_dag" on the slots of a (family, n) block, from
     the checked dict path on the first white index, (0, 0, 0) in every irrep:
     the differentials act on the black leg alone, so every white index has
@@ -250,6 +248,8 @@ class SlotIndex(NamedTuple):
 def slot_index(nmax: int) -> SlotIndex:
     """The slot basis up to the truncation, in form_basis order.  Every
     caller shares it, so the slots are read-only."""
+    import numpy as np
+
     slots = tuple(MappingProxyType(s) for b in blocks(nmax) for s in block_slots(b))
     degrees = np.concatenate([np.tile(deg, dim) for _, _, _, dim, deg in families(nmax)])
     degrees.flags.writeable = False
@@ -271,6 +271,8 @@ def random_form(nmax: int, rng) -> FormVector:
 
 def _random_coordinates(n: int, rng) -> np.ndarray:
     """The draws of random_form, formed from rng.random() as rng.uniform does."""
+    import numpy as np
+
     return -1.0 + 2.0 * np.array([rng.random() for _ in range(n)])
 
 
@@ -283,9 +285,13 @@ class SlotOperator(NamedTuple):
     size: int
 
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return np.bincount(self.rows, weights=self.vals * u[self.cols], minlength=self.size)
 
     def dense(self) -> np.ndarray:
+        import numpy as np
+
         mat = np.zeros((self.size, self.size))
         mat[self.rows, self.cols] = self.vals
         return mat
@@ -302,6 +308,8 @@ def slot_operator(name: str, nmax: int, p: QParam) -> SlotOperator:
     generator G (x) I, G from its action rows; a doublet slot's entry is
     2.0 * (r * (r * g)), r = 1/sqrt(2), as the dict path's inner product
     forms it.  Sorted by column, so a product sums each row in column order."""
+    import numpy as np
+
     rows, cols, vals = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
     r = 1.0 / sqrt(2.0)
     size = 0
@@ -313,7 +321,7 @@ def slot_operator(name: str, nmax: int, p: QParam) -> SlotOperator:
             for a, c in zip(*np.nonzero(b)):
                 rows.append(start + white * k + a)
                 cols.append(start + white * k + c)
-                vals.append(np.full(dim, b[a, c]))
+                vals.append(np.full(dim, b[a][c]))
             continue
         action = irreps.generator_action(family_label(family, n), name, p)
         src = np.repeat(white, [len(row) for row in action])
@@ -336,6 +344,8 @@ def slot_operator(name: str, nmax: int, p: QParam) -> SlotOperator:
 def verify_complex(nmax: int, p: QParam, tol: float = 1e-10, trials: int = 20, seed: int = 7) -> dict:
     """Squared differentials vanish and the two are adjoint to each other on
     the truncated complex, on random forms in slot coordinates."""
+    import numpy as np
+
     rng = random.Random(seed)
     d, dd = slot_operator("dbar", nmax, p), slot_operator("dbar_dag", nmax, p)
     n = d.size
@@ -366,6 +376,8 @@ def verify_equivariance(nmax: int, p: QParam, tol: float = 1e-10, trials: int = 
     the black leg.  The check guards the implementation; it is no evidence
     about the paper's operators.
     """
+    import numpy as np
+
     rng = random.Random(seed)
     ops = (slot_operator("dbar", nmax, p), slot_operator("dbar_dag", nmax, p))
     n = ops[0].size

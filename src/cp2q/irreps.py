@@ -21,8 +21,6 @@ from functools import lru_cache
 from math import sqrt
 from typing import NamedTuple
 
-import numpy as np
-
 from .qarith import QParam, qint
 
 
@@ -199,21 +197,28 @@ class _MatrixCache:
 matrix_cache = _MatrixCache()
 
 
-@lru_cache(maxsize=None)
+# the caches hold what one verify-hopf or verify-casimir run reaches at
+# --total-degree 12 (TOTAL_DEGREE_GUARD in cli): 13 totals at one q and
+# 91 labels
+@lru_cache(maxsize=16)
 def _qn_table(p: QParam, top: int) -> np.ndarray:
     """_qn(h) for h = 0 .. 2*top + 4: every q-number an irrep of total
     degree top reaches, indexed by twice its argument.  Read-only, as it is
     shared."""
+    import numpy as np
+
     table = np.array([_qn(h, p) for h in range(2 * top + 5)])
     table.setflags(write=False)
     return table
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _basis_arrays(label: IrrepLabel) -> tuple:
     """(j1, j2, mm) over the ordered basis, and offset[j1, j2], the index of
     the first triple of block (j1, j2): triple (j1, j2, mm) sits at
     offset[j1, j2] + (mm + j1 + j2) // 2.  Read-only, as they are shared."""
+    import numpy as np
+
     n1, n2 = label
     sizes = np.add.outer(np.arange(n1 + 1), np.arange(n2 + 1)) + 1
     offset = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
@@ -227,6 +232,8 @@ def _assemble(label: IrrepLabel, gen: str, p: QParam) -> np.ndarray:
     """Dense matrix of one generator, from action_row's formulas evaluated
     elementwise over the whole basis, with the same float operations in the
     same order, so each entry equals action_row's coefficient bit for bit."""
+    import numpy as np
+
     n1, n2 = label
     j1, j2, mm, offset = _basis_arrays(label)
     s = j1 + j2
@@ -288,6 +295,8 @@ def generator_matrix(label, gen: str, p: QParam):
 
 
 def _mat_scale(*mats) -> float:
+    import numpy as np
+
     return max(max((np.abs(m).max(initial=0.0) for m in mats), default=0.0), 1.0)
 
 
@@ -299,6 +308,8 @@ def verify_hopf_relations(label, p: QParam, tol: float = 1e-11) -> dict:
     of the constituent matrix products, the natural matrix scale (the
     products themselves grow like powers of q-numbers on large irreps).
     """
+    import numpy as np
+
     label = check_label(label)
     q = p.q
     g = {name: generator_matrix(label, name, p) for name in GENERATORS}

@@ -15,8 +15,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-import numpy as np
-
 from . import irreps
 from .irreps import GENERATORS
 from .qarith import QParam, qint
@@ -185,6 +183,8 @@ def casimir_eigenvalue(n1: int, n2: int, p: QParam) -> float:
 
 def evaluate(elem: AlgebraElement, label, p: QParam) -> np.ndarray:
     """Matrix of an element on one irrep."""
+    import numpy as np
+
     n = irreps.dim(label)
     out = np.zeros((n, n))
     eye = np.eye(n)
@@ -198,6 +198,8 @@ def evaluate(elem: AlgebraElement, label, p: QParam) -> np.ndarray:
 
 def verify_casimir_scalar(label, p: QParam, tol: float = 1e-10) -> dict:
     """Casimir matrix == closed-form scalar, and commutes with every generator."""
+    import numpy as np
+
     cas = evaluate(casimir_element(p), label, p)
     value = casimir_eigenvalue(label[0], label[1], p)
     off = float(np.abs(cas - value * np.eye(cas.shape[0])).max() / max(abs(value), 1.0))
@@ -262,6 +264,8 @@ def coproduct_expand(elem: AlgebraElement) -> TensorElement:
 
 def tensor_evaluate(tensor: TensorElement, label_v, label_w, p: QParam) -> np.ndarray:
     """Evaluate an element of the two-fold tensor algebra on V (x) W."""
+    import numpy as np
+
     nv, nw = irreps.dim(label_v), irreps.dim(label_w)
     out = np.zeros((nv * nw, nv * nw))
     for (lw, rw), c in tensor.items():
@@ -317,6 +321,8 @@ def coproduct_closed_form_y(p: QParam) -> TensorElement:
 def verify_coproduct_identity(p: QParam, tol: float = 1e-12, label=(0, 1)) -> dict:
     """Primitive expansion of the coproducts of X and Y against their closed
     forms, evaluated on V (x) V; plus grouplikeness of K1 and the counit law."""
+    import numpy as np
+
     results = {}
     for name, elem, closed in (
         ("X", x_element(p), coproduct_closed_form_x(p)),

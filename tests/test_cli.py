@@ -363,15 +363,32 @@ def test_classical_check_at_the_identity_sample_is_quiet():
 
 
 
-@pytest.mark.parametrize("argv, code", [([], None), (["rewrite", "p12 p21"], 0), (["rewrite", "z4"], 2)],
-                         ids=("import", "rewrite", "malformed-rewrite"))
-def test_exact_launches_load_no_numpy(argv, code):
-    # importing the command line, a rewrite and a malformed rewrite (a usage
-    # error) all stay on the exact path
+def launch_in_fresh_interpreter(argv):
+    """[exit code of cli.main(argv), or None for a bare import, and whether
+    numpy was loaded], from a fresh interpreter."""
     probe = ("import contextlib, io, sys; from cp2q import cli\n"
              f"argv = {argv!r}\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    code = cli.main(argv) if argv else None\n"
              "print(code, 'numpy' in sys.modules)")
     out = _python("-c", probe)
-    assert out.returncode == 0 and out.stdout.split() == [str(code), "False"], out.stderr
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
+
+
+@pytest.mark.parametrize("argv, code", [([], None), (["rewrite", "p12 p21"], 0), (["rewrite", "z4"], 2)],
+                         ids=("import", "rewrite", "malformed-rewrite"))
+def test_exact_launches_load_no_numpy(argv, code):
+    # importing the command line, a rewrite and a malformed rewrite (a usage
+    # error) all stay on the exact path
+    assert launch_in_fresh_interpreter(argv) == [str(code), "False"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["spectrum"], 0), (["cohomology"], 0), (["summability"], 0),
+    (["--format", "table", "spectrum"], 0), (["spectrum", "--q", "0.2"], 2),
+], ids=("spectrum", "cohomology", "summability", "spectrum-table", "spectrum-guard"))
+def test_spectral_launches_load_no_numpy(argv, code):
+    # the 2x2 blocks are read in plain Python, and a guard error exits before
+    # any block is built
+    assert launch_in_fresh_interpreter(argv) == [str(code), "False"]

@@ -135,6 +135,20 @@ def test_dense_oracle_agrees_with_blocks():
     assert np.abs(dense - blocks).max() < 1e-9 * scale
 
 
+def test_spectrum_equals_eigvalsh_of_each_block():
+    # the spectrum reads +-|b10| off each checked block; numpy's eigensolver
+    # on the same block is the independent oracle, bit for bit, on the whole
+    # 0.01 grid of the spectrum commands' q range
+    for q in (i / 100 for i in range(30, 96)):
+        c = cfg(nmax=8, q=q)
+        got = {(r.family, r.n): r.eigenvalue for r in dr.spectrum(c).rows if r.eigenvalue > 0}
+        assert len(got) == 17
+        for family, n, *_ in db.families(c.nmax):
+            if (family, n) != ("diag", 0):
+                expect = float(np.abs(np.linalg.eigvalsh(np.array(dr._family_block(family, n, c)))).max())
+                assert got["alpha" if family == "diag" else "beta", n].hex() == expect.hex(), (q, family, n)
+
+
 @pytest.mark.parametrize("nmax, s", [(2, None), (1, 1.3)])
 def test_dense_spectrum_matches_the_dict_path_assembly(nmax, s):
     # the slot-by-slot assembly of dirac_apply it replaced is the reference
@@ -189,7 +203,7 @@ def test_cohomology_bookkeeping_counts_black_block_ranks(monkeypatch):
     def corrupted(name, family, n, p):
         b = block(name, family, n, p)
         if (name, family, n) == ("dbar", "diag", 1):
-            b[0, 1] = 1.0
+            b[0][1] = 1.0
         return b
 
     monkeypatch.setattr(db, "black_block", corrupted)

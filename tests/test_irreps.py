@@ -164,3 +164,13 @@ def test_matrix_cache_returns_same_object():
     b = irreps.generator_matrix((1, 1), "E1", P5)
     assert a is b
     assert not a.flags.writeable
+
+
+def test_basis_caches_are_bounded_and_hold_a_verify_hopf_run():
+    # one verify-hopf or verify-casimir run at the degree cap reads every
+    # label up to it, at one q, so nothing it caches is built twice
+    from cp2q.cli import TOTAL_DEGREE_GUARD
+
+    labels = irreps.labels_up_to(TOTAL_DEGREE_GUARD)
+    assert irreps._basis_arrays.cache_info().maxsize >= len(labels)
+    assert irreps._qn_table.cache_info().maxsize >= len({n1 + n2 for n1, n2 in labels})
