@@ -26,12 +26,13 @@ EXIT_CONFIG_ERROR = 2
 SPECTRUM_Q_RANGE = (0.3, 0.95)
 NMAX_GUARD = 8
 # caps on unbounded work, from the measured cost table in the README:
-# evaluate holds and prints dense dim x dim matrices (about 170 bytes of
+# evaluate holds and prints dense dim x dim matrices (about 50 bytes of
 # memory and 11 of output per entry), verify-cp2-relations walks all 6^d
 # words of each degree d (time and memory grow about 7x per degree), and
 # its q = 1 cross-check takes about 0.5 ms per sample point; verify-hopf
-# and verify-casimir keep every generator matrix of each irrep up to
-# --total-degree (memory grows about 1.5x per degree), verify-gt forms
+# and verify-casimir hold one irrep's generator matrices at a time, so
+# time, not memory, sets their cap (about 1.9x per degree; verify-hopf
+# takes 5.8 s and 55 MB at --total-degree 13), verify-gt forms
 # products of lowering words (time about 3.5x per degree), and its
 # --powers identities expand [F2,F1]_q^n into 2^n words
 EVALUATE_DIM_GUARD = 1000
@@ -108,7 +109,8 @@ def _spectrum_guard(args, q: float) -> None:
 def emit(report: dict, fmt: str, stream=None) -> None:
     stream = stream or sys.stdout
     if fmt == "json":
-        stream.write(json.dumps(report, sort_keys=True, indent=2, default=_jsonable))
+        # written piece by piece, so the report is never held as one string
+        json.dump(report, stream, sort_keys=True, indent=2, default=_jsonable)
         stream.write("\n")
     elif fmt == "csv":
         rows = report.get("rows", [])
@@ -207,12 +209,16 @@ def cmd_verify_gt(args) -> tuple[int, dict]:
     _at_most(args.powers, GT_POWERS_GUARD, "--powers")
     ok = True
     rows = []
+    # the commutator identities are checked on V(1,1) and read the matrices
+    # its lowering check builds; every other label's are dropped after its check
+    comm_label, comm_mats = (1, 1), {}
     for label in irreps.labels_up_to(args.total_degree):
-        rep = peterweyl.verify_gt_lowering(label, p, args.tol)
+        rep = peterweyl.verify_gt_lowering(label, p, args.tol,
+                                           comm_mats if label == comm_label else None)
         ok = ok and rep["passed"]
         rows.append({"label": f"({label.n1},{label.n2})",
                      "max_residual": rep["max_residual"], "passed": rep["passed"]})
-    comm = peterweyl.verify_lemma_commutators((1, 1), args.powers, p)
+    comm = peterweyl.verify_lemma_commutators(comm_label, args.powers, p, mats=comm_mats)
     ok = ok and comm["passed"]
     report = {"command": "verify-gt", "q": p.q, "tol": args.tol, "rows": rows,
               "commutator_identities": comm["passed"],
@@ -388,8 +394,7 @@ def cmd_evaluate(args) -> tuple[int, dict]:
     _at_most(irreps.dim(label), EVALUATE_DIM_GUARD, "the dimension of the --n1 --n2 irrep")
     mat = ualg.evaluate(elem, label, p)
     report = {"command": "evaluate", "q": p.q, "expr": args.expr,
-              "label": [label.n1, label.n2],
-              "matrix": [[float(x) for x in row] for row in mat],
+              "label": [label.n1, label.n2], "matrix": mat.tolist(),
               "passed": True}
     return EXIT_OK, report
 

@@ -12,6 +12,10 @@ diagonally with exponents on the t = q^(1/12) lattice, E1 raises m,
 E2 moves (j1, m) -> (j1+1, m-1/2) or (j2, m) -> (j2-1, m-1/2) with
 square-root coefficients built from q-numbers, and F_i are the transposes
 (the *-structure in an orthonormal basis).
+
+Dense generator matrices (generator_matrix) are built anew on each call,
+so they live only as long as their caller's check: each check holds one
+dict of matrices for the label it reads, and nothing is kept per process.
 """
 
 from __future__ import annotations
@@ -178,25 +182,6 @@ def generator_action(label, gen: str, p: QParam) -> list[list[tuple[int, float]]
             for triple in gt_triples(label)]
 
 
-class _MatrixCache:
-    """Per-process memo for generator matrices."""
-
-    def __init__(self):
-        self._data: dict = {}
-
-    def get_or_build(self, key, builder):
-        hit = self._data.get(key)
-        if hit is None:
-            hit = self._data[key] = builder()
-        return hit
-
-    def clear(self):
-        self._data.clear()
-
-
-matrix_cache = _MatrixCache()
-
-
 # the caches hold what one verify-hopf or verify-casimir run reaches at
 # --total-degree 12 (TOTAL_DEGREE_GUARD in cli): 13 totals at one q and
 # 91 labels
@@ -282,16 +267,12 @@ def _assemble(label: IrrepLabel, gen: str, p: QParam) -> np.ndarray:
 
 def generator_matrix(label, gen: str, p: QParam):
     """Generator matrix on the ordered GT basis, as a dense read-only real
-    ndarray, memoized per (label, gen, q).  Entry [i, j] is the coefficient
-    of basis vector i in action_row of basis vector j."""
-    label = check_label(label)
-
-    def build():
-        mat = _assemble(label, gen, p)
-        mat.setflags(write=False)
-        return mat
-
-    return matrix_cache.get_or_build((label, gen, p.q), build)
+    ndarray, built anew on each call: a caller that reads a letter more than
+    once keeps the matrices of the label it checks.  Entry [i, j] is the
+    coefficient of basis vector i in action_row of basis vector j."""
+    mat = _assemble(check_label(label), gen, p)
+    mat.setflags(write=False)
+    return mat
 
 
 def _mat_scale(*mats) -> float:
@@ -313,58 +294,57 @@ def verify_hopf_relations(label, p: QParam, tol: float = 1e-11) -> dict:
     label = check_label(label)
     q = p.q
     g = {name: generator_matrix(label, name, p) for name in GENERATORS}
-    eye = np.eye(dim(label))
+
+    def residual(lhs, rhs, scale_mats=None):
+        # relative to the constituent products when given, else to both sides
+        scale = _mat_scale(lhs, rhs) if scale_mats is None else _mat_scale(*scale_mats)
+        return float(np.abs(lhs - rhs).max(initial=0.0) / scale)
 
     def qcomm(a, b):
         return a @ b - (1.0 / q) * b @ a
 
-    # (name, lhs, rhs, matrices that set the comparison scale)
-    checks = [("[K1,K2] = 0", g["K1"] @ g["K2"], g["K2"] @ g["K1"], None)]
-    for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        ki, kiv = g[f"K{i}"], g[f"K{i}inv"]
-        scale_e = q if i == j else q ** -0.5
-        checks.append(
-            (f"K{i} E{j} K{i}^-1 = q^{'1' if i == j else '-1/2'} E{j}",
-             ki @ g[f"E{j}"] @ kiv, scale_e * g[f"E{j}"], None))
-        scale_f = 1.0 / q if i == j else q**0.5
-        checks.append(
-            (f"K{i} F{j} K{i}^-1 = q^{'-1' if i == j else '1/2'} F{j}",
-             ki @ g[f"F{j}"] @ kiv, scale_f * g[f"F{j}"], None))
-    for i in (1, 2):
-        ei, fi = g[f"E{i}"], g[f"F{i}"]
-        ki, kiv = g[f"K{i}"], g[f"K{i}inv"]
-        checks.append(
-            (f"[E{i},F{i}] = (K{i}^2 - K{i}^-2)/(q - q^-1)",
-             ei @ fi - fi @ ei, (ki @ ki - kiv @ kiv) / (q - 1.0 / q),
-             (ei @ fi, fi @ ei)))
-    checks.append(("[E1,F2] = 0", g["E1"] @ g["F2"], g["F2"] @ g["E1"], None))
-    checks.append(("[E2,F1] = 0", g["E2"] @ g["F1"], g["F1"] @ g["E2"], None))
-    for x in ("E", "F"):
-        for i, j in ((1, 2), (2, 1)):
-            a, b = g[f"{x}{i}"], g[f"{x}{j}"]
-            aab, aba, baa = a @ a @ b, a @ b @ a, b @ a @ a
-            zero = np.zeros_like(a)
-            checks.append(
-                (f"serre {x}{i}{x}{j}",
-                 aab - (q + 1.0 / q) * aba + baa, zero, (aab, aba, baa)))
-            checks.append(
-                (f"q-commutator serre [{x}{i},[{x}{j},{x}{i}]_q]_q",
-                 qcomm(a, qcomm(b, a)), zero, (aab, aba, baa)))
-            checks.append(
-                (f"q-commutator serre [[{x}{i},{x}{j}]_q,{x}{i}]_q",
-                 qcomm(qcomm(a, b), a), zero, (aab, aba, baa)))
-    # H is the cube-root extension: H^3 = (K1 K2^-1)^2, and H is central
-    # relative to the Cartan part
-    checks.append(("H^3 = (K1 K2^-1)^2",
-                   g["H"] @ g["H"] @ g["H"],
-                   g["K1"] @ g["K2inv"] @ g["K1"] @ g["K2inv"], None))
-    checks.append(("H H^-1 = 1", g["H"] @ g["Hinv"], eye, None))
+    def serre(x, i, j):
+        a, b = g[f"{x}{i}"], g[f"{x}{j}"]
+        aab, aba, baa = a @ a @ b, a @ b @ a, b @ a @ a
+        yield (f"serre {x}{i}{x}{j}",
+               residual(aab - (q + 1.0 / q) * aba + baa, 0.0, (aab, aba, baa)))
+        yield (f"q-commutator serre [{x}{i},[{x}{j},{x}{i}]_q]_q",
+               residual(qcomm(a, qcomm(b, a)), 0.0, (aab, aba, baa)))
+        yield (f"q-commutator serre [[{x}{i},{x}{j}]_q,{x}{i}]_q",
+               residual(qcomm(qcomm(a, b), a), 0.0, (aab, aba, baa)))
+
+    # (name, residual), each relation reduced to its residual before the
+    # next one's products are formed
+    def relations():
+        yield "[K1,K2] = 0", residual(g["K1"] @ g["K2"], g["K2"] @ g["K1"])
+        for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            ki, kiv = g[f"K{i}"], g[f"K{i}inv"]
+            scale_e = q if i == j else q ** -0.5
+            yield (f"K{i} E{j} K{i}^-1 = q^{'1' if i == j else '-1/2'} E{j}",
+                   residual(ki @ g[f"E{j}"] @ kiv, scale_e * g[f"E{j}"]))
+            scale_f = 1.0 / q if i == j else q**0.5
+            yield (f"K{i} F{j} K{i}^-1 = q^{'-1' if i == j else '1/2'} F{j}",
+                   residual(ki @ g[f"F{j}"] @ kiv, scale_f * g[f"F{j}"]))
+        for i in (1, 2):
+            ei, fi = g[f"E{i}"], g[f"F{i}"]
+            ki, kiv = g[f"K{i}"], g[f"K{i}inv"]
+            yield (f"[E{i},F{i}] = (K{i}^2 - K{i}^-2)/(q - q^-1)",
+                   residual(ei @ fi - fi @ ei, (ki @ ki - kiv @ kiv) / (q - 1.0 / q),
+                            (ei @ fi, fi @ ei)))
+        yield "[E1,F2] = 0", residual(g["E1"] @ g["F2"], g["F2"] @ g["E1"])
+        yield "[E2,F1] = 0", residual(g["E2"] @ g["F1"], g["F1"] @ g["E2"])
+        for x in ("E", "F"):
+            for i, j in ((1, 2), (2, 1)):
+                yield from serre(x, i, j)
+        # H is the cube-root extension: H^3 = (K1 K2^-1)^2, and H is central
+        # relative to the Cartan part
+        yield ("H^3 = (K1 K2^-1)^2",
+               residual(g["H"] @ g["H"] @ g["H"], g["K1"] @ g["K2inv"] @ g["K1"] @ g["K2inv"]))
+        yield "H H^-1 = 1", residual(g["H"] @ g["Hinv"], np.eye(dim(label)))
 
     report = []
     worst = 0.0
-    for name, lhs, rhs, scale_mats in checks:
-        scale = _mat_scale(lhs, rhs) if scale_mats is None else _mat_scale(*scale_mats)
-        r = float(np.abs(lhs - rhs).max(initial=0.0) / scale)
+    for name, r in relations():
         worst = max(worst, r)
         report.append({"relation": name, "residual": r, "passed": r < tol})
     return {

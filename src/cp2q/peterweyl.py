@@ -243,14 +243,14 @@ def _lowering_piece(a: int, b: int, c: int, p: QParam, pieces: dict) -> ualg.Alg
     return hit
 
 
-def _word_columns(words, label, p: QParam, col: int) -> dict:
+def _word_columns(words, label, p: QParam, col: int, mats: dict) -> dict:
     """Column `col` of the matrix of each word, formed as ualg.evaluate forms
-    it: eye @ G1 @ G2 @ ..., left to right.  Words are walked in sorted order
-    and only the current word's chain of prefix products is kept, so a word
+    it: eye @ G1 @ G2 @ ..., left to right, with the generator matrices read
+    from mats (ualg.letter_matrix).  Words are walked in sorted order and
+    only the current word's chain of prefix products is kept, so a word
     reuses the products of the prefix it shares with the one before."""
     import numpy as np
 
-    mats = {g: irreps.generator_matrix(label, g, p) for g in {g for w in words for g in w}}
     chain = [np.eye(irreps.dim(label))]  # chain[k]: product of the first k letters
     prev: tuple = ()
     out = {}
@@ -260,20 +260,21 @@ def _word_columns(words, label, p: QParam, col: int) -> dict:
             shared += 1
         del chain[shared + 1:]
         for g in w[shared:]:
-            chain.append(chain[-1] @ mats[g])
+            chain.append(chain[-1] @ ualg.letter_matrix(mats, label, g, p))
         out[w] = chain[-1][:, col].copy()
         prev = w
     return out
 
 
-def verify_gt_lowering(label, p: QParam, tol: float = 1e-9) -> dict:
+def verify_gt_lowering(label, p: QParam, tol: float = 1e-9, mats: dict | None = None) -> dict:
     """Apply every lowering element to the highest-weight vector and compare
     with the unit basis vector it should reproduce.
 
     Only the highest-weight column of each element's matrix is read, so
     each distinct word's column is formed once (_word_columns) and each
     element sums c * column over its terms in order, as ualg.evaluate sums
-    c * matrix."""
+    c * matrix.  mats is the caller's dict of the label's generator matrices
+    (ualg.letter_matrix), for a caller that checks more on the same label."""
     import numpy as np
 
     label = irreps.check_label(label)
@@ -281,7 +282,8 @@ def verify_gt_lowering(label, p: QParam, tol: float = 1e-9) -> dict:
     hw_idx = triples.index(irreps.highest_weight_triple(label))
     pieces: dict = {}
     elems = [gt_lowering_word(label.n1, label.n2, *t, p, pieces) for t in triples]
-    columns = _word_columns({w for e in elems for w in e.terms}, label, p, hw_idx)
+    columns = _word_columns({w for e in elems for w in e.terms}, label, p, hw_idx,
+                            {} if mats is None else mats)
     worst = 0.0
     failures = []
     for i, (t, elem) in enumerate(zip(triples, elems)):
@@ -298,15 +300,18 @@ def verify_gt_lowering(label, p: QParam, tol: float = 1e-9) -> dict:
             "failures": failures}
 
 
-def verify_lemma_commutators(label, nmax_power: int, p: QParam, tol: float = 1e-11) -> dict:
+def verify_lemma_commutators(label, nmax_power: int, p: QParam, tol: float = 1e-11,
+                             mats: dict | None = None) -> dict:
     """The five commutator identities behind the lowering-operator lemma,
     as matrix identities for powers 1..nmax_power.
 
     The two [E_i, F_i^n] identities carry (q-q^-1)^-1, matching their n=1
-    specialization to the defining relations.
+    specialization to the defining relations.  Every identity reads the
+    generator matrices from one dict, mats (as in verify_gt_lowering).
     """
     import numpy as np
 
+    mats = {} if mats is None else mats
     q = p.q
     gen = ualg.AlgebraElement.gen
     word = ualg.AlgebraElement.word
@@ -337,8 +342,8 @@ def verify_lemma_commutators(label, nmax_power: int, p: QParam, tol: float = 1e-
              cn * (power(f1, n - 1) * qc)),
         ]
         for name, lhs, rhs in cases:
-            lm = ualg.evaluate(lhs, label, p)
-            rm = ualg.evaluate(rhs, label, p)
+            lm = ualg.evaluate(lhs, label, p, mats)
+            rm = ualg.evaluate(rhs, label, p, mats)
             scale = max(np.abs(rm).max(initial=0.0), 1.0)
             r = float(np.abs(lm - rm).max() / scale)
             worst = max(worst, r)

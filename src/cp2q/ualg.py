@@ -181,17 +181,28 @@ def casimir_eigenvalue(n1: int, n2: int, p: QParam) -> float:
     return a * a + b * b + c * c
 
 
-def evaluate(elem: AlgebraElement, label, p: QParam) -> np.ndarray:
-    """Matrix of an element on one irrep."""
+def letter_matrix(mats: dict, label, gen: str, p: QParam):
+    """The matrix of one generator on label, read from the caller's dict of
+    that label's matrices and built into it on the first read."""
+    mat = mats.get(gen)
+    if mat is None:
+        mat = mats[gen] = irreps.generator_matrix(label, gen, p)
+    return mat
+
+
+def evaluate(elem: AlgebraElement, label, p: QParam, mats: dict | None = None) -> np.ndarray:
+    """Matrix of an element on one irrep, with the generator matrices read
+    from mats, the caller's dict for that irrep (letter_matrix)."""
     import numpy as np
 
+    mats = {} if mats is None else mats
     n = irreps.dim(label)
     out = np.zeros((n, n))
     eye = np.eye(n)
     for w, c in elem.terms.items():
         mat = eye
         for g in w:
-            mat = mat @ irreps.generator_matrix(label, g, p)
+            mat = mat @ letter_matrix(mats, label, g, p)
         out += c * mat
     return out
 
@@ -200,12 +211,13 @@ def verify_casimir_scalar(label, p: QParam, tol: float = 1e-10) -> dict:
     """Casimir matrix == closed-form scalar, and commutes with every generator."""
     import numpy as np
 
-    cas = evaluate(casimir_element(p), label, p)
+    mats: dict = {}
+    cas = evaluate(casimir_element(p), label, p, mats)
     value = casimir_eigenvalue(label[0], label[1], p)
     off = float(np.abs(cas - value * np.eye(cas.shape[0])).max() / max(abs(value), 1.0))
     comm = 0.0
     for gname in GENERATORS:
-        g = irreps.generator_matrix(label, gname, p)
+        g = letter_matrix(mats, label, gname, p)
         cg = cas @ g
         scale = max(np.abs(cg).max(initial=0.0), 1.0)
         comm = max(comm, float(np.abs(cg - g @ cas).max() / scale))
@@ -262,15 +274,19 @@ def coproduct_expand(elem: AlgebraElement) -> TensorElement:
     return {k: v for k, v in out.items() if v != 0.0}
 
 
-def tensor_evaluate(tensor: TensorElement, label_v, label_w, p: QParam) -> np.ndarray:
-    """Evaluate an element of the two-fold tensor algebra on V (x) W."""
+def tensor_evaluate(tensor: TensorElement, label_v, label_w, p: QParam,
+                    mats_v: dict | None = None, mats_w: dict | None = None) -> np.ndarray:
+    """Evaluate an element of the two-fold tensor algebra on V (x) W, with
+    each side's generator matrices read from its dict (evaluate)."""
     import numpy as np
 
+    mats_v = {} if mats_v is None else mats_v
+    mats_w = {} if mats_w is None else mats_w
     nv, nw = irreps.dim(label_v), irreps.dim(label_w)
     out = np.zeros((nv * nw, nv * nw))
     for (lw, rw), c in tensor.items():
-        left = evaluate(AlgebraElement.word(lw), label_v, p)
-        right = evaluate(AlgebraElement.word(rw), label_w, p)
+        left = evaluate(AlgebraElement.word(lw), label_v, p, mats_v)
+        right = evaluate(AlgebraElement.word(rw), label_w, p, mats_w)
         out += c * np.kron(left, right)
     return out
 
@@ -323,19 +339,20 @@ def verify_coproduct_identity(p: QParam, tol: float = 1e-12, label=(0, 1)) -> di
     forms, evaluated on V (x) V; plus grouplikeness of K1 and the counit law."""
     import numpy as np
 
+    mats: dict = {}  # the generator matrices of label
     results = {}
     for name, elem, closed in (
         ("X", x_element(p), coproduct_closed_form_x(p)),
         ("Y", y_element(p), coproduct_closed_form_y(p)),
     ):
-        lhs = tensor_evaluate(coproduct_expand(elem), label, label, p)
-        rhs = tensor_evaluate(closed, label, label, p)
+        lhs = tensor_evaluate(coproduct_expand(elem), label, label, p, mats, mats)
+        rhs = tensor_evaluate(closed, label, label, p, mats, mats)
         scale = max(np.abs(rhs).max(initial=0.0), 1.0)
         results[f"coproduct {name}"] = float(np.abs(lhs - rhs).max() / scale)
 
     k1 = AlgebraElement.gen("K1")
-    lhs = tensor_evaluate(coproduct_expand(k1), label, label, p)
-    rhs = np.kron(evaluate(k1, label, p), evaluate(k1, label, p))
+    lhs = tensor_evaluate(coproduct_expand(k1), label, label, p, mats, mats)
+    rhs = np.kron(evaluate(k1, label, p, mats), evaluate(k1, label, p, mats))
     results["coproduct K1 grouplike"] = float(np.abs(lhs - rhs).max())
 
     # counit axiom (eps (x) id) Delta = id, and eps(X) = 0
@@ -346,7 +363,7 @@ def verify_coproduct_identity(p: QParam, tol: float = 1e-12, label=(0, 1)) -> di
             left_collapsed = left_collapsed + c * counit(AlgebraElement.word(lw)) * AlgebraElement.word(rw)
             right_collapsed = right_collapsed + c * counit(AlgebraElement.word(rw)) * AlgebraElement.word(lw)
         for side, collapsed in (("eps(x)id", left_collapsed), ("id(x)eps", right_collapsed)):
-            diff = evaluate(collapsed - elem, label, p)
+            diff = evaluate(collapsed - elem, label, p, mats)
             results[f"counit law {side} on {name}"] = float(np.abs(diff).max())
     results["counit X"] = abs(counit(x_element(p)))
 

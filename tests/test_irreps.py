@@ -159,11 +159,60 @@ def test_generator_matrix_rejects_an_unknown_generator():
         irreps.generator_matrix((1, 1), "X1", P5)
 
 
-def test_matrix_cache_returns_same_object():
-    a = irreps.generator_matrix((1, 1), "E1", P5)
-    b = irreps.generator_matrix((1, 1), "E1", P5)
-    assert a is b
-    assert not a.flags.writeable
+# the benchmark's battery commands at seed 1, and how many generator
+# matrices each assembles: every (label, generator, q) it reads, once
+BATTERY_ASSEMBLIES = [
+    (["verify-hopf", "--q", "0.79", "--total-degree", "8"], 450),
+    (["verify-casimir", "--q", "0.44", "--total-degree", "8"], 450),
+    (["verify-gt", "--q", "0.53", "--total-degree", "6"], 60),
+    (["verify-coproduct", "--q", "0.53"], 8),
+    (["classical-check", "--samples", "1000", "--seed", "716"], 8),
+    (["evaluate", "q^1 E1 F1 - q^1 F1 E1 - q^-1 E1 F1 + q^-1 F1 E1 - K1 K1 + K1' K1' + K2 K2'",
+      "--q", "0.67", "--n1", "3", "--n2", "3"], 6),
+]
+
+
+@pytest.mark.parametrize("argv,expected", BATTERY_ASSEMBLIES, ids=[a[0] for a, _ in BATTERY_ASSEMBLIES])
+def test_each_generator_matrix_is_assembled_once_per_command(monkeypatch, argv, expected, capsys):
+    from collections import Counter
+
+    from cp2q import cli
+
+    built = Counter()
+    assemble = irreps._assemble
+
+    def spy(label, gen, p):
+        built[(tuple(label), gen, p.q)] += 1
+        return assemble(label, gen, p)
+
+    monkeypatch.setattr(irreps, "_assemble", spy)
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    assert max(built.values()) == 1
+    assert sum(built.values()) == expected
+    assert not irreps.generator_matrix((1, 1), "E1", P5).flags.writeable
+
+
+@pytest.mark.parametrize("check", ["hopf", "casimir"])
+def test_checks_hold_one_label_of_matrices_at_a_time(check):
+    # numpy reports its buffers to tracemalloc; over labels up to degree 10
+    # the peak is one label's matrices and one relation's products (about
+    # 6 MB), where keeping every label's matrices reaches 62 MB (hopf) and
+    # 47 MB (casimir)
+    import tracemalloc
+
+    from cp2q import ualg
+
+    verify = irreps.verify_hopf_relations if check == "hopf" else ualg.verify_casimir_scalar
+    p = qparam_float(0.79)
+    tracemalloc.start()
+    try:
+        for label in irreps.labels_up_to(10):
+            assert verify(label, p)["passed"], label
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, peak
 
 
 def test_basis_caches_are_bounded_and_hold_a_verify_hopf_run():
