@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 
 # only the exact path loads at import; each numeric command imports its
 # modules, and with them numpy, when it runs
@@ -365,17 +366,10 @@ def cmd_decompose(args) -> tuple[int, dict]:
     _at_least(args.nmax, 0, "--nmax")
     spec = peterweyl.SubspaceSpec(args.kind, args.nmax, args.N)
     basis = peterweyl.subspace_basis(spec)
-    rows = []
-    if args.kind == "form1_doublet":
-        labels = sorted({(v[0].n1, v[0].n2) for v in basis})
-        for lbl in labels:
-            count = sum(1 for v in basis if (v[0].n1, v[0].n2) == lbl)
-            rows.append({"irrep": f"({lbl[0]},{lbl[1]})", "dim": count})
-    else:
-        labels = sorted({(v.n1, v.n2) for v in basis})
-        for lbl in labels:
-            count = sum(1 for v in basis if (v.n1, v.n2) == lbl)
-            rows.append({"irrep": f"({lbl[0]},{lbl[1]})", "dim": count})
+    # a form1_doublet member is a (v+, v-) pair, counted by its v+ key
+    keys = (v[0] if args.kind == "form1_doublet" else v for v in basis)
+    counts = Counter((v.n1, v.n2) for v in keys)
+    rows = [{"irrep": f"({n1},{n2})", "dim": counts[n1, n2]} for n1, n2 in sorted(counts)]
     report = {"command": "decompose", "kind": args.kind, "nmax": args.nmax,
               "N": args.N, "total": len(basis), "rows": rows, "passed": True}
     if args.dump:

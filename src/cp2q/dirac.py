@@ -175,7 +175,7 @@ def dense_spectrum(cfg: DiracConfig) -> np.ndarray:
     import numpy as np
 
     nmax, p = cfg.nmax, cfg.p
-    wd, wdd = (np.array(w)[:, None] for w in _row_weights(db.slot_index(nmax).degrees, cfg.s_value))
+    wd, wdd = (np.array(w)[:, None] for w in _row_weights(db.slot_degrees(nmax), cfg.s_value))
     mat = wd * db.slot_operator("dbar", nmax, p).dense() + wdd * db.slot_operator("dbar_dag", nmax, p).dense()
     if np.abs(mat - mat.T).max() > 1e-10:
         raise ArithmeticError("assembled operator is not symmetric")
@@ -274,7 +274,7 @@ def verify_hodge_projectors(cfg: DiracConfig, degree: int = 1) -> float:
     import numpy as np
 
     nmax, p, tol = cfg.nmax, cfg.p, cfg.tol
-    on = np.flatnonzero(db.slot_index(nmax).degrees == degree)
+    on = np.flatnonzero(np.array(db.slot_degrees(nmax)) == degree)
     d, dd = (db.slot_operator(name, nmax, p).dense() for name in ("dbar", "dbar_dag"))
 
     def image_basis(mat):

@@ -11,14 +11,15 @@ the mirrored lowering words.  Everything is orthonormal in the Peter-Weyl
 basis, with doublets carrying squared norm 2, so the normalized degree-1
 slot vectors pick up a 1/sqrt(2).
 
-The differentials act only on the black leg and the white generators only
-on the white leg, so on the slots of one (family, n) pair, white index by
-white index, a differential is I_dim (x) B with B its black block, and a
-white generator is G (x) I_k with G from the generator's action rows.  A
-black block is read from the checked dict path above on the first white
-index (black_block); the checks over the whole truncated complex run in
-slot coordinates, on sparse matrices assembled from these blocks and
-generator rows once per (truncation, q).
+The truncated complex is indexed once, by its (family, n) pairs
+(families), each owning its irrep's slots white index by white index.  The
+differentials act only on the black leg and the white generators only on
+the white leg, so on one pair's slots a differential is I_dim (x) B, B its
+black block, and a white generator is G (x) I_k, G from the generator's
+triplets (irreps.generator_triplets).  A black block is read from the
+checked dict path above on the first white index (black_block); the checks
+over the whole truncated complex run in slot coordinates, on sparse
+matrices assembled from these blocks and triplets once per (truncation, q).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import functools
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass
 from math import sqrt
 from types import MappingProxyType
 from typing import NamedTuple
@@ -148,26 +148,12 @@ def dbar_dag(f: FormVector, p: QParam, tol: float = 1e-9) -> FormVector:
 
 # -- slot bases and blocks ----------------------------------------------------
 
-@dataclass(frozen=True)
-class BlockIndex:
-    family: str  # "diag" (V(n,n)) | "offdiag" (V(n,n+3))
-    n: int
-    white: tuple
-
-
 def family_label(family: str, n: int) -> tuple[int, int]:
     if family == "diag":
         return (n, n)
     if family == "offdiag":
         return (n, n + 3)
     raise ValueError(f"unknown family {family!r}")
-
-
-def blocks(nmax: int) -> list[BlockIndex]:
-    """Every block up to the truncation: the V(n,n) family first, then
-    V(n,n+3), each by n and white triple."""
-    return [BlockIndex(family, n, w) for family in ("diag", "offdiag")
-            for n in range(nmax + 1) for w in irreps.gt_triples(family_label(family, n))]
 
 
 def block_degrees(family: str, n: int) -> tuple[int, ...]:
@@ -177,21 +163,20 @@ def block_degrees(family: str, n: int) -> tuple[int, ...]:
     return (1, 2)
 
 
-def block_slots(block: BlockIndex) -> list[FormVector]:
-    """Orthonormal slot vectors of one block, in degree order.
+def block_slots(family: str, n: int, white=(0, 0, 0)) -> list[FormVector]:
+    """Orthonormal slot vectors of the (family, n, white) block, in degree order.
 
     diag(0) blocks are degree-0 singletons; every other block is
     two-dimensional with a normalized doublet slot.
     """
-    n1, n2 = family_label(block.family, block.n)
-    w = block.white
-    singlet = pw.pw_vector(n1, n2, w, (0, 0, 0))
-    if block.family == "diag" and block.n == 0:
+    n1, n2 = family_label(family, n)
+    singlet = pw.pw_vector(n1, n2, white, (0, 0, 0))
+    if family == "diag" and n == 0:
         return [singlet]
-    plus, minus = ((1, 0, 1), (1, 0, -1)) if block.family == "diag" else ((0, 1, 1), (0, 1, -1))
-    doublet = pw.pw_vector(n1, n2, w, plus, 1.0 / sqrt(2.0))
-    doublet.update(pw.pw_vector(n1, n2, w, minus, 1.0 / sqrt(2.0)))
-    return [singlet, doublet] if block.family == "diag" else [doublet, singlet]
+    plus, minus = ((1, 0, 1), (1, 0, -1)) if family == "diag" else ((0, 1, 1), (0, 1, -1))
+    doublet = pw.pw_vector(n1, n2, white, plus, 1.0 / sqrt(2.0))
+    doublet.update(pw.pw_vector(n1, n2, white, minus, 1.0 / sqrt(2.0)))
+    return [singlet, doublet] if family == "diag" else [doublet, singlet]
 
 
 # largest distance of an image from the span of the slots, relative to the
@@ -222,7 +207,7 @@ def black_block(name: str, family: str, n: int, p: QParam) -> list[list[float]]:
     the differentials act on the black leg alone, so every white index has
     this block."""
     apply = functools.partial(dbar if name == "dbar" else dbar_dag, p=p)
-    return slot_matrix(apply, block_slots(BlockIndex(family, n, (0, 0, 0))))
+    return slot_matrix(apply, block_slots(family, n))
 
 
 # -- slot coordinates -----------------------------------------------------------
@@ -238,33 +223,28 @@ def families(nmax: int):
             start += dim * len(deg)
 
 
-class SlotIndex(NamedTuple):
-    """The orthonormal slot basis of the truncated complex, indexed once."""
-    slots: tuple  # read-only slot vectors, in form_basis order
-    degrees: np.ndarray  # form degree of each slot: 0, 1 or 2
+def slot_degrees(nmax: int) -> list[int]:
+    """Form degree of each slot up to the truncation, in form_basis order."""
+    return [d for *_, dim, deg in families(nmax) for _ in range(dim) for d in deg]
 
 
 @functools.lru_cache(maxsize=4)
-def slot_index(nmax: int) -> SlotIndex:
+def slot_vectors(nmax: int) -> tuple:
     """The slot basis up to the truncation, in form_basis order.  Every
     caller shares it, so the slots are read-only."""
-    import numpy as np
-
-    slots = tuple(MappingProxyType(s) for b in blocks(nmax) for s in block_slots(b))
-    degrees = np.concatenate([np.tile(deg, dim) for _, _, _, dim, deg in families(nmax)])
-    degrees.flags.writeable = False
-    return SlotIndex(slots, degrees)
+    return tuple(MappingProxyType(s) for family, n, *_ in families(nmax)
+                 for w in irreps.gt_triples(family_label(family, n)) for s in block_slots(family, n, w))
 
 
 def form_basis(nmax: int) -> list[FormVector]:
     """Orthonormal basis of the truncated full complex, block by block."""
-    return [dict(s) for s in slot_index(nmax).slots]
+    return [dict(s) for s in slot_vectors(nmax)]
 
 
 def random_form(nmax: int, rng) -> FormVector:
     """One uniform draw in [-1, 1] per slot, in form_basis order."""
     out: FormVector = {}
-    for s in slot_index(nmax).slots:
+    for s in slot_vectors(nmax):
         add_into(out, s, rng.uniform(-1.0, 1.0))
     return out
 
@@ -305,7 +285,7 @@ def slot_operator(name: str, nmax: int, p: QParam) -> SlotOperator:
     """The operator `name` in slot coordinates, assembled once per (nmax, p):
     "dbar", "dbar_dag" or the white action of one of WHITE_GENERATORS.  On
     each (family, n) pair a differential is I (x) black_block and a white
-    generator G (x) I, G from its action rows; a doublet slot's entry is
+    generator G (x) I, G from its triplets; a doublet slot's entry is
     2.0 * (r * (r * g)), r = 1/sqrt(2), as the dict path's inner product
     forms it.  Sorted by column, so a product sums each row in column order."""
     import numpy as np
@@ -323,11 +303,7 @@ def slot_operator(name: str, nmax: int, p: QParam) -> SlotOperator:
                 cols.append(start + white * k + c)
                 vals.append(np.full(dim, b[a][c]))
             continue
-        action = irreps.generator_action(family_label(family, n), name, p)
-        src = np.repeat(white, [len(row) for row in action])
-        pairs = [pair for row in action for pair in row]
-        tgt = np.array([i for i, _ in pairs], dtype=np.intp)
-        g = np.array([x for _, x in pairs], dtype=float)
+        tgt, src, g = irreps.generator_triplets(family_label(family, n), name, p)
         for a, d in enumerate(deg):
             rows.append(start + tgt * k + a)
             cols.append(start + src * k + a)

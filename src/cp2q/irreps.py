@@ -13,9 +13,10 @@ E2 moves (j1, m) -> (j1+1, m-1/2) or (j2, m) -> (j2-1, m-1/2) with
 square-root coefficients built from q-numbers, and F_i are the transposes
 (the *-structure in an orthonormal basis).
 
-Dense generator matrices (generator_matrix) are built anew on each call,
-so they live only as long as their caller's check: each check holds one
-dict of matrices for the label it reads, and nothing is kept per process.
+generator_triplets evaluates action_row's formulas over a whole irrep.  It
+is the one whole-irrep source: dolbeault's slot operators read it, and so
+do the dense matrices (generator_matrix), built anew on each call, so each
+check holds one dict of matrices for the label it reads.
 """
 
 from __future__ import annotations
@@ -213,24 +214,25 @@ def _basis_arrays(label: IrrepLabel) -> tuple:
     return out
 
 
-def _assemble(label: IrrepLabel, gen: str, p: QParam) -> np.ndarray:
-    """Dense matrix of one generator, from action_row's formulas evaluated
-    elementwise over the whole basis, with the same float operations in the
-    same order, so each entry equals action_row's coefficient bit for bit."""
+def generator_triplets(label, gen: str, p: QParam) -> tuple:
+    """One generator on the ordered GT basis as COO triplets (rows, cols,
+    vals), move by move: vals[i] is the coefficient of basis vector rows[i]
+    in action_row of basis vector cols[i], bit for bit, as the formulas are
+    evaluated over the whole basis with action_row's float operations."""
     import numpy as np
 
+    label = check_label(label)
     n1, n2 = label
     j1, j2, mm, offset = _basis_arrays(label)
     s = j1 + j2
-    mat = np.zeros((len(mm), len(mm)))
     if gen in DIAGONAL_GENERATORS:
         # Python's float ** int per distinct weight: np.power need not round
         # the way libm does
         w = weight_twelfths(gen, label, (j1, j2, mm)).tolist()
         base = p.q ** (1.0 / 12.0)
         power = {x: base ** x for x in set(w)}
-        np.fill_diagonal(mat, [power[x] for x in w])
-        return mat
+        diag = np.arange(len(mm))
+        return diag, diag, np.array([power[x] for x in w])
     qn = _qn_table(p, n1 + n2)
 
     def qi(z):  # qint of an integer array
@@ -258,11 +260,12 @@ def _assemble(label: IrrepLabel, gen: str, p: QParam) -> np.ndarray:
                      (j2 + 1 <= n2, (0, 1, 1), np.sqrt(qn[s + mm + 2]) * b(j1, j2 + 1))]
         else:
             raise LabelError(f"unknown generator {gen!r}")
+    out = []
     for valid, (d1, d2, dm), c in moves:
         src = np.flatnonzero(valid & (c != 0))
         t1, t2, tm = j1[src] + d1, j2[src] + d2, mm[src] + dm
-        mat[offset[t1, t2] + (tm + t1 + t2) // 2, src] = c[src]
-    return mat
+        out.append((offset[t1, t2] + (tm + t1 + t2) // 2, src, c[src]))
+    return tuple(map(np.concatenate, zip(*out)))
 
 
 def generator_matrix(label, gen: str, p: QParam):
@@ -270,7 +273,12 @@ def generator_matrix(label, gen: str, p: QParam):
     ndarray, built anew on each call: a caller that reads a letter more than
     once keeps the matrices of the label it checks.  Entry [i, j] is the
     coefficient of basis vector i in action_row of basis vector j."""
-    mat = _assemble(check_label(label), gen, p)
+    import numpy as np
+
+    rows, cols, vals = generator_triplets(label, gen, p)
+    size = dim(label)
+    mat = np.zeros((size, size))
+    mat[rows, cols] = vals
     mat.setflags(write=False)
     return mat
 

@@ -300,38 +300,36 @@ def _add_tensor(out: TensorElement, elem_l: AlgebraElement, elem_r: AlgebraEleme
             out[key] = out.get(key, 0.0) + c * cl * cr
 
 
-def coproduct_closed_form_x(p: QParam) -> TensorElement:
-    """Closed-form coproduct of X: X(x)K1K2 + (K1K2)^-1(x)X plus mixing
-    terms weighted by (q^2-1)/(q^2+1).
+def _closed_form_coproduct(a: str, b: str, r: float, p: QParam) -> TensorElement:
+    """Closed-form coproduct of Z = a b - 2 [2]^-1 b a: Z(x)K1K2 +
+    (K1K2)^-1(x)Z plus the mixing terms r a K1^-1 (x) K2 b and
+    -r K2^-1 b (x) a K1.
 
-    The mixing weight is pinned by expanding the primitive coproducts on
-    the word F2F1 - 2[2]^-1 F1F2 and normal-ordering the K's; the sign is
-    certified against the primitive expansion in the test suite.
+    The mixing weight is pinned by expanding the primitive coproducts on Z's
+    words and normal-ordering the K's.  It is r = (q^2-1)/(q^2+1) for X,
+    (a, b) = (F2, F1), and the opposite, (1-q^2)/(1+q^2), for Y, (a, b) =
+    (E2, E1), because the cross-scalings of the raising and lowering letters
+    through K_j are inverse to each other.  The signs are certified against
+    the primitive expansion in the test suite.
     """
-    q = p.q
-    r = (q * q - 1.0) / (1.0 + q * q)
     out: TensorElement = {}
     w = AlgebraElement.word
-    _add_tensor(out, x_element(p), w(("K1", "K2")), 1.0)
-    _add_tensor(out, w(("K1inv", "K2inv")), x_element(p), 1.0)
-    _add_tensor(out, w(("F2", "K1inv")), w(("K2", "F1")), r)
-    _add_tensor(out, w(("K2inv", "F1")), w(("F2", "K1")), -r)
+    z = _pair(a, b, p)
+    _add_tensor(out, z, w(("K1", "K2")), 1.0)
+    _add_tensor(out, w(("K1inv", "K2inv")), z, 1.0)
+    _add_tensor(out, w((a, "K1inv")), w(("K2", b)), r)
+    _add_tensor(out, w(("K2inv", b)), w((a, "K1")), -r)
     return out
+
+
+def coproduct_closed_form_x(p: QParam) -> TensorElement:
+    q = p.q
+    return _closed_form_coproduct("F2", "F1", (q * q - 1.0) / (1.0 + q * q), p)
 
 
 def coproduct_closed_form_y(p: QParam) -> TensorElement:
-    """Closed-form coproduct of Y; here the mixing weight is (1-q^2)/(1+q^2),
-    opposite to the X case because the cross-scalings of the raising and
-    lowering letters through K_j are inverse to each other."""
     q = p.q
-    r = (1.0 - q * q) / (1.0 + q * q)
-    out: TensorElement = {}
-    w = AlgebraElement.word
-    _add_tensor(out, y_element(p), w(("K1", "K2")), 1.0)
-    _add_tensor(out, w(("K1inv", "K2inv")), y_element(p), 1.0)
-    _add_tensor(out, w(("E2", "K1inv")), w(("K2", "E1")), r)
-    _add_tensor(out, w(("K2inv", "E1")), w(("E2", "K1")), -r)
-    return out
+    return _closed_form_coproduct("E2", "E1", (1.0 - q * q) / (1.0 + q * q), p)
 
 
 def verify_coproduct_identity(p: QParam, tol: float = 1e-12, label=(0, 1)) -> dict:

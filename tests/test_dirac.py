@@ -25,7 +25,7 @@ def test_kernel_is_constants():
 
 def test_square_on_diag1_block():
     c = cfg()
-    v = db.block_slots(db.BlockIndex("diag", 1, (0, 0, 0)))[0]
+    v = db.block_slots("diag", 1, (0, 0, 0))[0]
     img = dr.dirac_apply(dr.dirac_apply(v, c), c)
     # alpha_1/[2] = 2 [1][3]/[2] = 2*5.25/2.5
     assert db.inner_product(v, img) == pytest.approx(4.2, abs=1e-10)
@@ -268,7 +268,7 @@ def fake_junk(monkeypatch, junk):
 
 
 def test_dirac_apply_checks_membership(monkeypatch):
-    v = db.block_slots(db.BlockIndex("diag", 1, (0, 0, 0)))[0]
+    v = db.block_slots("diag", 1, (0, 0, 0))[0]
     fake_junk(monkeypatch, 1e-6)
     with pytest.raises(db.MembershipError):
         dr.dirac_apply(v, cfg())
@@ -276,7 +276,7 @@ def test_dirac_apply_checks_membership(monkeypatch):
 
 def test_dirac_apply_checks_at_the_differentials_tolerance(monkeypatch):
     # the membership tolerance is the differentials' own 1e-9, not cfg.tol
-    v = db.block_slots(db.BlockIndex("diag", 1, (0, 0, 0)))[0]
+    v = db.block_slots("diag", 1, (0, 0, 0))[0]
     expect = dr.dirac_apply(v, cfg())
     fake_junk(monkeypatch, 5e-10)
     assert cfg().tol < 5e-10

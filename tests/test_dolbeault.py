@@ -21,12 +21,13 @@ def restrict(f, *parts):
 
 
 def block_spans(nmax):
-    """Each block with the range of its slots in form_basis order, where the
-    blocks own consecutive slots."""
+    """Each block, as (family, n, white), with the range of its slots in
+    form_basis order, where the blocks own consecutive slots."""
     out, start = {}, 0
-    for b in db.blocks(nmax):
-        out[b] = range(start, start + len(db.block_slots(b)))
-        start += len(out[b])
+    for family, n, *_ in db.families(nmax):
+        for w in irreps.gt_triples(db.family_label(family, n)):
+            out[family, n, w] = range(start, start + len(db.block_slots(family, n, w)))
+            start += len(out[family, n, w])
     return out
 
 
@@ -53,7 +54,7 @@ def test_dbar_squared_on_random_deg0():
 def test_dbar_diag_slot_coefficient_nonzero():
     mats = block_dbar_matrices(3, P5)
     for n in (1, 2, 3):
-        block = db.BlockIndex("diag", n, irreps.gt_triples((n, n))[0])
+        block = ("diag", n, irreps.gt_triples((n, n))[0])
         d = mats[block][1, 0]
         expect = sqrt(2 * qint(n, P5) * qint(n + 2, P5) / qint(2, P5))
         assert d == pytest.approx(expect, rel=1e-13)
@@ -119,7 +120,7 @@ def test_block_slot_counts():
     mats = block_dbar_matrices(0, P5)
     assert len(mats) == 1 + irreps.dim((0, 3))
     assert sum(len(m) for m in mats.values()) == db.slot_operator("dbar", 0, P5).size
-    diag1 = [m for b, m in block_dbar_matrices(1, P5).items() if b.family == "diag" and b.n == 1]
+    diag1 = [m for (family, n, _), m in block_dbar_matrices(1, P5).items() if (family, n) == ("diag", 1)]
     assert len(diag1) == 8
     for m in diag1:
         assert m.shape == (2, 2)
@@ -150,7 +151,7 @@ def test_spectrum_invariant_under_slot_normalization():
     # singular value is unchanged
     n = 2
     w = irreps.gt_triples((n, n))[0]
-    slots = db.block_slots(db.BlockIndex("diag", n, w))
+    slots = db.block_slots("diag", n, w)
     normalized = abs(db.inner_product(slots[1], db.dbar_raw(slots[0], P5)[0]))
     raw_doublet = pw.scaled(slots[1], sqrt(2))
     img = db.dbar_raw(slots[0], P5)[0]
@@ -188,11 +189,20 @@ def test_part_is_none_off_the_form_spaces():
 
 def test_slot_matrix_of_identity_is_identity():
     for nmax in range(4):
-        for b in db.blocks(nmax):
-            slots = db.block_slots(b)
+        for family, n, w in block_spans(nmax):
+            slots = db.block_slots(family, n, w)
             mat = db.slot_matrix(lambda s: s, slots)
             assert len(mat) == len(slots) and all(len(row) == len(slots) for row in mat)
             assert np.abs(np.array(mat) - np.eye(len(slots))).max() < 1e-15
+
+
+def test_slot_degrees_match_the_parts_of_the_slot_vectors():
+    degree = {"0": 0, "+": 1, "-": 1, "2": 2}
+    for nmax in range(5):
+        slots, degrees = db.slot_vectors(nmax), db.slot_degrees(nmax)
+        assert len(degrees) == len(slots)
+        for s, d in zip(slots, degrees):
+            assert {degree[db.part(k)] for k in s} == {d}
 
 
 def test_random_form_draws_one_uniform_per_slot():
@@ -215,7 +225,7 @@ def column_assembly(name, nmax, p):
         apply = functools.partial(db.dbar if name == "dbar" else db.dbar_dag, p=p)
     else:
         apply = functools.partial(pw.white_act, ualg.AlgebraElement.gen(name), p=p)
-    slots = db.slot_index(nmax).slots
+    slots = db.slot_vectors(nmax)
     slot_of = {k: j for j, s in enumerate(slots) for k in s}
     triplets = []
     for j, s in enumerate(slots):
@@ -283,16 +293,15 @@ def test_oracle_catches_a_perturbed_black_block_entry(monkeypatch, fresh_operato
 
 
 def test_oracle_catches_a_perturbed_generator_coefficient(monkeypatch, fresh_operators):
-    action = irreps.generator_action
+    triplets = irreps.generator_triplets
 
     def perturbed(label, gen, p):
-        rows = action(label, gen, p)
+        rows, cols, vals = triplets(label, gen, p)
         if (tuple(label), gen) == ((1, 1), "E2"):
-            i, c = rows[0][0]
-            rows[0][0] = (i, math.nextafter(c, math.inf))
-        return rows
+            vals[0] = math.nextafter(vals[0], math.inf)
+        return rows, cols, vals
 
-    monkeypatch.setattr(irreps, "generator_action", perturbed)
+    monkeypatch.setattr(irreps, "generator_triplets", perturbed)
     assert oracle_mismatches("E2", 2, P5) == ["triplets", "matmul"]
     assert oracle_mismatches("F2", 2, P5) == []
 
@@ -316,7 +325,7 @@ def test_slot_operator_is_cached_read_only_and_bounded():
     for i in range(maxsize + 1):
         db.slot_operator("K1", 0, qparam_float(0.3 + 0.01 * i))
     assert db.slot_operator.cache_info().currsize == maxsize
-    assert db.slot_index.cache_info().maxsize is not None
+    assert db.slot_vectors.cache_info().maxsize is not None
 
 
 def dict_verify_complex(nmax, p, trials, seed):
@@ -382,7 +391,7 @@ def test_slot_checks_draw_the_dict_path_stream(monkeypatch):
 
 
 def test_mutating_returned_forms_leaves_the_basis_unchanged():
-    expect = [s for b in db.blocks(2) for s in db.block_slots(b)]
+    expect = [s for block in block_spans(2) for s in db.block_slots(*block)]
     basis = db.form_basis(2)
     key = next(iter(basis[0]))
     basis[0][key] = 99.0
@@ -390,4 +399,4 @@ def test_mutating_returned_forms_leaves_the_basis_unchanged():
     db.random_form(2, random.Random(1)).clear()
     assert db.form_basis(2) == expect
     with pytest.raises(TypeError):
-        db.slot_index(2).slots[0][key] = 99.0
+        db.slot_vectors(2)[0][key] = 99.0

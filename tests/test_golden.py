@@ -5,10 +5,11 @@ before a change to the code behind them: the numeric cases before the lazy
 action-row provider, the rewrite cases before integer Laurent coefficients,
 the q = 0.3 spectrum and q = 0.9 cohomology before forms became plain
 Peter-Weyl vectors, the degree-4 relation battery before the rewriting
-engine moved to flat integer polynomials, and the verify-complex cases
-before the slot operators were assembled from black blocks.  The relation
-battery is the only case that pins the verify-cp2-relations report: its
-key order and the last digit of its classical_max_error float.
+engine moved to flat integer polynomials, the verify-complex cases before
+the slot operators were assembled from black blocks, and the form1_doublet
+and sphere decompositions before their per-irrep counts became one pass.
+The relation battery is the only case that pins the verify-cp2-relations
+report: its key order and the last digit of its classical_max_error float.
 Any change to a number, a coefficient's printed form, a key order or a
 float's last digit shows up here as a failure.
 """
@@ -35,6 +36,8 @@ CASES = {
     "summability_nmax8": ["summability", "--q", "0.5", "--nmax", "8"],
     "verify_casimir_deg3": ["verify-casimir", "--q", "0.5", "--total-degree", "3"],
     "decompose_cp2_dump": ["decompose", "cp2", "--nmax", "2", "--dump"],
+    "decompose_form1_doublet_nmax2": ["decompose", "form1_doublet", "--nmax", "2"],
+    "decompose_sphere_nmax3": ["decompose", "sphere", "--nmax", "3"],
     "evaluate_e1f1": ["evaluate", "E1 F1 - q^-1 F1 E1", "--n1", "1", "--n2", "1"],
     # the seed-1 and seed-2 queries of the benchmark's exact workload
     "rewrite_exact_seed1": ["rewrite", "p13 p12 p23 p33 p11 p32 + p32 p12 p11 p22 p31 p33"

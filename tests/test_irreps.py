@@ -159,9 +159,9 @@ def test_generator_matrix_rejects_an_unknown_generator():
         irreps.generator_matrix((1, 1), "X1", P5)
 
 
-# the benchmark's battery commands at seed 1, and how many generator
-# matrices each assembles: every (label, generator, q) it reads, once
-BATTERY_ASSEMBLIES = [
+# the benchmark's battery and forms commands at seed 1, and how many
+# generator triplets each assembles: every (label, generator, q) it reads, once
+ASSEMBLIES = [
     (["verify-hopf", "--q", "0.79", "--total-degree", "8"], 450),
     (["verify-casimir", "--q", "0.44", "--total-degree", "8"], 450),
     (["verify-gt", "--q", "0.53", "--total-degree", "6"], 60),
@@ -169,23 +169,26 @@ BATTERY_ASSEMBLIES = [
     (["classical-check", "--samples", "1000", "--seed", "716"], 8),
     (["evaluate", "q^1 E1 F1 - q^1 F1 E1 - q^-1 E1 F1 + q^-1 F1 E1 - K1 K1 + K1' K1' + K2 K2'",
       "--q", "0.67", "--n1", "3", "--n2", "3"], 6),
+    # six white generators on ten irreps
+    (["verify-complex", "--q", "0.72", "--nmax", "4"], 60),
 ]
 
 
-@pytest.mark.parametrize("argv,expected", BATTERY_ASSEMBLIES, ids=[a[0] for a, _ in BATTERY_ASSEMBLIES])
-def test_each_generator_matrix_is_assembled_once_per_command(monkeypatch, argv, expected, capsys):
+@pytest.mark.parametrize("argv,expected", ASSEMBLIES, ids=[a[0] for a, _ in ASSEMBLIES])
+def test_each_generator_matrix_is_assembled_once_per_command(monkeypatch, argv, expected, capsys,
+                                                             fresh_operators):
     from collections import Counter
 
     from cp2q import cli
 
     built = Counter()
-    assemble = irreps._assemble
+    triplets = irreps.generator_triplets
 
     def spy(label, gen, p):
         built[(tuple(label), gen, p.q)] += 1
-        return assemble(label, gen, p)
+        return triplets(label, gen, p)
 
-    monkeypatch.setattr(irreps, "_assemble", spy)
+    monkeypatch.setattr(irreps, "generator_triplets", spy)
     assert cli.main(argv) == cli.EXIT_OK
     capsys.readouterr()
     assert max(built.values()) == 1
