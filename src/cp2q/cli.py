@@ -29,8 +29,9 @@ NMAX_GUARD = 8
 # caps on unbounded work, from the measured cost table in the README:
 # evaluate holds and prints dense dim x dim matrices (about 50 bytes of
 # memory and 11 of output per entry), verify-cp2-relations walks all 6^d
-# words of each degree d (time and memory grow about 7x per degree), and
-# its q = 1 cross-check takes about 0.5 ms per sample point; verify-hopf
+# words of each degree d (time and memory grow about 7-9x per degree;
+# degree 7 takes 3-4 s and 66 MB), and its q = 1 cross-check, evaluated
+# over all points at once, takes about 13 us per sample point; verify-hopf
 # and verify-casimir hold one irrep's generator matrices at a time, so
 # time, not memory, sets their cap (about 1.9x per degree; verify-hopf
 # takes 5.8 s and 55 MB at --total-degree 13), verify-gt forms
@@ -373,7 +374,7 @@ def cmd_decompose(args) -> tuple[int, dict]:
     report = {"command": "decompose", "kind": args.kind, "nmax": args.nmax,
               "N": args.N, "total": len(basis), "rows": rows, "passed": True}
     if args.dump:
-        report["basis"] = peterweyl.basis_dump_lines(spec)
+        report["basis"] = peterweyl.basis_dump_lines(spec, basis)
     return EXIT_OK, report
 
 

@@ -171,20 +171,17 @@ def subspace_basis(spec: SubspaceSpec):
     return pairs
 
 
-def basis_dump_lines(spec: SubspaceSpec) -> list[str]:
-    """JSON-lines export; half-integers stored doubled."""
+def basis_dump_lines(spec: SubspaceSpec, basis: list) -> list[str]:
+    """JSON-lines export of subspace_basis(spec), passed in as `basis`;
+    half-integers stored doubled."""
     import json
 
-    rows = []
-    basis = subspace_basis(spec)
     if spec.kind == "form1_doublet":
         basis = [v for pair in basis for v in pair]
-    for v in basis:
-        rows.append(json.dumps({
-            "n1": v.n1, "n2": v.n2,
-            "white": list(v.white), "black": list(v.black),
-        }, sort_keys=True))
-    return rows
+    # one encoder for every row: json.dumps with sort_keys builds a new one per call
+    encode = json.JSONEncoder(sort_keys=True).encode
+    return [encode({"n1": v.n1, "n2": v.n2, "white": list(v.white), "black": list(v.black)})
+            for v in basis]
 
 
 # -- the lowering-operator machinery ----------------------------------------

@@ -152,6 +152,81 @@ def test_budget_guard_raises_cleanly():
         nc.monomial_normal_form(short, budget=[1])
 
 
+def test_word_tables_hold_the_memoized_normal_forms():
+    # the sweep's tables against the recursion through the memo, which
+    # reduces at the first redex too, on every word of 0 to 5 letters
+    memo, lengths = {}, []
+    for length, masks, (cs, ks, bases), reduct in nc._word_tables(5):
+        lengths.append(length)
+        for x, w in enumerate(itertools.product(range(6), repeat=length)):
+            assert nc._word(x, length) == w
+            assert masks[x] == sum(1 << i for i in nc._redexes(w)), w
+            assert nc.materialize((cs[x], ks[x], bases[x])) == nc.monomial_normal_form(w, memo), w
+            if length <= 4:
+                reducts = single_step_reducts(w)
+                for i, r in zip(nc._redexes(w), reducts):
+                    assert nc.materialize(reduct(x, i)) == nc.normal_form(r, memo), (w, i)
+    assert sorted(lengths) == list(range(6))
+
+
+def test_sweep_memory_stays_bounded():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        assert nc.confluence_check(6)["passed"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6, peak
+
+
+def test_a_rule_that_does_not_decrease_the_order_is_rejected(monkeypatch):
+    # z1 z2 -> z2 z1 undoes z2 z1 -> z1 z2, so reduction would cycle
+    cycling = {**nc.RULES, (nc.Z1, nc.Z2): (((nc.Z2, nc.Z1), LATTICE, 1),)}
+    monkeypatch.setattr(nc, "RULES", cycling)
+    with pytest.raises(nc.RewriteBudgetError, match="z1 z2 -> z2 z1"):
+        nc.confluence_check(3)
+    with pytest.raises(nc.RewriteBudgetError):
+        nc.normal_form(word(nc.Z2, nc.Z1))
+    # the command line reports it as a verification failure, in a fresh
+    # interpreter that must neither hang nor print a traceback
+    src = Path(nc.__file__).resolve().parents[1]
+    probe = ("import sys\n"
+             "from cp2q import cli, ncrewrite as nc\n"
+             "nc.RULES[(nc.Z1, nc.Z2)] = (((nc.Z2, nc.Z1), 12, 1),)\n"
+             "sys.exit(cli.main(['verify-cp2-relations', '--max-deg', '3']))")
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == cli.EXIT_VERIFICATION_FAILED and not out.stderr
+    report = json.loads(out.stdout)
+    assert report["passed"] is False and "does not decrease the order" in report["error"]
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_cross_check_arrays_match_classical_value_bit_for_bit(seed):
+    # the points are the per-point draws of default_rng(seed), and every
+    # (relation, point) residual is the scalar path's, to the last bit
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(60):
+        v = rng.normal(size=3) + 1j * rng.normal(size=3)
+        points.append(v / np.linalg.norm(v))
+    pts = nc.sample_points(60, seed)
+    assert np.array_equal(pts, np.array(points))
+    relations = nc.cp2_relations() + nc.projector_relations()
+    residuals = list(nc.classical_residuals(pts))
+    assert [name for name, _ in residuals] == [name for name, _, _ in relations]
+    worst = 0.0
+    for (_, row), (name, lhs, rhs) in zip(residuals, relations):
+        assert row.shape == (60,)
+        for got, z in zip(row, points):
+            want = abs(nc.classical_value(lhs, z) - nc.classical_value(rhs, z))
+            assert float(got).hex() == float(want).hex(), name
+            worst = max(worst, want)
+    assert nc.classical_cross_check(samples=60, seed=seed)["max_abs_error"] == worst
+
+
 def test_classical_cross_check():
     rep = nc.classical_cross_check(samples=30, seed=5)
     assert rep["passed"], rep

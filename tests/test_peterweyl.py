@@ -84,7 +84,8 @@ def test_subspace_deterministic_order():
 
 
 def test_basis_dump_schema():
-    lines = pw.basis_dump_lines(pw.SubspaceSpec("cp2", 1))
+    spec = pw.SubspaceSpec("cp2", 1)
+    lines = pw.basis_dump_lines(spec, pw.subspace_basis(spec))
     assert len(lines) == 9
     row = json.loads(lines[0])
     assert set(row) == {"n1", "n2", "white", "black"}

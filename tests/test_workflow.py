@@ -18,7 +18,9 @@ def test_tier1_workflow_runs_the_suite_and_the_benchmark_selftest():
     # scipy the oracle of the eigendecomposition exponential would
     install = next(r for r in runs if "pip install" in r)
     assert {"pytest", "hypothesis", "pyyaml", "mpmath", "scipy"} <= set(install.split())
-    assert "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors" in runs
+    # --durations=10 puts the slowest tests in every log
+    assert ("PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q "
+            "--continue-on-collection-errors --durations=10") in runs
     assert "python3 perfbench/selftest.py" in runs
 
 
