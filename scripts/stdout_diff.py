@@ -1,4 +1,4 @@
-"""Compare the cp2q command line's stdout and exit codes with a git revision.
+"""Compare the cp2q command line's stdout, exit codes and stderr with a git revision.
 
     python3 scripts/stdout_diff.py REV [--workload W ...] [--seed N ...] [--cmd ARGS ...]
 
@@ -13,8 +13,11 @@ repository gains no worktree entry, and each command runs in a fresh
 `python -m cp2q.cli` under REV's `src/` and under this checkout's `src/`.
 
 Exit 0 when every command prints the same bytes and exits with the same
-code on both sides, 1 when any differs (each such command is named on
-stdout), 2 when REV cannot be exported.
+code on both sides, and writes nothing to stderr on this checkout where it
+wrote nothing at REV (a new traceback or warning); 1 when any differs
+(each such command is named on stdout), 2 when REV cannot be exported.
+Stderr text is not compared byte for byte, as a traceback names the tree
+it ran from.
 """
 
 from __future__ import annotations
@@ -47,13 +50,13 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, capture_output=True, check=True)
 
 
-def run(tree: Path, argv: list[str]) -> tuple[int, bytes]:
+def run(tree: Path, argv: list[str]) -> tuple[int, bytes, bytes]:
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env.update({"PYTHONPATH": str(tree / "src"), "PYTHONHASHSEED": "0"})
     env.update(dict.fromkeys(THREAD_VARS, "1"))
     out = subprocess.run([sys.executable, "-m", "cp2q.cli", *argv], capture_output=True,
                          env=env, cwd=tree)
-    return out.returncode, out.stdout
+    return out.returncode, out.stdout, out.stderr
 
 
 def main(argv=None) -> int:
@@ -78,11 +81,13 @@ def main(argv=None) -> int:
             return 2
         differ = 0
         for cmd in commands:
-            (old_code, old_out), (new_code, new_out) = run(Path(tmp), cmd), run(ROOT, cmd)
-            if old_code != new_code or old_out != new_out:
+            (old_code, old_out, old_err), (new_code, new_out, new_err) = run(Path(tmp), cmd), run(ROOT, cmd)
+            what = [f"exit {old_code} -> {new_code}"] if old_code != new_code else []
+            what += ["stdout"] if old_out != new_out else []
+            what += ["stderr"] if new_err and not old_err else []
+            if what:
                 differ += 1
-                what = f"exit {old_code} -> {new_code}" if old_code != new_code else "stdout"
-                print(f"differs ({what}): cp2q {shlex.join(cmd)}")
+                print(f"differs ({', '.join(what)}): cp2q {shlex.join(cmd)}")
     print(f"{len(commands)} commands, {differ} differ from {args.rev}")
     return 1 if differ else 0
 

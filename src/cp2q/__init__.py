@@ -7,7 +7,6 @@ rewriting engine for the quantum 5-sphere coordinate relations."""
 __version__ = "0.1.0"
 
 from .qarith import (
-    LaurentScalar,
     QArithError,
     QParam,
     qbinom,
@@ -17,7 +16,6 @@ from .qarith import (
 )
 
 __all__ = [
-    "LaurentScalar",
     "QArithError",
     "QParam",
     "qbinom",

@@ -12,12 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections import Counter
 
-# only the exact path loads at import; each numeric command imports its
-# modules, and with them numpy, when it runs
-from . import ncrewrite
+# only qarith loads at import; each command imports the modules it runs
+# on when it runs, so numpy loads only with a command that builds arrays
+# and ncrewrite only with a rewriting command
 from .qarith import QParam, VerificationError
 
 EXIT_OK = 0
@@ -52,9 +53,12 @@ class ConfigError(ValueError):
 def _qparam(args) -> QParam:
     text = str(args.q)
     try:
-        from fractions import Fraction
+        if "/" in text:
+            from fractions import Fraction
 
-        q = float(Fraction(text)) if "/" in text else float(text)
+            q = float(Fraction(text))
+        else:
+            q = float(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"cannot parse q: {args.q!r}") from exc
     if not (0.0 < q < 1.0):
@@ -295,6 +299,8 @@ def cmd_summability(args) -> tuple[int, dict]:
 
 
 def cmd_rewrite(args) -> tuple[int, dict]:
+    from . import ncrewrite
+
     f = _parsed(ncrewrite.poly_from_string, args.expr)
     nf = ncrewrite.normal_form(f)
     report = {
@@ -307,6 +313,8 @@ def cmd_rewrite(args) -> tuple[int, dict]:
 
 
 def cmd_verify_cp2_relations(args) -> tuple[int, dict]:
+    from . import ncrewrite
+
     _at_least(args.samples, 1, "--samples")
     _at_most(args.samples, CROSS_CHECK_SAMPLES_GUARD, "--samples")
     # a word needs three letters to hold two redexes, so a lower degree
@@ -461,14 +469,16 @@ def main(argv=None) -> int:
         _tol_guard(args)
         code, report = args.fn(args)
     except VerificationError as exc:
-        report = {"error": str(exc), "passed": False}
-        emit(report, args.format)
-        return EXIT_VERIFICATION_FAILED
+        code, report = EXIT_VERIFICATION_FAILED, {"error": str(exc), "passed": False}
     except ConfigError as exc:
-        report = {"error": str(exc), "passed": False}
+        code, report = EXIT_CONFIG_ERROR, {"error": str(exc), "passed": False}
+    try:
         emit(report, args.format)
-        return EXIT_CONFIG_ERROR
-    emit(report, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left, not the check: the verdict stands, and what is
+        # still buffered goes to the null device so the exit flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

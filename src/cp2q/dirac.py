@@ -19,7 +19,6 @@ dense diagonalization of the assembled operator at small truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import sqrt
 from typing import NamedTuple
 
@@ -31,18 +30,23 @@ def default_s(p: QParam) -> float:
     return sqrt(qint(2, p) / 2.0)
 
 
-@dataclass(frozen=True)
-class DiracConfig:
+class _DiracFields(NamedTuple):
     p: QParam
     nmax: int = 3
     s: float | None = None  # None: the canonical sqrt([2]/2)
     tol: float = 1e-10
 
-    def __post_init__(self):
+
+class DiracConfig(_DiracFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.s is not None and self.s <= 0:
             raise ValueError("mixing parameter must be positive")
         if self.nmax < 0:
             raise ValueError("nmax must be >= 0")
+        return self
 
     @property
     def s_value(self) -> float:
@@ -60,12 +64,11 @@ class SpectrumRow(NamedTuple):
     multiplicity: int
 
 
-@dataclass
-class SpectrumTable:
+class SpectrumTable(NamedTuple):
     q: float
     s: float
     nmax: int
-    rows: list = field(default_factory=list)
+    rows: list
 
     def total_multiplicity(self) -> int:
         return sum(r.multiplicity for r in self.rows)
@@ -133,8 +136,7 @@ def spectrum(cfg: DiracConfig) -> SpectrumTable:
     """Spectrum read off the checked 2x2 blocks, to be verified against the
     closed forms; rows sorted (family, n, sign), multiplicities per sign."""
     p = cfg.p
-    table = SpectrumTable(q=p.q, s=cfg.s_value, nmax=cfg.nmax)
-    table.rows.append(SpectrumRow("zero", 0, 0.0, 1))
+    table = SpectrumTable(q=p.q, s=cfg.s_value, nmax=cfg.nmax, rows=[SpectrumRow("zero", 0, 0.0, 1)])
 
     for family, n, _, mult, _ in db.families(cfg.nmax):
         if (family, n) == ("diag", 0):

@@ -21,7 +21,6 @@ check holds one dict of matrices for the label it reads.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
 from typing import NamedTuple
@@ -139,7 +138,11 @@ def coeff_b(label, j1: int, j2: int, p: QParam) -> float:
 
 def _qn(half_arg: int, p: QParam) -> float:
     # q-number of a half-integer given as twice its value
-    return qint(half_arg // 2 if half_arg % 2 == 0 else Fraction(half_arg, 2), p)
+    if half_arg % 2 == 0:
+        return qint(half_arg // 2, p)
+    from fractions import Fraction
+
+    return qint(Fraction(half_arg, 2), p)
 
 
 def action_row(label, gen: str, triple, p: QParam) -> tuple:

@@ -17,17 +17,16 @@ polynomials in t = q^(1/12), stored flat: a polynomial is one dict
 {(word, k): c} for the sum of c t^k word, with c a nonzero int, or a
 Fraction where parsed input has a non-integral rational.  Zero terms are
 never stored, so two polynomials are equal exactly when their dicts are.
-LaurentScalar only prints a word's coefficient.  Normal forms of words are
-memoized in a dict that each top-level call creates and passes down, so no
-state outlives a call.  A memo entry (c, k, base) stands for c t^k base,
-with base a flat polynomial shared by reference: a reduct through a rule
-with a one-term replacement reuses its target's base and only scales it,
-so most entries build no dict, and two entries on one base compare by
-their scalars alone.  On top of the normal form sit the projective-plane
-generators p_ij = z_i* z_j, their verified relation list, the line-bundle
-grading, a diamond-lemma confluence certificate with an empirical
-cross-check, and a commutative cross-check at q = 1 on random points of the
-classical 5-sphere.
+Normal forms of words are memoized in a dict that each top-level call
+creates and passes down, so no state outlives a call.  A memo entry
+(c, k, base) stands for c t^k base, with base a flat polynomial shared by
+reference: a reduct through a rule with a one-term replacement reuses its
+target's base and only scales it, so most entries build no dict, and two
+entries on one base compare by their scalars alone.  On top of the normal
+form sit the projective-plane generators p_ij = z_i* z_j, their verified
+relation list, the line-bundle grading, a diamond-lemma confluence
+certificate with an empirical cross-check, and a commutative cross-check
+at q = 1 on random points of the classical 5-sphere.
 
 The empirical confluence sweep fills one table of scaled normal forms per
 word length L in lexicographic order, where every reduct's normal form is
@@ -42,7 +41,7 @@ import itertools
 import re
 from fractions import Fraction
 
-from .qarith import LATTICE, LaurentScalar, VerificationError, _coeff
+from .qarith import LATTICE, VerificationError, _coeff
 
 # letter codes in reduction order
 Z1, Z2, Z3, Z3S, Z2S, Z1S = range(6)
@@ -55,8 +54,8 @@ NCPoly = dict  # (NCMonomial, t-exponent) -> nonzero int | Fraction
 
 
 class RewriteBudgetError(VerificationError, RuntimeError):
-    """Reduction exceeded its step budget, or a rule does not decrease the
-    order (either would signal non-termination)."""
+    """A rule does not decrease the order, so reduction might not
+    terminate."""
 
 
 def _q(k: int) -> NCPoly:
@@ -125,7 +124,7 @@ def _redexes(word: NCMonomial) -> list[int]:
     return [i for i in range(len(word) - 1) if (word[i], word[i + 1]) in RULES]
 
 
-def _reduct_normal_form(word: NCMonomial, i: int, memo: dict, budget: list | None) -> tuple:
+def _reduct_normal_form(word: NCMonomial, i: int, memo: dict) -> tuple:
     """Scaled normal form of the single-step reduct of word at the redex at
     i.  A one-term rule scales its target's base; only a rule with several
     terms builds a dict."""
@@ -133,31 +132,26 @@ def _reduct_normal_form(word: NCMonomial, i: int, memo: dict, budget: list | Non
     terms = RULES[(word[i], word[i + 1])]
     if len(terms) == 1:
         (repl, k, c), = terms
-        c2, k2, base = _scaled_normal_form(head + repl + tail, memo, budget)
+        c2, k2, base = _scaled_normal_form(head + repl + tail, memo)
         return c * c2, k + k2, base
     nf: NCPoly = {}
     for repl, k, c in terms:
-        c2, k2, base = _scaled_normal_form(head + repl + tail, memo, budget)
+        c2, k2, base = _scaled_normal_form(head + repl + tail, memo)
         poly_add(nf, base, k + k2, c * c2)
     return 1, 0, nf
 
 
-def _scaled_normal_form(word: NCMonomial, memo: dict, budget: list | None) -> tuple:
+def _scaled_normal_form(word: NCMonomial, memo: dict) -> tuple:
     """Normal form of a single word as (c, k, base), standing for c t^k base,
     reduced at its first redex.  `memo` maps the words already reduced in
     the caller's run to these triples, whose bases are shared by reference
-    and must never be mutated.  Each memo miss on a reducible word takes one
-    step of `budget`."""
+    and must never be mutated."""
     nf = memo.get(word)
     if nf is not None:
         return nf
     for i in range(len(word) - 1):
         if (word[i], word[i + 1]) in RULES:
-            if budget is not None:
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise RewriteBudgetError(f"reduction budget exhausted near {word_to_str(word)}")
-            nf = _reduct_normal_form(word, i, memo, budget)
+            nf = _reduct_normal_form(word, i, memo)
             break
     else:
         nf = (1, 0, {(word, 0): 1})
@@ -191,17 +185,10 @@ def scaled_equal(a: tuple, b: tuple) -> bool:
     return True
 
 
-def monomial_normal_form(word: NCMonomial, memo: dict | None = None,
-                         budget: list | None = None) -> NCPoly:
-    """Normal form of a single word as a fresh flat polynomial; `memo` and
-    `budget` are as for the scaled form."""
-    return materialize(_scaled_normal_form(word, {} if memo is None else memo, budget))
-
-
-def _steps(maxlen: int, count: int = 1) -> int:
-    """Reduction steps allowed for reducing `count` distinct words of at
-    most `maxlen` letters."""
-    return 2000 * (maxlen * maxlen + 1) * (count + 1)
+def monomial_normal_form(word: NCMonomial, memo: dict | None = None) -> NCPoly:
+    """Normal form of a single word as a fresh flat polynomial; `memo` is as
+    for the scaled form."""
+    return materialize(_scaled_normal_form(word, {} if memo is None else memo))
 
 
 def normal_form(f: NCPoly, memo: dict | None = None) -> NCPoly:
@@ -209,15 +196,14 @@ def normal_form(f: NCPoly, memo: dict | None = None) -> NCPoly:
     A call without a memo reduces in a memo of its own.  The result is a
     fresh dict that shares nothing with the memo.  A rule that does not
     decrease the order raises RewriteBudgetError before any reduction,
-    where it would otherwise recurse without end."""
+    where it would otherwise recurse without end; with every rule
+    decreasing, reduction terminates."""
     if memo is None:
         memo = {}
     _descents()
-    words = {w for w, _ in f}
-    budget = [_steps(max(map(len, words), default=0), len(words))]
     out: NCPoly = {}
     for (w, k), c in f.items():
-        c2, k2, base = _scaled_normal_form(w, memo, budget)
+        c2, k2, base = _scaled_normal_form(w, memo)
         poly_add(out, base, k + k2, c * c2)
     return out
 
@@ -631,13 +617,20 @@ def word_to_str(word: NCMonomial) -> str:
     return " ".join(LETTER_NAMES[let] for let in word) if word else "1"
 
 
+def _scalar_to_str(coeffs: dict) -> str:
+    """The Laurent scalar sum c t^k of {k: c}, by increasing k, each term
+    as c, c*q^(k/12) or c*t^k."""
+    return " + ".join(f"{c}" if k == 0 else f"{c}*q^{k // LATTICE}" if k % LATTICE == 0
+                      else f"{c}*t^{k}" for k, c in sorted(coeffs.items()))
+
+
 def poly_to_str(f: NCPoly) -> str:
     """Terms by word in (length, letters) order, each word's coefficient
-    printed as the LaurentScalar it stands for."""
+    printed as its Laurent scalar in t."""
     if not f:
         return "0"
     by_word: dict = {}
     for (w, k), c in f.items():
         by_word.setdefault(w, {})[k] = c
-    return " + ".join(f"({LaurentScalar.from_dict(by_word[w])}) {word_to_str(w)}"
+    return " + ".join(f"({_scalar_to_str(by_word[w])}) {word_to_str(w)}"
                       for w in sorted(by_word, key=lambda w: (len(w), w)))

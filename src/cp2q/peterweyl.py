@@ -17,7 +17,6 @@ vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import sqrt
 from typing import NamedTuple
 
@@ -122,8 +121,7 @@ def black_k1k22_twelfths(n1: int, n2: int, black: tuple) -> int:
 
 # -- subspaces ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SubspaceSpec:
+class SubspaceSpec(NamedTuple):
     kind: str  # "sphere" | "cp2" | "line_bundle" | "form1_doublet"
     nmax: int
     N: int = 0

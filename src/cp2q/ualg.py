@@ -13,7 +13,6 @@ and a small text grammar for the command line.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from . import irreps
 from .irreps import GENERATORS
@@ -175,6 +174,8 @@ def casimir_element(p: QParam) -> AlgebraElement:
 
 def casimir_eigenvalue(n1: int, n2: int, p: QParam) -> float:
     """Closed-form Casimir scalar on V_(n1,n2)."""
+    from fractions import Fraction
+
     a = qint(Fraction(n1 - n2, 3), p)
     b = qint(Fraction(2 * n1 + n2, 3) + 1, p)
     c = qint(Fraction(n1 + 2 * n2, 3) + 1, p)
@@ -423,6 +424,8 @@ def element_from_string(text: str, p: QParam) -> AlgebraElement:
             coeff *= p.q ** int(m.group("qexp"))
             started = True
         elif m.group("rat"):
+            from fractions import Fraction
+
             try:
                 coeff *= float(Fraction(m.group("rat")))
             except ZeroDivisionError:

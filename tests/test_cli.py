@@ -363,17 +363,24 @@ def test_classical_check_at_the_identity_sample_is_quiet():
 
 
 
+# the start-up cost a command needs only for work it does not do: numpy's
+# import, the code generation of dataclasses, fractions (with decimal) and
+# the rewriting engine
+WATCHED_MODULES = ("numpy", "dataclasses", "fractions", "cp2q.ncrewrite")
+
+
 def launch_in_fresh_interpreter(argv):
-    """[exit code of cli.main(argv), or None for a bare import, and whether
-    numpy was loaded], from a fresh interpreter."""
-    probe = ("import contextlib, io, sys; from cp2q import cli\n"
+    """(exit code of cli.main(argv), or None for a bare import, and the set
+    of WATCHED_MODULES it loaded), from a fresh interpreter."""
+    probe = ("import contextlib, io, json, sys; from cp2q import cli\n"
              f"argv = {argv!r}\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    code = cli.main(argv) if argv else None\n"
-             "print(code, 'numpy' in sys.modules)")
+             f"print(json.dumps([code, [m for m in {WATCHED_MODULES!r} if m in sys.modules]]))")
     out = _python("-c", probe)
     assert out.returncode == 0, out.stderr
-    return out.stdout.split()
+    code, loaded = json.loads(out.stdout)
+    return code, set(loaded)
 
 
 @pytest.mark.parametrize("argv, code", [([], None), (["rewrite", "p12 p21"], 0), (["rewrite", "z4"], 2)],
@@ -381,7 +388,8 @@ def launch_in_fresh_interpreter(argv):
 def test_exact_launches_load_no_numpy(argv, code):
     # importing the command line, a rewrite and a malformed rewrite (a usage
     # error) all stay on the exact path
-    assert launch_in_fresh_interpreter(argv) == [str(code), "False"]
+    got, loaded = launch_in_fresh_interpreter(argv)
+    assert got == code and "numpy" not in loaded
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -390,5 +398,34 @@ def test_exact_launches_load_no_numpy(argv, code):
 ], ids=("spectrum", "cohomology", "summability", "spectrum-table", "spectrum-guard"))
 def test_spectral_launches_load_no_numpy(argv, code):
     # the 2x2 blocks are read in plain Python, and a guard error exits before
-    # any block is built
-    assert launch_in_fresh_interpreter(argv) == [str(code), "False"]
+    # any block is built; no dataclass is generated, no Fraction is built and
+    # the rewriting engine stays unloaded either
+    assert launch_in_fresh_interpreter(argv) == (code, set())
+
+
+@pytest.mark.parametrize("argv, code, loaded", [([], None, set()), (["spectrum", "--q", "1/2"], 0, {"fractions"})],
+                         ids=("import", "rational-q"))
+def test_import_loads_no_unused_module(argv, code, loaded):
+    # the command line alone loads none of them; a rational --q needs
+    # fractions for its parse alone
+    assert launch_in_fresh_interpreter(argv) == (code, loaded)
+
+
+def test_numeric_launch_loads_no_rewriting_engine():
+    got, loaded = launch_in_fresh_interpreter(["verify-hopf", "--total-degree", "2"])
+    assert got == 0 and "cp2q.ncrewrite" not in loaded
+
+
+def test_closed_pipe_keeps_the_verdict_and_stderr_quiet():
+    # the reader is gone before the report is written (as under `| head`):
+    # no traceback, and the exit code is the command's own
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run([sys.executable, "-m", "cp2q.cli", "decompose", "sphere", "--nmax", "6", "--dump"],
+                               stdout=write_end, stderr=subprocess.PIPE, text=True,
+                               env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    finally:
+        os.close(write_end)
+    assert child.stderr == ""
+    assert child.returncode == cli.EXIT_OK

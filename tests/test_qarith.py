@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 
 from cp2q.qarith import (
     LATTICE,
-    LaurentScalar,
     QArithError,
     QParam,
-    _coerce,
     qbinom,
     qfact,
     qint,
     qparam_float,
 )
+from laurent import LaurentScalar, _coerce
 
 P5 = qparam_float(0.5)
 QS = (0.3, 0.5, 0.9)
@@ -79,6 +78,17 @@ def test_qint_odd_on_lattice():
         for tw in range(-24, 25):
             z = Fraction(tw, 12)
             assert qint(-z, p) == pytest.approx(-qint(z, p), abs=1e-12)
+
+
+def test_qint_on_the_lattice_rounds_as_the_fraction_formula():
+    # a lattice exponent is converted once, bit for bit as float(Fraction(z))
+    for q in QS + (0.72, 0.999):
+        p = qparam_float(q)
+        for tw in range(-300, 301):
+            z = Fraction(tw, 12)
+            want = (q ** float(z) - q ** float(-z)) / (q - 1.0 / q)
+            assert qint(z, p).hex() == want.hex(), (q, z)
+    assert qint(0.5, P5) == qint(Fraction(1, 2), P5)
 
 
 def test_qint_rejects_off_lattice():
@@ -186,7 +196,11 @@ def test_qparam_validation():
     # a QParam keys the operator caches: equal q, equal and hash-equal params
     assert QParam(0.5) == qparam_float(0.5) == P5
     assert hash(QParam(0.5)) == hash(P5)
-    assert QParam(0.5).q == 0.5
+    assert QParam(0.5).q == 0.5 and QParam(q=0.5) == P5
+    assert QParam(0.3) != P5
+    assert repr(P5) == "QParam(q=0.5)"
+    with pytest.raises(AttributeError):
+        P5.q = 0.3
 
 
 # -- integer storage against a dict-of-Fraction reference ---------------------

@@ -1,7 +1,13 @@
 """The per-layer tracer in perfbench/ wraps cp2q functions by name; a name it
 cannot find is reported as missing.  These runs catch the deletion or
 renaming of any hooked name, on one command of the numeric path and one of
-the exact path."""
+the exact path.
+
+One hooked name is gone on purpose: the Laurent scalar class moved from
+cp2q.qarith to the tests' ring oracle (tests/laurent.py), and the engine
+prints its coefficients without it.  Its laurent_* spans read 0 before the
+move, since the engine called only its constructor and repr.  The tracer
+lists it as not traced until its hook is dropped."""
 
 import json
 import os
@@ -12,6 +18,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+REMOVED_ON_PURPOSE = ["cp2q.qarith.LaurentScalar"]
 
 
 @pytest.mark.parametrize("argv", [["spectrum", "--q", "0.5", "--nmax", "1"], ["rewrite", "p12 p21"]],
@@ -25,5 +32,5 @@ def test_tracer_finds_every_hooked_name(tmp_path, argv):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["exit"] == 0
-    assert result["missing"] == []
+    assert result["missing"] == REMOVED_ON_PURPOSE
     assert spans.stat().st_size > 0
