@@ -30,20 +30,24 @@ NMAX_GUARD = 8
 # caps on unbounded work, from the measured cost table in the README:
 # evaluate holds and prints dense dim x dim matrices (about 50 bytes of
 # memory and 11 of output per entry), verify-cp2-relations walks all 6^d
-# words of each degree d (time and memory grow about 7-9x per degree;
-# degree 7 takes 3-4 s and 66 MB), and its q = 1 cross-check, evaluated
+# words of each degree d (time about 6x and memory about 5x per degree;
+# degree 7 takes 1.4-1.7 s and 40 MB), and its q = 1 cross-check, evaluated
 # over all points at once, takes about 13 us per sample point; verify-hopf
 # and verify-casimir hold one irrep's generator matrices at a time, so
 # time, not memory, sets their cap (about 1.9x per degree; verify-hopf
 # takes 5.8 s and 55 MB at --total-degree 13), verify-gt forms
-# products of lowering words (time about 3.5x per degree), and its
-# --powers identities expand [F2,F1]_q^n into 2^n words
+# products of lowering words (time about 3.5x per degree), its
+# --powers identities expand [F2,F1]_q^n into 2^n words, and decompose
+# lists every basis vector up to --nmax (the sphere basis, the largest
+# kind, grows about nmax^5: with --dump, 0.7-0.9 s, 34 MB and 5.7 MB of
+# output at nmax 12, 2.9-3.0 s and 88 MB at 16)
 EVALUATE_DIM_GUARD = 1000
 MAX_DEG_GUARD = 7
 CROSS_CHECK_SAMPLES_GUARD = 10_000
 TOTAL_DEGREE_GUARD = 12
 GT_TOTAL_DEGREE_GUARD = 9
 GT_POWERS_GUARD = 12
+DECOMPOSE_NMAX_GUARD = 12
 
 
 class ConfigError(ValueError):
@@ -373,6 +377,7 @@ def cmd_decompose(args) -> tuple[int, dict]:
     from . import peterweyl
 
     _at_least(args.nmax, 0, "--nmax")
+    _at_most(args.nmax, DECOMPOSE_NMAX_GUARD, "--nmax")
     spec = peterweyl.SubspaceSpec(args.kind, args.nmax, args.N)
     basis = peterweyl.subspace_basis(spec)
     # a form1_doublet member is a (v+, v-) pair, counted by its v+ key

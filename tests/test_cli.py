@@ -312,6 +312,10 @@ GUARDS = [
      [(irreps, "labels_up_to", [irreps.IrrepLabel(1, 1)]),
       (peterweyl, "verify_gt_lowering", {"passed": True, "max_residual": 0.0}),
       (peterweyl, "verify_lemma_commutators", {"passed": True, "max_residual": 0.0})]),
+    # sphere is the largest kind at a given nmax
+    (["decompose", "sphere", "--nmax", str(cli.DECOMPOSE_NMAX_GUARD + 1)],
+     ["decompose", "sphere", "--nmax", str(cli.DECOMPOSE_NMAX_GUARD)],
+     [(peterweyl, "subspace_basis", [])]),
 ]
 
 

@@ -8,8 +8,11 @@ Peter-Weyl vectors, the degree-4 relation battery before the rewriting
 engine moved to flat integer polynomials, the verify-complex cases before
 the slot operators were assembled from black blocks, and the form1_doublet
 and sphere decompositions before their per-irrep counts became one pass.
-The relation battery is the only case that pins the verify-cp2-relations
-report: its key order and the last digit of its classical_max_error float.
+The relation battery pins the verify-cp2-relations report at degrees 4
+and 6, the latter the benchmark's exact command and captured before the
+confluence sweep moved to canonical interned normal forms: its key order,
+its branching_words count and the last digit of its classical_max_error
+float.
 Any change to a number, a coefficient's printed form, a key order or a
 float's last digit shows up here as a failure.
 """
@@ -48,6 +51,7 @@ CASES = {
     # a non-integral rational keeps its Fraction coefficient
     "rewrite_rational": ["rewrite", "1/2 p12 p21 - q^-2 p21 p12"],
     "verify_cp2_relations_deg4": ["verify-cp2-relations", "--max-deg", "4"],
+    "verify_cp2_relations_deg6": ["verify-cp2-relations", "--max-deg", "6"],
     # the seed-1 query of the benchmark's forms workload, and a larger truncation
     "verify_complex_q072_nmax4": ["verify-complex", "--q", "0.72", "--nmax", "4"],
     "verify_complex_nmax8": ["verify-complex", "--q", "0.5", "--nmax", "8"],

@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -360,46 +361,53 @@ def test_no_module_state_survives_a_sweep_or_a_query():
     assert out.stdout.strip() == "True"
 
 
-# -- scaled normal forms --------------------------------------------------------
+# -- canonical normal forms -----------------------------------------------------
 
-_SCALAR = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=3))
-_NONZERO = _SCALAR.filter(bool)
+_SCALAR = st.one_of(st.integers(1, 6), st.integers(-6, -1),
+                    st.sampled_from([Fraction(1, 2), Fraction(-2, 3)]))
 _SHIFT = st.integers(-30, 30)
-_BASE = st.dictionaries(st.tuples(st.tuples(*[st.integers(0, 5)] * 2), st.integers(-6, 6)),
-                        _NONZERO, max_size=4)
+_KEY = st.tuples(st.lists(st.integers(0, 5), max_size=3).map(tuple), st.integers(-6, 6))
+_POLY = st.dictionaries(_KEY, _SCALAR, max_size=5)
 
 
 @st.composite
-def scaled_pairs(draw):
-    """Two scaled normal forms: on one base object, on a rescaled and
-    shifted copy of it (equal, off by a scalar or with a term added), or
-    on unrelated bases."""
-    base = draw(_BASE)
-    a = (draw(_SCALAR), draw(_SHIFT), base)
-    kind = draw(st.sampled_from(("shared", "copy", "unrelated")))
-    if kind == "shared":
-        return a, (draw(_SCALAR), draw(_SHIFT), base)
+def poly_pairs(draw):
+    """Two flat polynomials: the second a reordered copy of the first,
+    a copy scaled (by a negative, an integer with a common factor or a
+    Fraction) and shifted in t, either of those with one term more, or an
+    unrelated polynomial."""
+    f = draw(_POLY)
+    kind = draw(st.sampled_from(("copy", "scaled", "one_more", "unrelated")))
     if kind == "unrelated":
-        return a, (draw(_SCALAR), draw(_SHIFT), draw(_BASE))
-    s, m = draw(_NONZERO), draw(_SHIFT)
-    copy = nc.materialize((s, m, base))
-    if draw(st.booleans()):
-        copy.update(draw(_BASE))
-    c = Fraction(a[0]) / s if draw(st.booleans()) else draw(_SCALAR)
-    return a, (c, a[1] - m, copy)
+        return f, draw(_POLY)
+    c, m = (1, 0) if kind == "copy" else (draw(_SCALAR), draw(_SHIFT))
+    g = {(w, e + m): v * c for (w, e), v in reversed(f.items())}
+    if kind == "one_more":
+        g.setdefault(draw(_KEY), draw(_SCALAR))
+    return f, g
 
 
-@settings(deadline=None, derandomize=True, max_examples=400)
-@given(scaled_pairs())
-@example(((1, 0, {}), (-1, 5, {})))  # empty bases, different scalars
-@example(((0, 0, {((0, 1), 0): 1}), (1, 0, {})))  # zero scalar on a nonzero base
-@example(((Fraction(1, 2), 3, {((), 0): 2}), (1, 3, {((), 0): 1})))  # Fraction meets int
-@example(((1, 0, {((0, 1), 0): 1}), (1, 0, {((0, 1), 0): 1, ((1, 2), 0): 1})))  # one term more
-def test_scaled_equality_is_equality_of_the_materialized_dicts(pair):
-    a, b = pair
-    same = nc.materialize(a) == nc.materialize(b)
-    assert nc.scaled_equal(a, b) is same
-    assert nc.scaled_equal(b, a) is same
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(poly_pairs())
+@example(({}, {}))
+@example(({((0,), 3): 2, ((1,), 5): -4}, {((0,), 0): 1, ((1,), 2): -2}))  # gcd 2 and a t-shift
+@example(({((0,), 0): -3, ((1,), 0): 6}, {((0,), 0): 3, ((1,), 0): -6}))  # sign only
+@example(({((0,), 0): Fraction(1, 2)}, {((0,), 0): Fraction(1, 3)}))  # Fraction scalars
+@example(({((0,), 0): 1}, {((0,), 0): 1, ((1,), 0): 1}))  # one term more
+def test_canonical_triples_are_equal_exactly_when_the_dicts_are(pair):
+    f, g = pair
+    interned = {}
+    (cf, kf, bf), (cg, kg, bg) = nc.canon(f, interned), nc.canon(g, interned)
+    assert (cf == cg and kf == kg and bf is bg) is (f == g)
+    for poly, (c, k, base) in ((f, (cf, kf, bf)), (g, (cg, kg, bg))):
+        assert nc.materialize((c, k, base)) == poly
+        if base:
+            lead = min(base)
+            assert lead[1] == 0 and base[lead] > 0
+            assert all(type(v) is int for v in base.values())
+            assert math.gcd(*base.values()) == 1
+        else:
+            assert (c, k) == (0, 0)
 
 
 def test_mutating_results_leaves_the_shared_bases_unchanged():
@@ -460,3 +468,58 @@ def test_scaled_memo_carries_the_coefficients_of_one_term_rules(monkeypatch):
     for (w, k), c in f.items():
         nc.poly_add(want, naive_normal_form(w), k, c)
     assert nc.normal_form(f, memo) == want
+
+
+BROKEN_RULES = {
+    # the z2* z2 rule without its 1 - q^2 correction
+    "no_correction": {(nc.Z2S, nc.Z2): (((nc.Z2, nc.Z2S), 0, 1),)},
+    # z2 z1 -> 2 q^-1 z1 z2: a one-term rule whose coefficient is not 1
+    "coefficient_2": {(nc.Z2, nc.Z1): (((nc.Z1, nc.Z2), -LATTICE, 2),)},
+    # z3* z1 -> q^2 z1 z3*: a one-term rule with a shifted exponent
+    "shifted_exponent": {(nc.Z3S, nc.Z1): (((nc.Z1, nc.Z3S), 2 * LATTICE, 1),)},
+    # z3* z3 -> 2 z3 z3* and z3 z3* -> 1: the reducts of z3 z3* z3 reach z3
+    # and 2 z3, normal forms that differ in their scalar alone
+    "scalar_only": {(nc.Z3S, nc.Z3): (((nc.Z3, nc.Z3S), 0, 2),), (nc.Z3, nc.Z3S): (((), 0, 1),)},
+}
+
+
+def naive_report(max_deg):
+    """The sweep's failure report rebuilt from single_step_reducts and
+    naive_normal_form: each word of 2 to max_deg letters with two or more
+    redexes whose reducts' normal forms differ, in length and word order."""
+    nfs_of = {}
+
+    def nf(w):
+        if w not in nfs_of:
+            nfs_of[w] = naive_normal_form(w)
+        return nfs_of[w]
+
+    report = []
+    for length in range(2, max_deg + 1):
+        for w in itertools.product(range(6), repeat=length):
+            reducts = single_step_reducts(w)
+            if len(reducts) < 2:
+                continue
+            nfs = []
+            for r in reducts:
+                out = {}
+                for (m, k), c in r.items():
+                    for (m2, e), v in nf(m).items():
+                        out[(m2, e + k)] = out.get((m2, e + k), 0) + c * v
+                nfs.append({key: v for key, v in out.items() if v})
+            if any(f != nfs[0] for f in nfs[1:]):
+                report.append({"word": nc.word_to_str(w), "normal_forms": [nc.poly_to_str(f) for f in nfs]})
+    return report
+
+
+@pytest.mark.parametrize("name, counts", [("no_correction", (4, 68, 756)),
+                                          ("coefficient_2", (5, 82, 892)),
+                                          ("shifted_exponent", (4, 68, 750)),
+                                          ("scalar_only", (2, 32, 338))])
+def test_sweep_reports_the_non_joinable_words_of_a_naive_reduction(monkeypatch, name, counts):
+    monkeypatch.setattr(nc, "RULES", {**nc.RULES, **BROKEN_RULES[name]})
+    want = naive_report(5)
+    for max_deg, count in zip((3, 4, 5), counts):
+        prefix = [bad for bad in want if len(bad["word"].split()) <= max_deg]
+        assert len(prefix) == count
+        assert nc.confluence_check(max_deg)["non_joinable"] == prefix

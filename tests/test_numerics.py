@@ -1,10 +1,11 @@
 """Error table of the float q-numbers against mpmath at 50 digits.
 
 For each q of the grid, the largest relative error of
-- `qint` at the half-integers z = 1/2 .. 20,
+- `qint` at the half-integers z = 1/2 .. 35,
 - the closed-form Casimir scalar `ualg.casimir_eigenvalue` for n1 + n2 <= 8,
 - the closed-form Dirac eigenvalues `dirac.closed_form_eigenvalue` of both
-  families for n <= 8.
+  families for n <= 32, the range the spectral commands would need past
+  their present nmax cap of 8.
 The reference evaluates the same formulas at the same binary q.  Run with
 `-s` to print the table.
 """
@@ -18,7 +19,9 @@ from cp2q import dirac, ualg
 from cp2q.qarith import qint, qparam_float
 
 QS = (0.3, 0.5, 0.72, 0.95, 0.999)
-NMAX = 8
+NMAX = 8  # Casimir labels
+EIGEN_NMAX = 32
+QINT_ZMAX = 35
 
 
 def ceiling(q: float) -> float:
@@ -45,13 +48,13 @@ def ref_eigenvalue(family: str, n: int, q):
 def cases(q: float):
     """(quantity, float value, reference) over the grid at one q."""
     p = qparam_float(q)
-    for k in range(1, 41):
+    for k in range(1, 2 * QINT_ZMAX + 1):
         yield "qint", qint(Fraction(k, 2), p), ref_qint(mpmath.mpf(k) / 2, mpmath.mpf(q))
     for n1 in range(NMAX + 1):
         for n2 in range(NMAX + 1 - n1):
             yield "casimir", ualg.casimir_eigenvalue(n1, n2, p), ref_casimir(n1, n2, mpmath.mpf(q))
     for family, first in (("alpha", 1), ("beta", 0)):  # alpha at n = 0 is the zero row
-        for n in range(first, NMAX + 1):
+        for n in range(first, EIGEN_NMAX + 1):
             yield "eigenvalue", dirac.closed_form_eigenvalue(family, n, p), \
                 ref_eigenvalue(family, n, mpmath.mpf(q))
 
@@ -87,6 +90,6 @@ def test_relative_error_below_ceiling(table, name, q):
 
 
 def test_grid_covers_the_stated_cases(table):
-    # 40 half-integers, 45 labels with n1 + n2 <= 8, 8 + 9 eigenvalues
+    # 70 half-integers, 45 labels with n1 + n2 <= 8, 32 + 33 eigenvalues
     assert {name: table[name, 0.5][1] for name in ("qint", "casimir", "eigenvalue")} == \
-        {"qint": 40, "casimir": 45, "eigenvalue": 17}
+        {"qint": 70, "casimir": 45, "eigenvalue": 65}

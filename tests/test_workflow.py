@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from cp2q import cli
+
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
 
 
@@ -35,3 +37,12 @@ def test_tier1_workflow_runs_every_benchmark_workload_with_its_oracles():
     assert re.search(r"for w in ([\w ]+); do", bench[0]).group(1).split() == names
     assert 'python3 perfbench/run.py --workload "$w" --seed 2 --seconds 1 --trace 0' in bench[0]
     assert """grep -F '"correct": true'""" in bench[0]
+
+
+def test_tier1_workflow_runs_the_relation_battery_at_its_degree_cap():
+    # the costliest verify-cp2-relations line the cap admits, which no test
+    # runs; a step fails on a nonzero exit, so a failed check fails CI
+    yaml = pytest.importorskip("yaml")
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
+    runs = [s["run"] for s in steps if "run" in s]
+    assert f"PYTHONPATH=src python -m cp2q.cli verify-cp2-relations --max-deg {cli.MAX_DEG_GUARD}" in runs
