@@ -39,8 +39,11 @@ NMAX_GUARD = 8
 # products of lowering words (time about 3.5x per degree), its
 # --powers identities expand [F2,F1]_q^n into 2^n words, and decompose
 # lists every basis vector up to --nmax (the sphere basis, the largest
-# kind, grows about nmax^5: with --dump, 0.7-0.9 s, 34 MB and 5.7 MB of
-# output at nmax 12, 2.9-3.0 s and 88 MB at 16)
+# kind at N = 0, grows about nmax^5: with --dump, 0.7-0.9 s, 34 MB and
+# 5.7 MB of output at nmax 12, 2.9-3.0 s and 88 MB at 16), and a line
+# bundle's basis holds V(n, n + |N|) for each n, about N^2 vectors per
+# label: the |N| cap keeps it at nmax 12 below the sphere's (70,980
+# vectors at |N| = 26 against 74,529; 180 MB at |N| = 100)
 EVALUATE_DIM_GUARD = 1000
 MAX_DEG_GUARD = 7
 CROSS_CHECK_SAMPLES_GUARD = 10_000
@@ -48,6 +51,7 @@ TOTAL_DEGREE_GUARD = 12
 GT_TOTAL_DEGREE_GUARD = 9
 GT_POWERS_GUARD = 12
 DECOMPOSE_NMAX_GUARD = 12
+DECOMPOSE_N_GUARD = 26
 
 
 class ConfigError(ValueError):
@@ -165,7 +169,7 @@ def _emit_table(report: dict, stream) -> None:
 
 # -- subcommands ----------------------------------------------------------------
 
-def cmd_verify_hopf(args) -> tuple[int, dict]:
+def cmd_verify_hopf(args) -> dict:
     from . import irreps
 
     p = _qparam(args)
@@ -179,15 +183,14 @@ def cmd_verify_hopf(args) -> tuple[int, dict]:
         worst = max(worst, rep["max_residual"])
         if not rep["passed"]:
             failed.append(rep)
-    report = {
+    return {
         "command": "verify-hopf", "q": p.q, "tol": args.tol,
         "labels": len(labels), "max_residual": worst,
         "failures": failed, "passed": not failed,
     }
-    return (EXIT_OK if not failed else EXIT_VERIFICATION_FAILED), report
 
 
-def cmd_verify_casimir(args) -> tuple[int, dict]:
+def cmd_verify_casimir(args) -> dict:
     from . import irreps, ualg
 
     p = _qparam(args)
@@ -204,12 +207,11 @@ def cmd_verify_casimir(args) -> tuple[int, dict]:
             "off_scalar": rep["off_scalar_residual"],
             "commutator": rep["commutator_residual"], "passed": rep["passed"],
         })
-    report = {"command": "verify-casimir", "q": p.q, "tol": args.tol,
-              "rows": rows, "passed": ok}
-    return (EXIT_OK if ok else EXIT_VERIFICATION_FAILED), report
+    return {"command": "verify-casimir", "q": p.q, "tol": args.tol,
+            "rows": rows, "passed": ok}
 
 
-def cmd_verify_gt(args) -> tuple[int, dict]:
+def cmd_verify_gt(args) -> dict:
     from . import irreps, peterweyl
 
     p = _qparam(args)
@@ -230,22 +232,21 @@ def cmd_verify_gt(args) -> tuple[int, dict]:
                      "max_residual": rep["max_residual"], "passed": rep["passed"]})
     comm = peterweyl.verify_lemma_commutators(comm_label, args.powers, p, mats=comm_mats)
     ok = ok and comm["passed"]
-    report = {"command": "verify-gt", "q": p.q, "tol": args.tol, "rows": rows,
-              "commutator_identities": comm["passed"],
-              "commutator_residual": comm["max_residual"], "passed": ok}
-    return (EXIT_OK if ok else EXIT_VERIFICATION_FAILED), report
+    return {"command": "verify-gt", "q": p.q, "tol": args.tol, "rows": rows,
+            "commutator_identities": comm["passed"],
+            "commutator_residual": comm["max_residual"], "passed": ok}
 
 
-def cmd_verify_coproduct(args) -> tuple[int, dict]:
+def cmd_verify_coproduct(args) -> dict:
     from . import ualg
 
     p = _qparam(args)
     rep = ualg.verify_coproduct_identity(p, args.tol)
     rep["command"] = "verify-coproduct"
-    return (EXIT_OK if rep["passed"] else EXIT_VERIFICATION_FAILED), rep
+    return rep
 
 
-def cmd_verify_complex(args) -> tuple[int, dict]:
+def cmd_verify_complex(args) -> dict:
     from . import dolbeault
 
     p = _qparam(args)
@@ -253,13 +254,11 @@ def cmd_verify_complex(args) -> tuple[int, dict]:
     _at_most(args.nmax, NMAX_GUARD, "--nmax")
     comp = dolbeault.verify_complex(args.nmax, p, args.tol)
     equi = dolbeault.verify_equivariance(args.nmax, p, args.tol)
-    ok = comp["passed"] and equi["passed"]
-    report = {"command": "verify-complex", "q": p.q, "nmax": args.nmax,
-              "tol": args.tol, "complex": comp, "equivariance": equi, "passed": ok}
-    return (EXIT_OK if ok else EXIT_VERIFICATION_FAILED), report
+    return {"command": "verify-complex", "q": p.q, "nmax": args.nmax, "tol": args.tol,
+            "complex": comp, "equivariance": equi, "passed": comp["passed"] and equi["passed"]}
 
 
-def cmd_spectrum(args) -> tuple[int, dict]:
+def cmd_spectrum(args) -> dict:
     from . import dirac
 
     p = _qparam(args)
@@ -272,10 +271,10 @@ def cmd_spectrum(args) -> tuple[int, dict]:
     report["closed_form_check"] = {"passed": check["passed"],
                                    "max_rel_error": check["max_rel_error"]}
     report["passed"] = check["passed"]
-    return (EXIT_OK if check["passed"] else EXIT_VERIFICATION_FAILED), report
+    return report
 
 
-def cmd_cohomology(args) -> tuple[int, dict]:
+def cmd_cohomology(args) -> dict:
     from . import dirac
 
     p = _qparam(args)
@@ -283,10 +282,10 @@ def cmd_cohomology(args) -> tuple[int, dict]:
     cfg = dirac.DiracConfig(p=p, nmax=args.nmax, tol=args.tol)
     rep = dirac.cohomology(cfg)
     rep["command"] = "cohomology"
-    return (EXIT_OK if rep["passed"] else EXIT_VERIFICATION_FAILED), rep
+    return rep
 
 
-def cmd_summability(args) -> tuple[int, dict]:
+def cmd_summability(args) -> dict:
     from . import dirac
 
     p = _qparam(args)
@@ -297,26 +296,24 @@ def cmd_summability(args) -> tuple[int, dict]:
     cfg = dirac.DiracConfig(p=p, nmax=args.nmax, tol=args.tol)
     rep = dirac.summability_probe(cfg, args.eps)
     rep["command"] = "summability"
-    ok = all(sh["factors_decrease_geometrically"] for sh in rep["shells"])
-    rep["passed"] = ok
-    return (EXIT_OK if ok else EXIT_VERIFICATION_FAILED), rep
+    rep["passed"] = all(sh["factors_decrease_geometrically"] for sh in rep["shells"])
+    return rep
 
 
-def cmd_rewrite(args) -> tuple[int, dict]:
+def cmd_rewrite(args) -> dict:
     from . import ncrewrite
 
     f = _parsed(ncrewrite.poly_from_string, args.expr)
     nf = ncrewrite.normal_form(f)
-    report = {
+    return {
         "command": "rewrite", "input": args.expr,
         "normal_form": ncrewrite.poly_to_str(nf),
         "is_zero": not nf,
         "grades": sorted({ncrewrite.grade(w) for w, _ in nf}),
     }
-    return EXIT_OK, report
 
 
-def cmd_verify_cp2_relations(args) -> tuple[int, dict]:
+def cmd_verify_cp2_relations(args) -> dict:
     from . import ncrewrite
 
     _at_least(args.samples, 1, "--samples")
@@ -339,17 +336,17 @@ def cmd_verify_cp2_relations(args) -> tuple[int, dict]:
               "classical_passed": cross["passed"], "passed": ok}
     if not rep["passed"]:
         report["failed_relations"] = [r for r in rep["relations"] if not r["passed"]]
-    return (EXIT_OK if ok else EXIT_VERIFICATION_FAILED), report
+    return report
 
 
-def cmd_classical_check(args) -> tuple[int, dict]:
+def cmd_classical_check(args) -> dict:
     from . import classical
 
     _at_least(args.samples, 1, "--samples")
     _at_least(args.seed, 0, "--seed")
     battery = classical.run_sample_battery(args.samples, args.seed, args.tol)
     if "bad_sample" in battery:
-        return EXIT_VERIFICATION_FAILED, {
+        return {
             "command": "classical-check", "samples": args.samples, "seed": args.seed,
             "error": f"sample of seed {battery['bad_sample']} is not special unitary",
             "bad_sample": battery["bad_sample"], **battery["detail"], "passed": False}
@@ -366,18 +363,19 @@ def cmd_classical_check(args) -> tuple[int, dict]:
                                    "observable": f"p{i}{j}",
                                    "residual": rep["residual"],
                                    "passed": rep["passed"]})
-    report = {"command": "classical-check", "samples": args.samples,
-              "seed": args.seed, "battery": battery["residuals"],
-              "serre_relations_passed": reps["passed"],
-              "rows": local_rows, "passed": ok}
-    return (EXIT_OK if ok else EXIT_VERIFICATION_FAILED), report
+    return {"command": "classical-check", "samples": args.samples,
+            "seed": args.seed, "battery": battery["residuals"],
+            "serre_relations_passed": reps["passed"],
+            "rows": local_rows, "passed": ok}
 
 
-def cmd_decompose(args) -> tuple[int, dict]:
+def cmd_decompose(args) -> dict:
     from . import peterweyl
 
     _at_least(args.nmax, 0, "--nmax")
     _at_most(args.nmax, DECOMPOSE_NMAX_GUARD, "--nmax")
+    if args.kind == "line_bundle":  # a negative N builds V(n + |N|, n)
+        _at_most(abs(args.N), DECOMPOSE_N_GUARD, "|--N|")
     spec = peterweyl.SubspaceSpec(args.kind, args.nmax, args.N)
     basis = peterweyl.subspace_basis(spec)
     # a form1_doublet member is a (v+, v-) pair, counted by its v+ key
@@ -388,10 +386,10 @@ def cmd_decompose(args) -> tuple[int, dict]:
               "N": args.N, "total": len(basis), "rows": rows, "passed": True}
     if args.dump:
         report["basis"] = peterweyl.basis_dump_lines(spec, basis)
-    return EXIT_OK, report
+    return report
 
 
-def cmd_evaluate(args) -> tuple[int, dict]:
+def cmd_evaluate(args) -> dict:
     from . import irreps, ualg
 
     p = _qparam(args)
@@ -400,11 +398,14 @@ def cmd_evaluate(args) -> tuple[int, dict]:
     _at_least(args.n2, 0, "--n2")
     label = irreps.IrrepLabel(args.n1, args.n2)
     _at_most(irreps.dim(label), EVALUATE_DIM_GUARD, "the dimension of the --n1 --n2 irrep")
-    mat = ualg.evaluate(elem, label, p)
-    report = {"command": "evaluate", "q": p.q, "expr": args.expr,
-              "label": [label.n1, label.n2], "matrix": mat.tolist(),
-              "passed": True}
-    return EXIT_OK, report
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned of
+        mat = ualg.evaluate(elem, label, p)
+    if not np.isfinite(mat).all():
+        raise ConfigError(f"the matrix on ({label.n1},{label.n2}) has entries outside the float range")
+    return {"command": "evaluate", "q": p.q, "expr": args.expr,
+            "label": [label.n1, label.n2], "matrix": mat.tolist(), "passed": True}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -472,7 +473,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         _tol_guard(args)
-        code, report = args.fn(args)
+        report = args.fn(args)
+        # the verdict is the report's; a report with no verdict (rewrite's) passes
+        code = EXIT_OK if report.get("passed", True) else EXIT_VERIFICATION_FAILED
     except VerificationError as exc:
         code, report = EXIT_VERIFICATION_FAILED, {"error": str(exc), "passed": False}
     except ConfigError as exc:

@@ -37,25 +37,6 @@ class IrrepLabel(NamedTuple):
     n2: int
 
 
-class GTVector(NamedTuple):
-    """Basis label; mm and the j's are ints, the magnetic label is m = mm/2.
-
-    An equivalent labeling by triangular patterns p_ij exists
-    (n1 = p13-p23-1, n2 = p23-p33-1, j1 = p12-p23-1, j2 = p23-p22,
-    2m = 2p11-p12-p22-1); this package stays with the (j1, j2, m) labels.
-    """
-
-    n1: int
-    n2: int
-    j1: int
-    j2: int
-    mm: int
-
-    @property
-    def m(self) -> float:
-        return self.mm / 2.0
-
-
 GENERATORS = ("K1", "K1inv", "K2", "K2inv", "E1", "E2", "F1", "F2", "H", "Hinv")
 DIAGONAL_GENERATORS = ("K1", "K1inv", "K2", "K2inv", "H", "Hinv")
 
@@ -81,11 +62,6 @@ def gt_triples(label) -> list[tuple[int, int, int]]:
             s = j1 + j2
             out.append([(j1, j2, mm) for mm in range(-s, s + 1, 2)])
     return [t for block in out for t in block]
-
-
-def enumerate_basis(label) -> list[GTVector]:
-    n1, n2 = check_label(label)
-    return [GTVector(n1, n2, *t) for t in gt_triples(label)]
 
 
 def gt_index(label) -> dict[tuple[int, int, int], int]:

@@ -23,7 +23,8 @@ creates and passes down, so no state outlives a call.  A memo entry
 reference, so a one-term rule only scales its target's base.  On top sit
 the projective-plane generators p_ij = z_i* z_j, their verified relation
 list, the line-bundle grading, a diamond-lemma confluence certificate with
-an empirical cross-check, and a commutative cross-check at q = 1.
+an empirical cross-check, a commutative cross-check at q = 1, and the
+command line's polynomial grammar, an exact fold of qarith.term_tokens.
 
 The empirical sweep fills a table of canonical normal forms (see canon)
 per word length, finding each reduct's by index arithmetic; to degree 6
@@ -35,11 +36,10 @@ bit for bit classical_value's arithmetic.
 from __future__ import annotations
 
 import itertools
-import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .qarith import LATTICE, VerificationError, _coeff
+from .qarith import LATTICE, VerificationError, _coeff, term_tokens
 
 # letter codes in reduction order
 Z1, Z2, Z3, Z3S, Z2S, Z1S = range(6)
@@ -184,10 +184,6 @@ def normal_form(f: NCPoly, memo: dict | None = None) -> NCPoly:
         c2, k2, base = _scaled_normal_form(w, memo)
         poly_add(out, base, k + k2, c * c2)
     return out
-
-
-def is_normal(word: NCMonomial) -> bool:
-    return not _redexes(word)
 
 
 def verify_identity(lhs: NCPoly, rhs: NCPoly, memo: dict | None = None) -> bool:
@@ -543,74 +539,28 @@ def classical_cross_check(samples: int = 100, seed: int = 1, tol: float = 1e-10)
 
 # -- text grammar ---------------------------------------------------------------
 
-_NC_TOKEN = re.compile(
-    r"\s*(?:(?P<p>p(?P<pi>[123])(?P<pj>[123]))"
-    r"|(?P<z>z(?P<zi>[123])(?P<star>\*)?)"
-    r"|(?P<qpower>q\^(?P<qexp>-?\d+))"
-    r"|(?P<rat>-?\d+(?:/\d+)?)"
-    r"|(?P<op>[+\-*])"
-    r")"
-)
+# each identifier's letters: z names one, p_ij = z_i* z_j two
+_FACTORS = {**{name: (let,) for let, name in enumerate(LETTER_NAMES)},
+            **{f"p{i}{j}": (STAR_OF[i], PLAIN_OF[j]) for i in (1, 2, 3) for j in (1, 2, 3)}}
 
 
 def poly_from_string(text: str) -> NCPoly:
-    """Parse the small CLI grammar: terms of rational and q-power
-    coefficients with juxtaposed z/p identifiers, e.g.
-    "z2 z1 - q^-1 z1 z2" or "p12 p21"; p identifiers expand to z* z.
-
-    Raises ValueError on empty input, on an operator without an operand on
-    either side (a leading "-" is a sign), and on a zero denominator."""
-    pos = 0
+    """Parse the CLI grammar (qarith.term_tokens) over the z and p
+    identifiers, e.g. "z2 z1 - q^-1 z1 z2" or "p12 p21"; p identifiers
+    expand to z* z.  Coefficients are exact."""
     total: NCPoly = {}
     word, k, c = (), 0, 1  # the term c t^k word being read
-    started = False
-    operand_due = True  # no factor since the start or the last operator
-
-    def flush():
-        nonlocal word, k, c, started
-        if started and c:
-            poly_add(total, {(word, 0): 1}, k, c)
-        word, k, c = (), 0, 1
-        started = False
-
-    while pos < len(text):
-        m = _NC_TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"cannot parse polynomial at {text[pos:]!r}")
-        start, pos = m.start(), m.end()
-        op = m.group("op")
-        leading_sign = op == "-" and not text[:start].strip()
-        if op and operand_due and not leading_sign:
-            raise ValueError(f"operator {op!r} without a left operand at {text[start:].strip()!r}")
-        operand_due = bool(op)
-        if m.group("p"):
-            word += (STAR_OF[int(m.group("pi"))], PLAIN_OF[int(m.group("pj"))])
-            started = True
-        elif m.group("z"):
-            i = int(m.group("zi"))
-            word += (STAR_OF[i] if m.group("star") else PLAIN_OF[i],)
-            started = True
-        elif m.group("qpower"):
-            k += LATTICE * int(m.group("qexp"))
-            started = True
-        elif m.group("rat"):
-            try:
-                value = Fraction(m.group("rat"))
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {m.group('rat')!r}") from None
+    for kind, value in term_tokens(text, r"p[123][123]|z[123]\*?", "polynomial"):
+        if kind == "factor":
+            word += _FACTORS[value]
+        elif kind == "q":
+            k += LATTICE * value
+        elif kind == "rat":
             c = _coeff(c * value)
-            started = True
-        else:
-            if op == "*":
-                continue
-            flush()
-            if op == "-":
-                c = -1
-    if operand_due:
-        raise ValueError(f"dangling operator in {text!r}" if text.strip() else "empty polynomial")
-    flush()
+        else:  # the term ends with its sign
+            if c:
+                poly_add(total, {(word, 0): 1}, k, value * c)
+            word, k, c = (), 0, 1
     return total
 
 

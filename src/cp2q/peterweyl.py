@@ -110,15 +110,6 @@ def black_act(elem: ualg.AlgebraElement, vec: PWVector, p: QParam) -> PWVector:
     return _act(elem, vec, p, "black")
 
 
-def black_k1k22_twelfths(n1: int, n2: int, black: tuple) -> int:
-    """Exponent w with K1K2^2 acting (black) as q^(w/12): the line-bundle grade."""
-    label = (n1, n2)
-    return (
-        irreps.weight_twelfths("K1", label, black)
-        + 2 * irreps.weight_twelfths("K2", label, black)
-    )
-
-
 # -- subspaces ---------------------------------------------------------------
 
 class SubspaceSpec(NamedTuple):

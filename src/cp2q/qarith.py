@@ -7,12 +7,18 @@ weight occurring in the representation theory (halves, quarters, sixths
 and twelfths of q-exponents) is an integer power of t.  The rewriting
 engine's exact coefficients are Laurent polynomials in t.
 
+The module also holds the syntax the command line's two term grammars
+share (term_tokens): `evaluate`'s algebra elements and `rewrite`'s
+coordinate polynomials differ only in their factors and in what they
+fold the tokens into.
+
 Only a non-integral rational needs `fractions`, so it is imported where
 one is built; an integer exponent or coefficient never loads it.
 """
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 
@@ -96,3 +102,55 @@ def qbinom(n: int, m: int, p: QParam) -> float:
     if not (0 <= m <= n):
         raise QArithError(f"q-binomial needs 0 <= m <= n, got ({n},{m})")
     return qfact(n, p) / (qfact(m, p) * qfact(n - m, p))
+
+
+def term_tokens(text: str, factor: str, noun: str):
+    """Read a sum of terms, each a product of juxtaposed tokens (a "*"
+    between two is optional): factors, which match the grammar's pattern
+    `factor`, powers q^k and rationals, e.g. "E1 F1 - q^-1 F1 E1".  Yield,
+    one token at a time, ("factor", its text), ("q", k), ("rat", an int or
+    a Fraction), and ("end", the term's sign, 1 or -1) after each term.
+
+    Raises ValueError, naming the grammar's noun, on text no token matches,
+    on empty input, on an operator without an operand on either side (a
+    leading "-" is a sign) and on a zero denominator, each where it is read."""
+    # compiled once per pattern: re keeps the compiled patterns it has seen
+    token = re.compile(rf"\s*(?:(?P<factor>{factor})|q\^(?P<q>-?\d+)|(?P<rat>-?\d+(?:/\d+)?)|(?P<op>[+\-*]))")
+    pos, sign, operand_due = 0, 1, True  # no operand since the start or the last operator
+    while pos < len(text):
+        m = token.match(text, pos)
+        if not m:
+            if text[pos:].strip() == "":
+                break
+            raise ValueError(f"cannot parse {noun} at {text[pos:]!r}")
+        start, pos = m.start(), m.end()
+        op = m["op"]
+        leading_sign = op == "-" and not text[:start].strip()
+        if op and operand_due and not leading_sign:
+            raise ValueError(f"operator {op!r} without a left operand at {text[start:].strip()!r}")
+        operand_due = bool(op)
+        if m["factor"]:
+            yield "factor", m["factor"]
+        elif m["q"]:
+            yield "q", int(m["q"])
+        elif m["rat"]:
+            yield "rat", _rational(m["rat"])
+        elif op != "*":
+            if not leading_sign:
+                yield "end", sign
+            sign = -1 if op == "-" else 1
+    if operand_due:
+        raise ValueError(f"dangling operator in {text!r}" if text.strip() else f"empty {noun}")
+    yield "end", sign
+
+
+def _rational(text: str):
+    """A rational token's value: an int, or a Fraction when it has a "/"."""
+    if "/" not in text:
+        return int(text)
+    from fractions import Fraction
+
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None

@@ -7,16 +7,16 @@ sidesteps a PBW rewriting theory.  The module supplies the named operators
 entering the Dolbeault complex (X, Y and their stars), the central Casimir
 element of the extension, the Hopf structure maps (star, the op-algebra
 involution swapping raising and lowering operators, coproduct, counit),
-and a small text grammar for the command line.
+and the command line's element grammar, a float fold of qarith.term_tokens.
 """
 
 from __future__ import annotations
 
-import re
+import math
 
 from . import irreps
 from .irreps import GENERATORS
-from .qarith import QParam, qint
+from .qarith import QParam, qint, term_tokens
 
 Word = tuple  # tuple of generator names; () is the unit
 
@@ -372,76 +372,25 @@ def verify_coproduct_identity(p: QParam, tol: float = 1e-12, label=(0, 1)) -> di
 
 # -- text grammar ------------------------------------------------------------
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<gen>K1'|K2'|H'|K1|K2|E1|E2|F1|F2|H)"
-    r"|(?P<qpower>q\^(?P<qexp>-?\d+))"
-    r"|(?P<rat>-?\d+(?:/\d+)?)"
-    r"|(?P<op>[+\-*])"
-    r")"
-)
-
 _GEN_ALIAS = {"K1'": "K1inv", "K2'": "K2inv", "H'": "Hinv"}
 
 
 def element_from_string(text: str, p: QParam) -> AlgebraElement:
-    """Parse the CLI grammar: terms separated by '+'/'-', each term an
-    optional rational and q-power coefficient followed by juxtaposed
-    generators (primes denote inverses), e.g. "E1 F1 - q^-1 F1 E1".
-
-    Raises ValueError on empty input, on an operator without an operand on
-    either side (a leading "-" is a sign), and on a zero denominator."""
-    pos = 0
-    terms: list[AlgebraElement] = []
-    sign = 1.0
-    coeff = 1.0
-    word: list[str] = []
-    started = False
-    operand_due = True  # no operand since the start or the last operator
-
-    def flush():
-        nonlocal sign, coeff, word, started
-        if started:
-            terms.append(AlgebraElement.word(tuple(word), sign * coeff))
-        sign, coeff, word, started = 1.0, 1.0, [], False
-
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"cannot parse element at {text[pos:]!r}")
-        start, pos = m.start(), m.end()
-        op = m.group("op")
-        leading_sign = op == "-" and not text[:start].strip()
-        if op and operand_due and not leading_sign:
-            raise ValueError(f"operator {op!r} without a left operand at {text[start:].strip()!r}")
-        operand_due = bool(op)
-        if m.group("gen"):
-            g = _GEN_ALIAS.get(m.group("gen"), m.group("gen"))
-            word.append(g)
-            started = True
-        elif m.group("qpower"):
-            coeff *= p.q ** int(m.group("qexp"))
-            started = True
-        elif m.group("rat"):
-            from fractions import Fraction
-
-            try:
-                coeff *= float(Fraction(m.group("rat")))
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {m.group('rat')!r}") from None
-            started = True
-        else:
-            if op == "*":
-                continue
-            if started:
-                flush()
-            if op == "-":
-                sign = -sign
-    if operand_due:
-        raise ValueError(f"dangling operator in {text!r}" if text.strip() else "empty element")
-    flush()
-    out = AlgebraElement.zero()
-    for t in terms:
-        out = out + t
+    """Parse the CLI grammar (qarith.term_tokens) over the generators,
+    primes denoting inverses, e.g. "E1 F1 - q^-1 F1 E1".  Each term's
+    coefficient is a float: one that leaves the float range raises
+    ValueError, as the grammar's own errors do."""
+    out, coeff, word = AlgebraElement.zero(), 1.0, []
+    for kind, value in term_tokens(text, r"K1'|K2'|H'|K1|K2|E1|E2|F1|F2|H", "element"):
+        if kind == "factor":
+            word.append(_GEN_ALIAS.get(value, value))
+            continue
+        try:  # a q-power, a rational, or the sign that ends the term
+            coeff *= p.q ** value if kind == "q" else float(value)
+        except OverflowError:
+            coeff = math.inf
+        if not math.isfinite(coeff):
+            raise ValueError(f"term coefficient outside the float range in {text!r}")
+        if kind == "end":
+            out, coeff, word = out + AlgebraElement.word(tuple(word), coeff), 1.0, []
     return out

@@ -271,6 +271,35 @@ def test_other_errors_surface(monkeypatch):
         run_cli(["evaluate", "E1", "--n1", "0", "--n2", "1"])
 
 
+# the two term grammars share one syntax: each malformed input fails alike
+# in both, with the error text naming the grammar's noun; {a} and {b} are
+# two of its factors
+GRAMMAR_ERRORS = [
+    ("", "empty {noun}"),
+    ("  ", "empty {noun}"),
+    ("+", "operator '+' without a left operand at '+'"),
+    ("{a} - + {b}", "operator '+' without a left operand at '+ {b}'"),
+    ("{a} +", "dangling operator in '{a} +'"),
+    ("* x", "operator '*' without a left operand at '* x'"),
+    ("1/0 {a}", "zero denominator in '1/0'"),
+    ("{a} + z4", "cannot parse {noun} at ' z4'"),
+    # a zero denominator is refused at its token, before the term's next one
+    ("1/0 z4", "zero denominator in '1/0'"),
+]
+
+
+@pytest.mark.parametrize("expr, error", GRAMMAR_ERRORS,
+                         ids=("empty", "blank", "lone-operator", "no-left-operand", "dangling",
+                              "leading-star", "zero-denominator", "unknown", "zero-denominator-first"))
+@pytest.mark.parametrize("command, a, b, noun", [("evaluate", "E1", "F1", "element"),
+                                                 ("rewrite", "z1", "z2", "polynomial")],
+                         ids=("evaluate", "rewrite"))
+def test_grammar_errors_are_config_errors_with_fixed_texts(command, a, b, noun, expr, error):
+    code, out = run_cli([command, expr.format(a=a, b=b)])
+    assert code == cli.EXIT_CONFIG_ERROR
+    assert json.loads(out) == {"error": error.format(a=a, b=b, noun=noun), "passed": False}
+
+
 # one case per guard on unbounded work: the command line one past its cap,
 # the same command at its cap, and the workers with stub results
 GUARDS = [
@@ -315,6 +344,14 @@ GUARDS = [
     # sphere is the largest kind at a given nmax
     (["decompose", "sphere", "--nmax", str(cli.DECOMPOSE_NMAX_GUARD + 1)],
      ["decompose", "sphere", "--nmax", str(cli.DECOMPOSE_NMAX_GUARD)],
+     [(peterweyl, "subspace_basis", [])]),
+    # a line bundle's basis grows with |N| at any nmax; a negative N builds
+    # V(n + |N|, n), as large as V(n, n + |N|)
+    (["decompose", "line_bundle", "--nmax", "12", "--N", str(cli.DECOMPOSE_N_GUARD + 1)],
+     ["decompose", "line_bundle", "--nmax", "12", "--N", str(cli.DECOMPOSE_N_GUARD)],
+     [(peterweyl, "subspace_basis", [])]),
+    (["decompose", "line_bundle", "--nmax", "12", "--N", str(-cli.DECOMPOSE_N_GUARD - 1)],
+     ["decompose", "line_bundle", "--nmax", "12", "--N", str(-cli.DECOMPOSE_N_GUARD)],
      [(peterweyl, "subspace_basis", [])]),
 ]
 

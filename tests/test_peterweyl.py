@@ -188,8 +188,6 @@ def test_form1_membership():
 def test_k1k22_black_eigenvalue_bookkeeping():
     # q^((3/2)(l1-l2) + n2-n1) on the black triple; the 1-form families
     # give q^(n2-n1 +- 3/2)
-    assert pw.black_k1k22_twelfths(2, 2, (1, 0, 1)) == 18
-    assert pw.black_k1k22_twelfths(1, 4, (0, 1, 1)) == 12 * 3 - 18
     v = pw.pw_vector(2, 2, (0, 0, 0), (1, 0, -1))
     got = pw.black_act(K1K22, v, P5)
     assert residual(got, pw.scaled(v, Q**1.5)) < 1e-13

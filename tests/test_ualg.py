@@ -221,3 +221,31 @@ def test_element_parser_rejects_malformed_input(expr):
     assert code == cli.EXIT_CONFIG_ERROR
     report = json.loads(buf.getvalue())
     assert report["passed"] is False and report["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["q^-9999 E1", "--n1", "0", "--n2", "1"],  # the power overflows
+    ["1" * 401 + " E1", "--n1", "0", "--n2", "1"],  # the rational overflows
+    # the product of two finite factors overflows
+    ["q^-1000 q^-1000 E1", "--n1", "0", "--n2", "1"],
+    # finite coefficients whose matrix leaves the float range
+    ["q^-580 E1 F1", "--q", "0.3", "--n1", "9", "--n2", "9"],
+], ids=("power", "rational", "product", "matrix"))
+def test_evaluate_refuses_values_outside_the_float_range(argv):
+    import contextlib
+    import io
+    import json
+    import warnings
+
+    from cp2q import cli
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["evaluate", *argv])
+    assert code == cli.EXIT_CONFIG_ERROR
+    report = json.loads(buf.getvalue(), parse_constant=reject)
+    assert report["passed"] is False and "float range" in report["error"]

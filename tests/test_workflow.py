@@ -46,3 +46,13 @@ def test_tier1_workflow_runs_the_relation_battery_at_its_degree_cap():
     steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
     runs = [s["run"] for s in steps if "run" in s]
     assert f"PYTHONPATH=src python -m cp2q.cli verify-cp2-relations --max-deg {cli.MAX_DEG_GUARD}" in runs
+
+
+def test_tier1_workflow_lists_the_line_bundle_basis_at_its_caps():
+    # the largest line-bundle basis the caps admit, which no test lists;
+    # a step fails on a nonzero exit
+    yaml = pytest.importorskip("yaml")
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
+    runs = [s["run"] for s in steps if "run" in s]
+    assert (f"PYTHONPATH=src python -m cp2q.cli decompose line_bundle --nmax {cli.DECOMPOSE_NMAX_GUARD} "
+            f"--N {cli.DECOMPOSE_N_GUARD} --dump > /dev/null") in runs
