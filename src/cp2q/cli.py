@@ -376,6 +376,8 @@ def cmd_decompose(args) -> dict:
     _at_most(args.nmax, DECOMPOSE_NMAX_GUARD, "--nmax")
     if args.kind == "line_bundle":  # a negative N builds V(n + |N|, n)
         _at_most(abs(args.N), DECOMPOSE_N_GUARD, "|--N|")
+    elif args.N:
+        raise ConfigError(f"--N is read by line_bundle only, got {args.N} for {args.kind}")
     spec = peterweyl.SubspaceSpec(args.kind, args.nmax, args.N)
     basis = peterweyl.subspace_basis(spec)
     # a form1_doublet member is a (v+, v-) pair, counted by its v+ key

@@ -29,15 +29,17 @@ command line's polynomial grammar, an exact fold of qarith.term_tokens.
 The empirical sweep fills a table of canonical normal forms (see canon)
 per word length, finding each reduct's by index arithmetic; to degree 6
 and 7 it checks 44,584 and 304,848 words in 0.1 and 0.8 s (2-vCPU box).
-The q = 1 cross-check evaluates each word at all sample points at once,
-bit for bit classical_value's arithmetic.
+The q = 1 cross-check is plain Python, as is the whole module, so neither
+`rewrite` nor `verify-cp2-relations` loads numpy: it draws its points with
+the standard library's random and evaluates each relation side with
+classical_value's arithmetic, reading each side's terms once.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, hypot, lcm
 
 from .qarith import LATTICE, VerificationError, _coeff, term_tokens
 
@@ -464,76 +466,63 @@ def critical_pairs() -> dict:
 
 # -- classical cross-check -----------------------------------------------------
 
-def _at_one(f: NCPoly) -> dict:
-    """Word -> its exact coefficient at t = 1, summed before any rounding."""
+def _terms(f: NCPoly) -> list:
+    """(coefficient at t = 1 as a complex, word) per word of f, the word's
+    exact coefficients summed before any rounding."""
     at_one: dict = {}
     for (w, _), c in f.items():
         at_one[w] = at_one.get(w, 0) + c
-    return at_one
+    return [(complex(c), w) for w, c in at_one.items()]
 
 
-def classical_value(f: NCPoly, zpt) -> complex:
-    """Evaluate commutatively at q = 1 on a classical 5-sphere point."""
-    vals = {Z1: zpt[0], Z2: zpt[1], Z3: zpt[2],
-            Z1S: zpt[0].conjugate(), Z2S: zpt[1].conjugate(), Z3S: zpt[2].conjugate()}
+def _value(terms: list, vals: tuple) -> complex:
+    """Sum of the terms, each coefficient multiplied by its word's letters
+    left to right; vals[let] is the value of letter code let."""
     total = 0.0 + 0.0j
-    for w, c in _at_one(f).items():
-        term = complex(c)
+    for term, w in terms:
         for let in w:
             term *= vals[let]
         total += term
     return total
 
 
-def _classical_values(f: NCPoly, vals: dict) -> tuple:
-    """classical_value at every sample point at once, as (real, imag)
-    arrays: `vals` maps each letter to its (real, imag) arrays.  The split
-    form repeats the scalar complex product and sum operation by operation,
-    so each point's value is bit-identical to classical_value's."""
-    total_re = total_im = 0.0
-    for w, c in _at_one(f).items():
-        c = complex(c)
-        re, im = c.real, c.imag
-        for let in w:
-            vr, vi = vals[let]
-            re, im = re * vr - im * vi, re * vi + im * vr
-        total_re, total_im = total_re + re, total_im + im
-    return total_re, total_im
+def _letter_values(zpt) -> tuple:
+    """The value of each letter code at a classical point (z1, z2, z3)."""
+    z1, z2, z3 = zpt
+    return z1, z2, z3, z3.conjugate(), z2.conjugate(), z1.conjugate()
 
 
-def sample_points(samples: int, seed: int):
-    """`samples` random points of the classical 5-sphere, a (samples, 3)
-    complex array: per point, three normal draws for the real parts, then
-    three for the imaginary parts, normalized point by point."""
-    import numpy as np
-
-    draws = np.random.default_rng(seed).normal(size=(samples, 2, 3))
-    points = [v / np.linalg.norm(v) for v in draws[:, 0] + 1j * draws[:, 1]]
-    return np.array(points, dtype=complex).reshape(samples, 3)
+def classical_value(f: NCPoly, zpt) -> complex:
+    """Evaluate commutatively at q = 1 on a classical 5-sphere point."""
+    return _value(_terms(f), _letter_values(zpt))
 
 
-def classical_residuals(pts):
-    """Yield (name, residuals) for every verified identity: |lhs - rhs| at
-    q = 1 at every point of a (points, 3) complex array, evaluated over all
-    points at once.  Each residual is bit-identical to the per-point
-    abs(classical_value(lhs, z) - classical_value(rhs, z))."""
-    import numpy as np
+def sample_points(samples: int, seed: int) -> list[tuple]:
+    """`samples` random points of the classical 5-sphere as (z1, z2, z3)
+    complex tuples: per point, six normal draws of random.Random(seed),
+    the three real parts and then the three imaginary parts, divided by
+    their math.hypot."""
+    import random
 
-    vals = {}
-    for let, k in ((Z1, 0), (Z2, 1), (Z3, 2)):
-        re, im = np.ascontiguousarray(pts[:, k].real), np.ascontiguousarray(pts[:, k].imag)
-        vals[let], vals[_FLIP[let]] = (re, im), (re, -im)
-    for name, lhs, rhs in cp2_relations() + projector_relations():
-        (lre, lim), (rre, rim) = _classical_values(lhs, vals), _classical_values(rhs, vals)
-        yield name, np.hypot(lre - rre, lim - rim)
+    gauss = random.Random(seed).gauss
+    points = []
+    for _ in range(samples):
+        x = [gauss(0.0, 1.0) for _ in range(6)]
+        r = hypot(*x)
+        points.append(tuple(complex(x[i] / r, x[i + 3] / r) for i in range(3)))
+    return points
 
 
 def classical_cross_check(samples: int = 100, seed: int = 1, tol: float = 1e-10) -> dict:
     """Both sides of every verified identity agree at random classical
-    points (commutative sanity only)."""
+    points (commutative sanity only).  Each side's terms are read once and
+    each point's letter values built once; each residual is
+    abs(classical_value(lhs, z) - classical_value(rhs, z)), bit for bit."""
+    sides = [(_terms(lhs), _terms(rhs)) for _, lhs, rhs in cp2_relations() + projector_relations()]
     worst = 0.0
-    for _, residuals in classical_residuals(sample_points(samples, seed)):
-        worst = max(worst, float(residuals.max(initial=0.0)))
+    for zpt in sample_points(samples, seed):
+        vals = _letter_values(zpt)
+        worst = max(worst, *[abs(_value(lhs, vals) - _value(rhs, vals)) for lhs, rhs in sides])
     return {"samples": samples, "max_abs_error": worst, "passed": worst < tol}
 
 

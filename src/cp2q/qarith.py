@@ -113,12 +113,16 @@ def term_tokens(text: str, factor: str, noun: str):
 
     Raises ValueError, naming the grammar's noun, on text no token matches,
     on empty input, on an operator without an operand on either side (a
-    leading "-" is a sign) and on a zero denominator, each where it is read."""
-    # compiled once per pattern: re keeps the compiled patterns it has seen
-    token = re.compile(rf"\s*(?:(?P<factor>{factor})|q\^(?P<q>-?\d+)|(?P<rat>-?\d+(?:/\d+)?)|(?P<op>[+\-*]))")
+    leading "-" is a sign) and on a zero denominator, each where it is read.
+    A "-" glued to a number is its sign only where an operand is due, so
+    "z1 -2 z2" reads as "z1 - 2 z2" and "z1 * -2 z2" as a product."""
+    # compiled once per pattern: re keeps the compiled patterns it has seen;
+    # the first reads a signed rational, the second one after an operand
+    signed, unsigned = (re.compile(rf"\s*(?:(?P<factor>{factor})|q\^(?P<q>-?\d+)|"
+                                   rf"(?P<rat>{minus}\d+(?:/\d+)?)|(?P<op>[+\-*]))") for minus in ("-?", ""))
     pos, sign, operand_due = 0, 1, True  # no operand since the start or the last operator
     while pos < len(text):
-        m = token.match(text, pos)
+        m = (signed if operand_due else unsigned).match(text, pos)
         if not m:
             if text[pos:].strip() == "":
                 break

@@ -93,6 +93,16 @@ def test_decompose_command():
     assert json.loads(out)["total"] == 45
 
 
+@pytest.mark.parametrize("kind", ["sphere", "cp2", "form1_doublet"])
+def test_decompose_refuses_an_N_its_kind_ignores(kind):
+    # only line_bundle reads --N; the default 0 is accepted
+    code, out = run_cli(["decompose", kind, "--nmax", "1", "--N", "5"])
+    assert code == cli.EXIT_CONFIG_ERROR
+    assert json.loads(out) == {"error": f"--N is read by line_bundle only, got 5 for {kind}", "passed": False}
+    code, out = run_cli(["decompose", kind, "--nmax", "1", "--N", "0"])
+    assert code == cli.EXIT_OK and json.loads(out)["N"] == 0
+
+
 def test_evaluate_command():
     code, out = run_cli(["evaluate", "E1 F1 - F1 E1", "--q", "0.5", "--n1", "0", "--n2", "1"])
     assert code == 0
@@ -300,6 +310,23 @@ def test_grammar_errors_are_config_errors_with_fixed_texts(command, a, b, noun, 
     assert json.loads(out) == {"error": error.format(a=a, b=b, noun=noun), "passed": False}
 
 
+# a "-" glued to a number after an operand is the operator, as with a space;
+# where an operand is due it is the number's sign (normal forms as printed
+# before the operator reading)
+SIGNED_NUMBERS = [("-2 z1", "(-2) z1"), ("z1 * -2 z2", "(-2) z1 z2"),
+                  ("z1 - -2 z2", "(1) z1 + (2) z2"), ("q^-1 z1", "(1*q^-1) z1")]
+
+
+def test_a_minus_after_an_operand_is_the_operator():
+    for command, a, b, echo in (("rewrite", "z1", "z2", "input"), ("evaluate", "E1", "F1", "expr")):
+        glued, spaced = (json.loads(run_cli([command, f"{a} {op}2 {b}"])[1]) for op in ("-", "- "))
+        assert glued.pop(echo) == f"{a} -2 {b}" and spaced.pop(echo) == f"{a} - 2 {b}"
+        assert glued == spaced
+    for expr, nf in SIGNED_NUMBERS:
+        code, out = run_cli(["rewrite", expr])
+        assert code == cli.EXIT_OK and json.loads(out)["normal_form"] == nf
+
+
 # one case per guard on unbounded work: the command line one past its cap,
 # the same command at its cap, and the workers with stub results
 GUARDS = [
@@ -424,11 +451,13 @@ def launch_in_fresh_interpreter(argv):
     return code, set(loaded)
 
 
-@pytest.mark.parametrize("argv, code", [([], None), (["rewrite", "p12 p21"], 0), (["rewrite", "z4"], 2)],
-                         ids=("import", "rewrite", "malformed-rewrite"))
+@pytest.mark.parametrize("argv, code", [([], None), (["rewrite", "p12 p21"], 0), (["rewrite", "z4"], 2),
+                                        (["verify-cp2-relations", "--max-deg", "3"], 0)],
+                         ids=("import", "rewrite", "malformed-rewrite", "verify-cp2-relations"))
 def test_exact_launches_load_no_numpy(argv, code):
-    # importing the command line, a rewrite and a malformed rewrite (a usage
-    # error) all stay on the exact path
+    # importing the command line, a rewrite, a malformed rewrite (a usage
+    # error) and the relation battery with its q = 1 cross-check all stay on
+    # the exact path
     got, loaded = launch_in_fresh_interpreter(argv)
     assert got == code and "numpy" not in loaded
 

@@ -12,7 +12,8 @@ The relation battery pins the verify-cp2-relations report at degrees 4
 and 6, the latter the benchmark's exact command and captured before the
 confluence sweep moved to canonical interned normal forms: its key order,
 its branching_words count and the last digit of its classical_max_error
-float.
+float, re-captured when the q = 1 cross-check moved to the standard
+library's random draws (every other byte unchanged).
 Any change to a number, a coefficient's printed form, a key order or a
 float's last digit shows up here as a failure.
 """

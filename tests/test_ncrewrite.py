@@ -193,27 +193,32 @@ def test_a_rule_that_does_not_decrease_the_order_is_rejected(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [1, 4])
-def test_cross_check_arrays_match_classical_value_bit_for_bit(seed):
-    # the points are the per-point draws of default_rng(seed), and every
-    # (relation, point) residual is the scalar path's, to the last bit
-    rng = np.random.default_rng(seed)
-    points = []
-    for _ in range(60):
-        v = rng.normal(size=3) + 1j * rng.normal(size=3)
-        points.append(v / np.linalg.norm(v))
+def test_cross_check_matches_classical_value_bit_for_bit(seed):
+    # the worst residual is the per-point scalar path's, to the last bit
     pts = nc.sample_points(60, seed)
-    assert np.array_equal(pts, np.array(points))
-    relations = nc.cp2_relations() + nc.projector_relations()
-    residuals = list(nc.classical_residuals(pts))
-    assert [name for name, _ in residuals] == [name for name, _, _ in relations]
     worst = 0.0
-    for (_, row), (name, lhs, rhs) in zip(residuals, relations):
-        assert row.shape == (60,)
-        for got, z in zip(row, points):
-            want = abs(nc.classical_value(lhs, z) - nc.classical_value(rhs, z))
-            assert float(got).hex() == float(want).hex(), name
-            worst = max(worst, want)
-    assert nc.classical_cross_check(samples=60, seed=seed)["max_abs_error"] == worst
+    for z in pts:
+        for _, lhs, rhs in nc.cp2_relations() + nc.projector_relations():
+            worst = max(worst, abs(nc.classical_value(lhs, z) - nc.classical_value(rhs, z)))
+    assert nc.classical_cross_check(samples=60, seed=seed)["max_abs_error"].hex() == worst.hex()
+    # the points lie on the unit 5-sphere and are the seed's own
+    assert len(pts) == 60 and all(len(z) == 3 for z in pts)
+    assert all(abs(sum(abs(zi) ** 2 for zi in z) - 1.0) <= 1e-15 for z in pts)
+    assert nc.sample_points(60, seed) == pts and nc.sample_points(60, seed + 1) != pts
+
+
+def test_cross_check_fails_on_a_wrong_coefficient(monkeypatch):
+    # a right-hand side scaled by 2 differs from its left-hand side at q = 1
+    relations = nc.cp2_relations
+
+    def mutated():
+        (name, lhs, rhs), *rest = relations()
+        return [(name, lhs, {key: 2 * c for key, c in rhs.items()}), *rest]
+
+    assert nc.classical_cross_check(samples=20, seed=1)["passed"]
+    monkeypatch.setattr(nc, "cp2_relations", mutated)
+    rep = nc.classical_cross_check(samples=20, seed=1)
+    assert not rep["passed"] and rep["max_abs_error"] > 1e-3
 
 
 def test_classical_cross_check():

@@ -48,6 +48,16 @@ def test_tier1_workflow_runs_the_relation_battery_at_its_degree_cap():
     assert f"PYTHONPATH=src python -m cp2q.cli verify-cp2-relations --max-deg {cli.MAX_DEG_GUARD}" in runs
 
 
+def test_tier1_workflow_runs_the_cross_check_at_its_samples_cap():
+    # the costliest q = 1 cross-check the cap admits, which no test runs; a
+    # step fails on a nonzero exit, so a failed check fails CI
+    yaml = pytest.importorskip("yaml")
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
+    runs = [s["run"] for s in steps if "run" in s]
+    assert ("PYTHONPATH=src python -m cp2q.cli verify-cp2-relations --max-deg 3 "
+            f"--samples {cli.CROSS_CHECK_SAMPLES_GUARD}") in runs
+
+
 def test_tier1_workflow_lists_the_line_bundle_basis_at_its_caps():
     # the largest line-bundle basis the caps admit, which no test lists;
     # a step fails on a nonzero exit
