@@ -130,6 +130,16 @@ def test_verify_commands_pass():
     assert code == 0
 
 
+@pytest.mark.parametrize("q, nmax", [("0.3", "8"), ("0.2", "4"), ("0.1", "3")])
+def test_verify_complex_passes_where_the_values_grow_like_q_to_the_minus_n(q, nmax):
+    # the identities hold; every residual is measured against the largest
+    # summand it compares, which grows like q^-n, not against a unit input
+    code, out = run_cli(["verify-complex", "--q", q, "--nmax", nmax])
+    report = json.loads(out)
+    assert code == 0 and report["passed"] is True
+    assert report["complex"]["passed"] and report["equivariance"]["passed"]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-hopf", "--total-degree", "-1"],
     ["verify-casimir", "--total-degree", "-1"],
@@ -464,12 +474,12 @@ def test_exact_launches_load_no_numpy(argv, code):
 
 @pytest.mark.parametrize("argv, code", [
     (["spectrum"], 0), (["cohomology"], 0), (["summability"], 0),
-    (["--format", "table", "spectrum"], 0), (["spectrum", "--q", "0.2"], 2),
-], ids=("spectrum", "cohomology", "summability", "spectrum-table", "spectrum-guard"))
+    (["--format", "table", "spectrum"], 0), (["spectrum", "--q", "0.2"], 2), (["verify-complex"], 0),
+], ids=("spectrum", "cohomology", "summability", "spectrum-table", "spectrum-guard", "verify-complex"))
 def test_spectral_launches_load_no_numpy(argv, code):
-    # the 2x2 blocks are read in plain Python, and a guard error exits before
-    # any block is built; no dataclass is generated, no Fraction is built and
-    # the rewriting engine stays unloaded either
+    # the 2x2 blocks are read and checked in plain Python, and a guard error
+    # exits before any block is built; no dataclass is generated, no Fraction
+    # is built and the rewriting engine stays unloaded either
     assert launch_in_fresh_interpreter(argv) == (code, set())
 
 

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import random
 from math import sqrt
@@ -6,7 +7,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from cp2q import dolbeault as db, irreps, peterweyl as pw, ualg
+from cp2q import cli, dolbeault as db, irreps, peterweyl as pw, ualg
 from cp2q.qarith import qint, qparam_float
 
 P5 = qparam_float(0.5)
@@ -244,6 +245,11 @@ def column_assembly(name, nmax, p):
     return db.SlotOperator(np.array(rows), np.array(cols), np.array(vals), len(slots))
 
 
+def product(op, u):
+    """A slot operator times a vector, each row summed in the triplets' column order."""
+    return np.bincount(op.rows, weights=op.vals * u[op.cols], minlength=op.size)
+
+
 def oracle_mismatches(name, nmax, p):
     """What differs between slot_operator and the column-by-column oracle:
     the triplet sets, bit for bit (order within a column may differ), the
@@ -256,7 +262,7 @@ def oracle_mismatches(name, nmax, p):
     u = np.random.default_rng(nmax).uniform(-1.0, 1.0, ref.size)
     return [what for what, same in (
         ("triplets", triplets(got) == triplets(ref)),
-        ("matmul", got.size == ref.size and (got @ u).tobytes() == (ref @ u).tobytes()),
+        ("matmul", got.size == ref.size and product(got, u).tobytes() == product(ref, u).tobytes()),
         ("column order", bool(np.all(np.diff(got.cols) >= 0))),
     ) if not same]
 
@@ -328,66 +334,117 @@ def test_slot_operator_is_cached_read_only_and_bounded():
     assert db.slot_vectors.cache_info().maxsize is not None
 
 
-def dict_verify_complex(nmax, p, trials, seed):
-    # the dict-path checks as they ran before slot coordinates
+def random_coordinates(n, rng):
+    """The draws of random_form, formed from rng.random() as rng.uniform does."""
+    return -1.0 + 2.0 * np.array([rng.random() for _ in range(n)])
+
+
+def assembled_verify_complex(nmax, p, tol=1e-10, trials=20, seed=7):
+    """The complex checks on random vectors in slot coordinates, through the
+    assembled slot operators: the oracle the block verdicts answer to."""
     rng = random.Random(seed)
+    d, dd = db.slot_operator("dbar", nmax, p), db.slot_operator("dbar_dag", nmax, p)
+    n = d.size
     worst_d2 = worst_dd2 = worst_adj = 0.0
-    for f in [db.random_form(nmax, rng) for _ in range(trials)]:
-        scale = max(db.form_norm(f), 1.0)
-        worst_d2 = max(worst_d2, db.form_norm(db.dbar(db.dbar(f, p), p)) / scale)
-        worst_dd2 = max(worst_dd2, db.form_norm(db.dbar_dag(db.dbar_dag(f, p), p)) / scale)
+    for u in [random_coordinates(n, rng) for _ in range(trials)]:
+        scale = max(float(np.linalg.norm(u)), 1.0)
+        worst_d2 = max(worst_d2, float(np.linalg.norm(product(d, product(d, u)))) / scale)
+        worst_dd2 = max(worst_dd2, float(np.linalg.norm(product(dd, product(dd, u)))) / scale)
     for _ in range(trials):
-        f, g = db.random_form(nmax, rng), db.random_form(nmax, rng)
-        scale = max(db.form_norm(f) * db.form_norm(g), 1.0)
-        worst_adj = max(worst_adj, abs(db.inner_product(db.dbar(f, p), g)
-                                       - db.inner_product(f, db.dbar_dag(g, p))) / scale)
-    return {"dbar_squared": worst_d2, "dbar_dag_squared": worst_dd2,
-            "adjointness": worst_adj}, rng
+        u, v = random_coordinates(n, rng), random_coordinates(n, rng)
+        scale = max(float(np.linalg.norm(u) * np.linalg.norm(v)), 1.0)
+        worst_adj = max(worst_adj, abs(float(product(d, u) @ v - u @ product(dd, v))) / scale)
+    return {"nmax": nmax, "q": p.q, "dbar_squared": worst_d2, "dbar_dag_squared": worst_dd2,
+            "adjointness": worst_adj, "passed": max(worst_d2, worst_dd2, worst_adj) < tol}
 
 
-def dict_verify_equivariance(nmax, p, trials, seed):
+def assembled_verify_equivariance(nmax, p, tol=1e-10, trials=5, seed=11):
     rng = random.Random(seed)
+    ops = (db.slot_operator("dbar", nmax, p), db.slot_operator("dbar_dag", nmax, p))
+    n = ops[0].size
     residuals = {}
     for gname in db.WHITE_GENERATORS:
-        h = ualg.AlgebraElement.gen(gname)
+        h = db.slot_operator(gname, nmax, p)
         worst = 0.0
         for _ in range(trials):
-            f = db.random_form(nmax, rng)
-            for op in (db.dbar, db.dbar_dag):
-                diff = pw.white_act(h, op(f, p), p)
-                pw.add_into(diff, op(pw.white_act(h, f, p), p), -1.0)
-                worst = max(worst, db.form_norm(diff) / max(db.form_norm(f), 1.0))
+            u = random_coordinates(n, rng)
+            scale = max(float(np.linalg.norm(u)), 1.0)
+            for op in ops:
+                worst = max(worst, float(np.linalg.norm(product(h, product(op, u)) - product(op, product(h, u)))) / scale)
         residuals[gname] = worst
-    return residuals, rng
+    worst = max(residuals.values())
+    return {"nmax": nmax, "q": p.q, "residuals": residuals, "max_residual": worst, "passed": worst < tol}
 
 
-def test_slot_checks_draw_the_dict_path_stream(monkeypatch):
-    made = []
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+def test_block_verdicts_match_the_assembled_oracle(q):
+    p = qparam_float(q)
+    for nmax in range(5):
+        rep, ref = db.verify_complex(nmax, p, trials=3), assembled_verify_complex(nmax, p, trials=3)
+        eq, ref_eq = db.verify_equivariance(nmax, p, trials=2), assembled_verify_equivariance(nmax, p, trials=2)
+        assert rep.keys() == ref.keys() and eq.keys() == ref_eq.keys()
+        assert eq["residuals"].keys() == ref_eq["residuals"].keys()
+        assert all(type(rep[k]) is float for k in ("dbar_squared", "dbar_dag_squared", "adjointness"))
+        assert (rep["passed"], eq["passed"]) == (ref["passed"], ref_eq["passed"]) == (True, True), nmax
 
-    class Recording(random.Random):
-        def __init__(self, seed):
-            super().__init__(seed)
-            made.append(self)
 
-    p = qparam_float(0.7)
-    ref, ref_rng = dict_verify_complex(2, p, trials=3, seed=7)
-    ref_eq, ref_eq_rng = dict_verify_equivariance(2, p, trials=2, seed=11)
-    monkeypatch.setattr(random, "Random", Recording)
-    rep = db.verify_complex(2, p, trials=3, seed=7)
-    eq = db.verify_equivariance(2, p, trials=2, seed=11)
-    assert [r.getstate() for r in made] == [ref_rng.getstate(), ref_eq_rng.getstate()]
-    # the batched draws are rng.uniform's bits, and leave the stream where it would
-    for seed in (3, 7, 11, 17):
-        rng, ref_rng = random.Random(seed), random.Random(seed)
-        got = db._random_coordinates(1000, rng)
-        assert got.tobytes() == np.array([ref_rng.uniform(-1.0, 1.0) for _ in range(1000)]).tobytes()
-        assert rng.getstate() == ref_rng.getstate()
-    for key, value in ref.items():
-        assert type(rep[key]) is float and abs(rep[key] - value) < 1e-13
-    assert rep["passed"] and eq["passed"]
-    assert eq["residuals"].keys() == ref_eq.keys()
-    for g, value in ref_eq.items():
-        assert type(eq["residuals"][g]) is float and abs(eq["residuals"][g] - value) < 1e-13
+def test_block_checks_see_a_block_that_differs_at_other_white_indices(monkeypatch, capsys, fresh_operators):
+    # a 1e-9 relative change to one black coefficient, the degree-0 slot's
+    # image in (diag, 2), at every white index but the first: the assembled
+    # operators copy the first index's block and cannot see it
+    first = irreps.gt_triples((2, 2))[0]
+    raw = db.dbar_raw
+
+    def perturbed(f, p):
+        img, junk = raw(f, p)
+        if all((k.n1, k.n2) == (2, 2) and k.white != first and db.part(k) == "0" for k in f):
+            img = {k: c * (1.0 + 1e-9) for k, c in img.items()}
+        return img, junk
+
+    monkeypatch.setattr(db, "dbar_raw", perturbed)
+    assert assembled_verify_complex(2, P5)["passed"] and assembled_verify_equivariance(2, P5)["passed"]
+    for trials in ((8, 2), (20, 5)):
+        rep, eq = db.verify_complex(2, P5, trials=trials[0]), db.verify_equivariance(2, P5, trials=trials[1])
+        assert not (rep["passed"] and eq["passed"]), trials
+    assert cli.main(["verify-complex", "--q", "0.5", "--nmax", "2"]) == cli.EXIT_VERIFICATION_FAILED
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
+def test_equivariance_sees_a_white_action_that_reads_the_black_leg(monkeypatch):
+    # a 1e-9 relative change to the white action on black singlets alone
+    white_act = pw.white_act
+
+    def perturbed(elem, vec, p):
+        return {k: c * (1.0 + 1e-9) if k.black == (0, 0, 0) else c for k, c in white_act(elem, vec, p).items()}
+
+    monkeypatch.setattr(pw, "white_act", perturbed)
+    eq = db.verify_equivariance(2, P5, trials=2)
+    assert not eq["passed"] and all(r > 1e-10 for r in eq["residuals"].values())
+    assert db.verify_complex(2, P5, trials=2)["passed"]
+
+
+def test_block_checks_see_a_flipped_doublet_sign(monkeypatch, fresh_operators):
+    # the degree-0 image of the doublet changes sign in dbar_dag alone
+    monkeypatch.setitem(db._DBAR_DAG, "0", (("+", "X", -1.0), ("-", "F2", -1.0)))
+    rep = db.verify_complex(2, P5)
+    assert rep["adjointness"] > 1e-10 and not rep["passed"]
+    assert rep["dbar_squared"] == rep["dbar_dag_squared"] == 0.0
+    assert not assembled_verify_complex(2, P5)["passed"]
+
+
+def test_block_checks_see_a_diagonal_entry(monkeypatch, fresh_operators):
+    block = db.black_block
+
+    def with_diagonal(name, family, n, p):
+        b = block(name, family, n, p)
+        if (name, family, n) == ("dbar", "diag", 1):
+            b[0][0] = b[1][0]
+        return b
+
+    monkeypatch.setattr(db, "black_block", with_diagonal)
+    rep = db.verify_complex(2, P5)
+    assert rep["dbar_squared"] > 1e-10 and not rep["passed"]
+    assert not assembled_verify_complex(2, P5)["passed"]
 
 
 def test_mutating_returned_forms_leaves_the_basis_unchanged():

@@ -13,14 +13,14 @@ and 6, the latter the benchmark's exact command and captured before the
 confluence sweep moved to canonical interned normal forms: its key order,
 its branching_words count and the last digit of its classical_max_error
 float, re-captured when the q = 1 cross-check moved to the standard
-library's random draws (every other byte unchanged).
+library's random draws (every other byte unchanged).  The two
+verify-complex reports were re-captured when the complex and equivariance
+checks moved from random vectors on the assembled operators to the black
+blocks and the dict path: only their residual floats moved.
 Any change to a number, a coefficient's printed form, a key order or a
 float's last digit shows up here as a failure.
 """
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -59,15 +59,6 @@ CASES = {
 }
 
 
-# OpenBLAS splits a dot product over its threads past 10,000 entries, which
-# moves the last bits of the sum; verify-complex at nmax 8 works on 11,069
-# slots.  That case runs as scripts/stdout_diff.py and perfbench run every
-# command: in a fresh process with BLAS pinned to one thread.
-PINNED = {"verify_complex_nmax8"}
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
-
-
 def run_cli(argv):
     import contextlib
     import io
@@ -78,16 +69,8 @@ def run_cli(argv):
     return code, buf.getvalue()
 
 
-def run_pinned(argv):
-    src = Path(cli.__file__).resolve().parents[1]
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    env.update({"PYTHONPATH": str(src), **dict.fromkeys(THREAD_VARS, "1")})
-    proc = subprocess.run([sys.executable, "-m", "cp2q.cli", *argv], capture_output=True, text=True, env=env)
-    return proc.returncode, proc.stdout
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(name):
-    code, out = (run_pinned if name in PINNED else run_cli)(CASES[name])
+    code, out = run_cli(CASES[name])
     assert code == cli.EXIT_OK
     assert out == (GOLDEN / f"{name}.out").read_text()

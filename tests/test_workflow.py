@@ -66,3 +66,12 @@ def test_tier1_workflow_lists_the_line_bundle_basis_at_its_caps():
     runs = [s["run"] for s in steps if "run" in s]
     assert (f"PYTHONPATH=src python -m cp2q.cli decompose line_bundle --nmax {cli.DECOMPOSE_NMAX_GUARD} "
             f"--N {cli.DECOMPOSE_N_GUARD} --dump > /dev/null") in runs
+
+
+def test_tier1_workflow_runs_the_complex_checks_where_the_values_grow_fastest():
+    # q 0.3 at the --nmax cap, where the blocks' entries reach q^-8; no test
+    # runs it in a fresh process, and a step fails on a nonzero exit
+    yaml = pytest.importorskip("yaml")
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
+    runs = [s["run"] for s in steps if "run" in s]
+    assert f"PYTHONPATH=src python -m cp2q.cli verify-complex --q 0.3 --nmax {cli.NMAX_GUARD}" in runs
