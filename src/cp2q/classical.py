@@ -12,6 +12,7 @@ axes, a single sample being the unstacked case.
 
 from __future__ import annotations
 
+import random
 from itertools import permutations
 
 import numpy as np
@@ -35,8 +36,11 @@ BATTERY_FAMILIES = ("transition", "determinant", "row_orthogonality",
 
 
 def _gaussian(seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    """A complex Gaussian 3x3 matrix from the standard library's stream of
+    the seed: nine real parts, then nine imaginary parts, row-major."""
+    rng = random.Random(seed)
+    draws = np.array([rng.gauss(0.0, 1.0) for _ in range(18)]).reshape(2, 3, 3)
+    return draws[0] + 1j * draws[1]
 
 
 def sample_stack(seed: int, n: int) -> np.ndarray:

@@ -28,16 +28,17 @@ EXIT_CONFIG_ERROR = 2
 SPECTRUM_Q_RANGE = (0.3, 0.95)
 NMAX_GUARD = 8
 # caps on unbounded work, from the measured cost table in the README:
-# evaluate holds and prints dense dim x dim matrices (about 50 bytes of
-# memory and 11 of output per entry), verify-cp2-relations walks all 6^d
-# words of each degree d (time about 6x and memory about 5x per degree;
-# degree 7 takes 1.4-1.7 s and 40 MB), and its q = 1 cross-check, evaluated
-# over all points at once, takes about 13 us per sample point; verify-hopf
-# and verify-casimir hold one irrep's generator matrices at a time, so
-# time, not memory, sets their cap (about 1.9x per degree; verify-hopf
-# takes 5.8 s and 55 MB at --total-degree 13), verify-gt forms
-# products of lowering words (time about 3.5x per degree), its
-# --powers identities expand [F2,F1]_q^n into 2^n words, and decompose
+# evaluate prints a dense dim x dim matrix, held as sparse columns (about
+# 10 bytes of memory and 11 of output per entry), verify-cp2-relations
+# walks all 6^d words of each degree d (time about 6x and memory about 5x
+# per degree; degree 7 takes 1.4-1.7 s and 40 MB), and its q = 1
+# cross-check, evaluated over all points at once, takes about 13 us per
+# sample point; verify-hopf and verify-casimir hold one irrep's action
+# columns at a time, so time, not memory, set their cap (about 1.9x per
+# degree when it was set; verify-hopf now takes 2.1-2.8 s and 16 MB at
+# --total-degree 13), verify-gt applies each lowering word to one vector
+# (time about 1.5-2x per degree), its --powers identities expand
+# [F2,F1]_q^n into 2^n words, and decompose
 # lists every basis vector up to --nmax (the sphere basis, the largest
 # kind at N = 0, grows about nmax^5: with --dump, 0.7-0.9 s, 34 MB and
 # 5.7 MB of output at nmax 12, 2.9-3.0 s and 88 MB at 16), and a line
@@ -221,9 +222,9 @@ def cmd_verify_gt(args) -> dict:
     _at_most(args.powers, GT_POWERS_GUARD, "--powers")
     ok = True
     rows = []
-    # the commutator identities are checked on V(1,1) and read the matrices
-    # its lowering check builds; every other label's are dropped after its check
-    comm_label, comm_mats = (1, 1), {}
+    # the commutator identities are checked on V(1,1) and share its columns
+    # with its lowering check; every other label's are dropped after its check
+    comm_label, comm_mats = (1, 1), irreps.action_columns((1, 1), p)
     for label in irreps.labels_up_to(args.total_degree):
         rep = peterweyl.verify_gt_lowering(label, p, args.tol,
                                            comm_mats if label == comm_label else None)
@@ -400,14 +401,15 @@ def cmd_evaluate(args) -> dict:
     _at_least(args.n2, 0, "--n2")
     label = irreps.IrrepLabel(args.n1, args.n2)
     _at_most(irreps.dim(label), EVALUATE_DIM_GUARD, "the dimension of the --n1 --n2 irrep")
-    import numpy as np
-
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned of
-        mat = ualg.evaluate(elem, label, p)
-    if not np.isfinite(mat).all():
+    cols = ualg.evaluate(elem, label, p)
+    if not all(math.isfinite(x) for col in cols for _, x in col):
         raise ConfigError(f"the matrix on ({label.n1},{label.n2}) has entries outside the float range")
+    rows = [[0.0] * len(cols) for _ in cols]  # dense only for printing
+    for j, col in enumerate(cols):
+        for i, x in col:
+            rows[i][j] = x
     return {"command": "evaluate", "q": p.q, "expr": args.expr,
-            "label": [label.n1, label.n2], "matrix": mat.tolist(), "passed": True}
+            "label": [label.n1, label.n2], "matrix": rows, "passed": True}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,16 +13,18 @@ E2 moves (j1, m) -> (j1+1, m-1/2) or (j2, m) -> (j2-1, m-1/2) with
 square-root coefficients built from q-numbers, and F_i are the transposes
 (the *-structure in an orthonormal basis).
 
-generator_triplets evaluates action_row's formulas over a whole irrep.  It
-is the one whole-irrep source: dolbeault's slot operators read it, and so
-do the dense matrices (generator_matrix), built anew on each call, so each
-check holds one dict of matrices for the label it reads.
+action_columns evaluates action_row's formulas over a whole irrep, as
+sparse columns of (row, coefficient) pairs.  It is the one whole-irrep
+source: the identity battery multiplies its columns in plain Python
+(matmul, add), and the numpy adapters that dolbeault's white slot
+operators and the classical checks read (generator_triplets,
+generator_matrix) are built from it.  Columns are built anew on each call,
+so each check holds the columns of the label it reads.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import sqrt
+from math import isnan, nan, sqrt
 from typing import NamedTuple
 
 from .qarith import QParam, qint
@@ -162,110 +164,120 @@ def generator_action(label, gen: str, p: QParam) -> list[list[tuple[int, float]]
             for triple in gt_triples(label)]
 
 
-# the caches hold what one verify-hopf or verify-casimir run reaches at
-# --total-degree 12 (TOTAL_DEGREE_GUARD in cli): 13 totals at one q and
-# 91 labels
-@lru_cache(maxsize=16)
-def _qn_table(p: QParam, top: int) -> np.ndarray:
-    """_qn(h) for h = 0 .. 2*top + 4: every q-number an irrep of total
-    degree top reaches, indexed by twice its argument.  Read-only, as it is
-    shared."""
-    import numpy as np
+def action_columns(label, p: QParam) -> dict[str, list[tuple]]:
+    """Every generator on the ordered GT basis as a list of columns: column
+    j holds the (row, coefficient) pairs of action_row of basis vector j,
+    bit for bit, from its formulas and float operations over one table of
+    q-numbers.  K and H are the weights (q^(1/12))**w, one per distinct w."""
+    n1, n2 = label = check_label(label)
+    index = gt_index(label)
+    triples = list(index)
+    qi = [qint(z, p) for z in range(n1 + n2 + 3)]  # _qn(h) is qi[h // 2]: every h here is even
 
-    table = np.array([_qn(h, p) for h in range(2 * top + 5)])
-    table.setflags(write=False)
-    return table
+    def a(j1, j2):
+        return sqrt(qi[n1 - j1] * qi[n2 + j1 + 2] * qi[j1 + 1] / (qi[j1 + j2 + 1] * qi[j1 + j2 + 2]))
 
+    def b(j1, j2):
+        return sqrt(qi[n1 + j2 + 1] * qi[n2 - j2 + 1] * qi[j2] / (qi[j1 + j2] * qi[j1 + j2 + 1]))
 
-@lru_cache(maxsize=128)
-def _basis_arrays(label: IrrepLabel) -> tuple:
-    """(j1, j2, mm) over the ordered basis, and offset[j1, j2], the index of
-    the first triple of block (j1, j2): triple (j1, j2, mm) sits at
-    offset[j1, j2] + (mm + j1 + j2) // 2.  Read-only, as they are shared."""
-    import numpy as np
+    def column(*moves):  # a move off the basis has coefficient 0, or nan past the float range
+        return tuple((index[target], c) for target, c in moves if c and target in index)
 
-    n1, n2 = label
-    sizes = np.add.outer(np.arange(n1 + 1), np.arange(n2 + 1)) + 1
-    offset = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
-    out = (*np.array(gt_triples(label)).T, offset)
-    for arr in out:
-        arr.setflags(write=False)
+    out: dict = {g: [] for g in ("E1", "F1", "E2", "F2")}
+    for j1, j2, mm in triples:
+        s = j1 + j2
+        up, down = (s + mm) // 2, (s - mm) // 2
+        out["E1"].append(column(((j1, j2, mm + 2), sqrt(qi[down] * qi[up + 1]))))
+        out["F1"].append(column(((j1, j2, mm - 2), sqrt(qi[up] * qi[down + 1]))))
+        e2 = [((j1 + 1, j2, mm - 1), sqrt(qi[down + 1]) * a(j1, j2))]
+        if j2 >= 1 and mm - 1 >= 1 - s:
+            e2.append(((j1, j2 - 1, mm - 1), sqrt(qi[up]) * b(j1, j2)))
+        f2 = [((j1 - 1, j2, mm + 1), sqrt(qi[down]) * a(j1 - 1, j2))] if j1 >= 1 else []
+        if j2 + 1 <= n2:
+            f2.append(((j1, j2 + 1, mm + 1), sqrt(qi[up + 1]) * b(j1, j2 + 1)))
+        out["E2"].append(column(*e2))
+        out["F2"].append(column(*f2))
+    base = p.q ** (1.0 / 12.0)
+    for gen in DIAGONAL_GENERATORS:
+        w = [weight_twelfths(gen, label, t) for t in triples]
+        power = {x: base ** x for x in set(w)}
+        out[gen] = [((i, power[x]),) if power[x] else () for i, x in enumerate(w)]
     return out
 
 
 def generator_triplets(label, gen: str, p: QParam) -> tuple:
-    """One generator on the ordered GT basis as COO triplets (rows, cols,
-    vals), move by move: vals[i] is the coefficient of basis vector rows[i]
-    in action_row of basis vector cols[i], bit for bit, as the formulas are
-    evaluated over the whole basis with action_row's float operations."""
+    """One generator's columns (action_columns) as COO triplets (rows, cols,
+    vals) of numpy arrays, column by column: vals[i] is the coefficient of
+    basis vector rows[i] in action_row of basis vector cols[i]."""
     import numpy as np
 
-    label = check_label(label)
-    n1, n2 = label
-    j1, j2, mm, offset = _basis_arrays(label)
-    s = j1 + j2
-    if gen in DIAGONAL_GENERATORS:
-        # Python's float ** int per distinct weight: np.power need not round
-        # the way libm does
-        w = weight_twelfths(gen, label, (j1, j2, mm)).tolist()
-        base = p.q ** (1.0 / 12.0)
-        power = {x: base ** x for x in set(w)}
-        diag = np.arange(len(mm))
-        return diag, diag, np.array([power[x] for x in w])
-    qn = _qn_table(p, n1 + n2)
-
-    def qi(z):  # qint of an integer array
-        return qn[2 * z]
-
-    def a(j1, j2):
-        return np.sqrt(qi(n1 - j1) * qi(n2 + j1 + 2) * qi(j1 + 1) / (qi(j1 + j2 + 1) * qi(j1 + j2 + 2)))
-
-    def b(j1, j2):
-        return np.sqrt(qi(n1 + j2 + 1) * qi(n2 - j2 + 1) * qi(j2) / (qi(j1 + j2) * qi(j1 + j2 + 1)))
-
-    # per move: the sources whose target is a basis vector, the shift from
-    # source to target (j1, j2, mm), and the coefficient on every source; off
-    # those sources it may be 0/0 and is never read
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if gen == "E1":
-            moves = [(mm + 2 <= s, (0, 0, 2), np.sqrt(qn[s - mm] * qn[s + mm + 2]))]
-        elif gen == "F1":
-            moves = [(mm - 2 >= -s, (0, 0, -2), np.sqrt(qn[s + mm] * qn[s - mm + 2]))]
-        elif gen == "E2":
-            moves = [(j1 + 1 <= n1, (1, 0, -1), np.sqrt(qn[s - mm + 2]) * a(j1, j2)),
-                     ((j2 >= 1) & (mm - 1 >= 1 - s), (0, -1, -1), np.sqrt(qn[s + mm]) * b(j1, j2))]
-        elif gen == "F2":
-            moves = [((j1 >= 1) & (mm + 1 <= s - 1), (-1, 0, 1), np.sqrt(qn[s - mm]) * a(j1 - 1, j2)),
-                     (j2 + 1 <= n2, (0, 1, 1), np.sqrt(qn[s + mm + 2]) * b(j1, j2 + 1))]
-        else:
-            raise LabelError(f"unknown generator {gen!r}")
-    out = []
-    for valid, (d1, d2, dm), c in moves:
-        src = np.flatnonzero(valid & (c != 0))
-        t1, t2, tm = j1[src] + d1, j2[src] + d2, mm[src] + dm
-        out.append((offset[t1, t2] + (tm + t1 + t2) // 2, src, c[src]))
-    return tuple(map(np.concatenate, zip(*out)))
+    if gen not in GENERATORS:
+        raise LabelError(f"unknown generator {gen!r}")
+    entries = [(i, j, c) for j, col in enumerate(action_columns(label, p)[gen]) for i, c in col]
+    rows, cols, vals = zip(*entries) if entries else ((), (), ())
+    return np.array(rows, np.intp), np.array(cols, np.intp), np.array(vals, float)
 
 
 def generator_matrix(label, gen: str, p: QParam):
     """Generator matrix on the ordered GT basis, as a dense read-only real
-    ndarray, built anew on each call: a caller that reads a letter more than
-    once keeps the matrices of the label it checks.  Entry [i, j] is the
-    coefficient of basis vector i in action_row of basis vector j."""
+    ndarray, built anew on each call.  Entry [i, j] is the coefficient of
+    basis vector i in action_row of basis vector j."""
     import numpy as np
 
     rows, cols, vals = generator_triplets(label, gen, p)
-    size = dim(label)
-    mat = np.zeros((size, size))
+    mat = np.zeros((dim(label),) * 2)
     mat[rows, cols] = vals
     mat.setflags(write=False)
     return mat
 
 
-def _mat_scale(*mats) -> float:
-    import numpy as np
+# -- products of column lists ---------------------------------------------------
 
-    return max(max((np.abs(m).max(initial=0.0) for m in mats), default=0.0), 1.0)
+def identity(n: int) -> list[tuple]:
+    return [((j, 1.0),) for j in range(n)]
+
+
+def matmul(*factors) -> list[tuple]:
+    """Product of column lists, left to right as numpy's a @ b @ c: column j
+    of a @ b sums b[k, j] * a[:, k] over b's column j in order; a column
+    with one entry, as each K or H column has, scales a column of a."""
+    out = factors[0]
+    for right in factors[1:]:
+        left, out = out, []
+        append = out.append
+        for col in right:
+            if len(col) == 1:
+                k, y = col[0]
+                append(tuple([(i, x * y) for i, x in left[k]]))
+                continue
+            acc: dict = {}
+            get = acc.get
+            for k, y in col:
+                for i, x in left[k]:
+                    acc[i] = get(i, 0.0) + x * y
+            append(tuple(acc.items()))
+    return out
+
+
+def add(a, *terms) -> list[tuple]:
+    """a + c1 * m1 + c2 * m2 + ... over the (c, m) pairs of terms, column
+    lists of one size, entry by entry in that order, an entry missing from a
+    column read as 0.0: numpy's a + c1 * m1 + ...."""
+    out = []
+    for j, col in enumerate(a):
+        acc = dict(col)
+        for c, m in terms:
+            for i, y in m[j]:
+                acc[i] = acc.get(i, 0.0) + c * y
+        out.append(tuple(acc.items()))
+    return out
+
+
+def largest(*mats) -> float:
+    """Largest |entry| of column lists (0.0 for none), and nan if an entry
+    is nan, as numpy's max gives it."""
+    vals = [abs(x) for m in mats for col in m for _, x in col]
+    return nan if any(map(isnan, vals)) else max(vals, default=0.0)
 
 
 def verify_hopf_relations(label, p: QParam, tol: float = 1e-11) -> dict:
@@ -276,58 +288,61 @@ def verify_hopf_relations(label, p: QParam, tol: float = 1e-11) -> dict:
     of the constituent matrix products, the natural matrix scale (the
     products themselves grow like powers of q-numbers on large irreps).
     """
-    import numpy as np
-
     label = check_label(label)
     q = p.q
-    g = {name: generator_matrix(label, name, p) for name in GENERATORS}
+    g = action_columns(label, p)
+    zero = [()] * dim(label)
 
-    def residual(lhs, rhs, scale_mats=None):
-        # relative to the constituent products when given, else to both sides
-        scale = _mat_scale(lhs, rhs) if scale_mats is None else _mat_scale(*scale_mats)
-        return float(np.abs(lhs - rhs).max(initial=0.0) / scale)
+    def residual(lhs, rhs=None, scale=None):
+        # relative to the largest entry of the constituent products when
+        # given, else of both sides; no rhs is 0
+        diff = lhs if rhs is None else add(lhs, (-1.0, rhs))
+        return largest(diff) / max(largest(lhs, rhs) if scale is None else scale, 1.0)
 
-    def qcomm(a, b):
-        return a @ b - (1.0 / q) * b @ a
+    def qcomm(a, b, ab=None):  # ab: a @ b when the caller has it
+        return add(matmul(a, b) if ab is None else ab, (-1.0, matmul(add(zero, (1.0 / q, b)), a)))
 
     def serre(x, i, j):
         a, b = g[f"{x}{i}"], g[f"{x}{j}"]
-        aab, aba, baa = a @ a @ b, a @ b @ a, b @ a @ a
-        yield (f"serre {x}{i}{x}{j}",
-               residual(aab - (q + 1.0 / q) * aba + baa, 0.0, (aab, aba, baa)))
+        ab, ba = matmul(a, b), matmul(b, a)
+        aab, aba, baa = matmul(a, a, b), matmul(ab, a), matmul(ba, a)
+        scale = largest(aab, aba, baa)
+        yield f"serre {x}{i}{x}{j}", residual(add(aab, (-(q + 1.0 / q), aba), (1.0, baa)), None, scale)
         yield (f"q-commutator serre [{x}{i},[{x}{j},{x}{i}]_q]_q",
-               residual(qcomm(a, qcomm(b, a)), 0.0, (aab, aba, baa)))
+               residual(qcomm(a, qcomm(b, a, ba)), None, scale))
         yield (f"q-commutator serre [[{x}{i},{x}{j}]_q,{x}{i}]_q",
-               residual(qcomm(qcomm(a, b), a), 0.0, (aab, aba, baa)))
+               residual(qcomm(qcomm(a, b, ab), a), None, scale))
 
     # (name, residual), each relation reduced to its residual before the
     # next one's products are formed
     def relations():
-        yield "[K1,K2] = 0", residual(g["K1"] @ g["K2"], g["K2"] @ g["K1"])
+        yield "[K1,K2] = 0", residual(matmul(g["K1"], g["K2"]), matmul(g["K2"], g["K1"]))
         for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
             ki, kiv = g[f"K{i}"], g[f"K{i}inv"]
             scale_e = q if i == j else q ** -0.5
             yield (f"K{i} E{j} K{i}^-1 = q^{'1' if i == j else '-1/2'} E{j}",
-                   residual(ki @ g[f"E{j}"] @ kiv, scale_e * g[f"E{j}"]))
+                   residual(matmul(ki, g[f"E{j}"], kiv), add(zero, (scale_e, g[f"E{j}"]))))
             scale_f = 1.0 / q if i == j else q**0.5
             yield (f"K{i} F{j} K{i}^-1 = q^{'-1' if i == j else '1/2'} F{j}",
-                   residual(ki @ g[f"F{j}"] @ kiv, scale_f * g[f"F{j}"]))
+                   residual(matmul(ki, g[f"F{j}"], kiv), add(zero, (scale_f, g[f"F{j}"]))))
         for i in (1, 2):
             ei, fi = g[f"E{i}"], g[f"F{i}"]
             ki, kiv = g[f"K{i}"], g[f"K{i}inv"]
+            ef, fe = matmul(ei, fi), matmul(fi, ei)
+            k2 = [tuple((r, x / (q - 1.0 / q)) for r, x in col)
+                  for col in add(matmul(ki, ki), (-1.0, matmul(kiv, kiv)))]
             yield (f"[E{i},F{i}] = (K{i}^2 - K{i}^-2)/(q - q^-1)",
-                   residual(ei @ fi - fi @ ei, (ki @ ki - kiv @ kiv) / (q - 1.0 / q),
-                            (ei @ fi, fi @ ei)))
-        yield "[E1,F2] = 0", residual(g["E1"] @ g["F2"], g["F2"] @ g["E1"])
-        yield "[E2,F1] = 0", residual(g["E2"] @ g["F1"], g["F1"] @ g["E2"])
+                   residual(add(ef, (-1.0, fe)), k2, largest(ef, fe)))
+        yield "[E1,F2] = 0", residual(matmul(g["E1"], g["F2"]), matmul(g["F2"], g["E1"]))
+        yield "[E2,F1] = 0", residual(matmul(g["E2"], g["F1"]), matmul(g["F1"], g["E2"]))
         for x in ("E", "F"):
             for i, j in ((1, 2), (2, 1)):
                 yield from serre(x, i, j)
         # H is the cube-root extension: H^3 = (K1 K2^-1)^2, and H is central
         # relative to the Cartan part
         yield ("H^3 = (K1 K2^-1)^2",
-               residual(g["H"] @ g["H"] @ g["H"], g["K1"] @ g["K2inv"] @ g["K1"] @ g["K2inv"]))
-        yield "H H^-1 = 1", residual(g["H"] @ g["Hinv"], np.eye(dim(label)))
+               residual(matmul(g["H"], g["H"], g["H"]), matmul(g["K1"], g["K2inv"], g["K1"], g["K2inv"])))
+        yield "H H^-1 = 1", residual(matmul(g["H"], g["Hinv"]), identity(dim(label)))
 
     report = []
     worst = 0.0

@@ -229,56 +229,26 @@ def _lowering_piece(a: int, b: int, c: int, p: QParam, pieces: dict) -> ualg.Alg
     return hit
 
 
-def _word_columns(words, label, p: QParam, col: int, mats: dict) -> dict:
-    """Column `col` of the matrix of each word, formed as ualg.evaluate forms
-    it: eye @ G1 @ G2 @ ..., left to right, with the generator matrices read
-    from mats (ualg.letter_matrix).  Words are walked in sorted order and
-    only the current word's chain of prefix products is kept, so a word
-    reuses the products of the prefix it shares with the one before."""
-    import numpy as np
-
-    chain = [np.eye(irreps.dim(label))]  # chain[k]: product of the first k letters
-    prev: tuple = ()
-    out = {}
-    for w in sorted(words):
-        shared = 0
-        while shared < min(len(w), len(prev)) and w[shared] == prev[shared]:
-            shared += 1
-        del chain[shared + 1:]
-        for g in w[shared:]:
-            chain.append(chain[-1] @ ualg.letter_matrix(mats, label, g, p))
-        out[w] = chain[-1][:, col].copy()
-        prev = w
-    return out
-
-
 def verify_gt_lowering(label, p: QParam, tol: float = 1e-9, mats: dict | None = None) -> dict:
     """Apply every lowering element to the highest-weight vector and compare
     with the unit basis vector it should reproduce.
 
-    Only the highest-weight column of each element's matrix is read, so
-    each distinct word's column is formed once (_word_columns) and each
-    element sums c * column over its terms in order, as ualg.evaluate sums
-    c * matrix.  mats is the caller's dict of the label's generator matrices
-    (ualg.letter_matrix), for a caller that checks more on the same label."""
-    import numpy as np
-
+    Each distinct word acts once, rightmost letter first, on that vector
+    alone (reversed words share prefixes in ualg.word_products), and each
+    element sums c * image in term order.  mats is the caller's
+    irreps.action_columns of the label."""
     label = irreps.check_label(label)
+    mats = irreps.action_columns(label, p) if mats is None else mats
     triples = irreps.gt_triples(label)
     hw_idx = triples.index(irreps.highest_weight_triple(label))
     pieces: dict = {}
     elems = [gt_lowering_word(label.n1, label.n2, *t, p, pieces) for t in triples]
-    columns = _word_columns({w for e in elems for w in e.terms}, label, p, hw_idx,
-                            {} if mats is None else mats)
-    worst = 0.0
-    failures = []
+    images = ualg.word_products({w[::-1] for e in elems for w in e.terms}, [((hw_idx, 1.0),)],
+                                lambda v, g: irreps.matmul(mats[g], v))
+    worst, failures = 0.0, []
     for i, (t, elem) in enumerate(zip(triples, elems)):
-        got = np.zeros(len(triples))
-        for w, c in elem.terms.items():
-            got += c * columns[w]
-        expect = np.zeros(len(triples))
-        expect[i] = 1.0
-        r = float(np.abs(got - expect).max())
+        got = irreps.add([()], *((c, images[w[::-1]]) for w, c in elem.terms.items()))
+        r = irreps.largest(irreps.add(got, (-1.0, [((i, 1.0),)])))
         worst = max(worst, r)
         if r >= tol:
             failures.append({"triple": list(t), "residual": r})
@@ -293,11 +263,9 @@ def verify_lemma_commutators(label, nmax_power: int, p: QParam, tol: float = 1e-
 
     The two [E_i, F_i^n] identities carry (q-q^-1)^-1, matching their n=1
     specialization to the defining relations.  Every identity reads the
-    generator matrices from one dict, mats (as in verify_gt_lowering).
+    generator columns from one dict, mats (as in verify_gt_lowering).
     """
-    import numpy as np
-
-    mats = {} if mats is None else mats
+    mats = irreps.action_columns(label, p) if mats is None else mats
     q = p.q
     gen = ualg.AlgebraElement.gen
     word = ualg.AlgebraElement.word
@@ -330,8 +298,7 @@ def verify_lemma_commutators(label, nmax_power: int, p: QParam, tol: float = 1e-
         for name, lhs, rhs in cases:
             lm = ualg.evaluate(lhs, label, p, mats)
             rm = ualg.evaluate(rhs, label, p, mats)
-            scale = max(np.abs(rm).max(initial=0.0), 1.0)
-            r = float(np.abs(lm - rm).max() / scale)
+            r = irreps.largest(irreps.add(lm, (-1.0, rm))) / max(irreps.largest(rm), 1.0)
             worst = max(worst, r)
             report.append({"identity": name, "power": n, "residual": r, "passed": r < tol})
     return {"label": list(label), "max_residual": worst,

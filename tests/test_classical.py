@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -47,8 +49,10 @@ def test_sample_battery():
 def _ref_sample(seed):
     if seed == 0:
         return np.eye(3, dtype=complex)
-    rng = np.random.default_rng(seed)
-    gin = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    rng = random.Random(seed)
+    re = [[rng.gauss(0.0, 1.0) for _ in range(3)] for _ in range(3)]
+    im = [[rng.gauss(0.0, 1.0) for _ in range(3)] for _ in range(3)]
+    gin = np.array(re) + 1j * np.array(im)
     qmat, r = np.linalg.qr(gin)
     ph = np.diag(r).copy()
     qmat = qmat @ np.diag(ph / np.abs(ph))

@@ -168,6 +168,35 @@ def test_membership_error_raised_on_corrupt_input():
         db.dbar(bad, P5, tol=1e-12)
 
 
+@pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 0.95])
+@pytest.mark.parametrize("family, plus", [("diag", (1, 0, 1)), ("offdiag", (0, 1, 1))])
+def test_membership_check_sees_a_changed_black_coefficient(monkeypatch, family, plus, q):
+    # the junk is measured against the largest black image before the sum,
+    # which grows like q^-n: a 1e-6 relative change to E2's first coefficient
+    # on the doublet's v+ breaks the cancellation of -E2 v+ against -Y v- at
+    # every n where the two meet (not on V(1,1) or V(0,3), where both vanish)
+    p = qparam_float(q)
+    row = irreps.action_row
+
+    def perturbed(label, gen, triple, p):
+        out = row(label, gen, triple, p)
+        if gen == "E2" and triple == plus and tuple(label) == db.family_label(family, label[0]) and out:
+            (t, c), *rest = out
+            out = ((t, c * (1.0 + 1e-6)), *rest)
+        return out
+
+    monkeypatch.setattr(pw, "_ROW_MEMO", {})
+    monkeypatch.setattr(irreps, "action_row", perturbed)
+    first = 2 if family == "diag" else 1
+    for n in range(first - 1, 9):
+        doublet = db.block_slots(family, n)[1 if family == "diag" else 0]
+        if n < first:
+            assert db.dbar_raw(doublet, p)[1] == 0.0
+            continue
+        with pytest.raises(db.MembershipError):
+            db.dbar(doublet, p)
+
+
 def test_part_classifies_every_form_basis_key():
     # the subspace bases of the Peter-Weyl model are an independent oracle
     expect = {k: "0" for k in pw.subspace_basis(pw.SubspaceSpec("cp2", 3))}

@@ -1,3 +1,4 @@
+import dense
 import numpy as np
 import pytest
 
@@ -158,49 +159,65 @@ def test_generator_matrix_rejects_an_unknown_generator():
         irreps.generator_matrix((1, 1), "X1", P5)
 
 
-# the benchmark's battery and forms commands at seed 1, and how many
-# generator triplets each assembles: every (label, generator, q) it reads, once
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.72, 0.95, 0.999])
+def test_action_columns_are_action_rows_bit_for_bit(q):
+    # the whole-irrep builder repeats action_row's float operations in
+    # action_row's order, so each column is the row, term by term
+    p = qparam_float(q)
+    for label in irreps.labels_up_to(8):
+        index = irreps.gt_index(label)
+        columns = irreps.action_columns(label, p)
+        assert set(columns) == set(irreps.GENERATORS)
+        for gen in irreps.GENERATORS:
+            assert len(columns[gen]) == len(index)
+            for src, j in index.items():
+                expect = [(index[tgt], c.hex()) for tgt, c in irreps.action_row(label, gen, src, p)]
+                assert [(i, c.hex()) for i, c in columns[gen][j]] == expect, (label, gen, src)
+
+
+# the benchmark's battery and forms commands at seed 1, how often each builds
+# a label's columns and how many (label, q) pairs it builds them for: the
+# checks build each label they read once, and classical-check builds its
+# label anew for each of its eight dense generator matrices
 ASSEMBLIES = [
-    (["verify-hopf", "--q", "0.79", "--total-degree", "8"], 450),
-    (["verify-casimir", "--q", "0.44", "--total-degree", "8"], 450),
-    (["verify-gt", "--q", "0.53", "--total-degree", "6"], 60),
-    (["verify-coproduct", "--q", "0.53"], 8),
-    (["classical-check", "--samples", "1000", "--seed", "716"], 8),
+    (["verify-hopf", "--q", "0.79", "--total-degree", "8"], 45, 45),
+    (["verify-casimir", "--q", "0.44", "--total-degree", "8"], 45, 45),
+    (["verify-gt", "--q", "0.53", "--total-degree", "6"], 28, 28),
+    (["verify-coproduct", "--q", "0.53"], 1, 1),
+    (["classical-check", "--samples", "1000", "--seed", "716"], 8, 2),
     (["evaluate", "q^1 E1 F1 - q^1 F1 E1 - q^-1 E1 F1 + q^-1 F1 E1 - K1 K1 + K1' K1' + K2 K2'",
-      "--q", "0.67", "--n1", "3", "--n2", "3"], 6),
+      "--q", "0.67", "--n1", "3", "--n2", "3"], 1, 1),
     # decided on the black blocks and the dict path, with no white matrix
-    (["verify-complex", "--q", "0.72", "--nmax", "4"], 0),
+    (["verify-complex", "--q", "0.72", "--nmax", "4"], 0, 0),
 ]
 
 
-@pytest.mark.parametrize("argv,expected", ASSEMBLIES, ids=[a[0] for a, _ in ASSEMBLIES])
-def test_each_generator_matrix_is_assembled_once_per_command(monkeypatch, argv, expected, capsys,
+@pytest.mark.parametrize("argv,calls,labels", ASSEMBLIES, ids=[a[0] for a, _, _ in ASSEMBLIES])
+def test_each_generator_matrix_is_assembled_once_per_command(monkeypatch, argv, calls, labels, capsys,
                                                              fresh_operators):
     from collections import Counter
 
     from cp2q import cli
 
     built = Counter()
-    triplets = irreps.generator_triplets
+    columns = irreps.action_columns
 
-    def spy(label, gen, p):
-        built[(tuple(label), gen, p.q)] += 1
-        return triplets(label, gen, p)
+    def spy(label, p):
+        built[(tuple(label), p.q)] += 1
+        return columns(label, p)
 
-    monkeypatch.setattr(irreps, "generator_triplets", spy)
+    monkeypatch.setattr(irreps, "action_columns", spy)
     assert cli.main(argv) == cli.EXIT_OK
     capsys.readouterr()
-    assert all(n == 1 for n in built.values())
-    assert sum(built.values()) == expected
+    assert (sum(built.values()), len(built)) == (calls, labels)
     assert not irreps.generator_matrix((1, 1), "E1", P5).flags.writeable
 
 
 @pytest.mark.parametrize("check", ["hopf", "casimir"])
 def test_checks_hold_one_label_of_matrices_at_a_time(check):
-    # numpy reports its buffers to tracemalloc; over labels up to degree 10
-    # the peak is one label's matrices and one relation's products (about
-    # 6 MB), where keeping every label's matrices reaches 62 MB (hopf) and
-    # 47 MB (casimir)
+    # over labels up to degree 7 the peak is one label's columns and one
+    # relation's products (0.4-0.6 MB), where keeping every label's columns
+    # alone takes 1.3 MB
     import tracemalloc
 
     from cp2q import ualg
@@ -209,19 +226,50 @@ def test_checks_hold_one_label_of_matrices_at_a_time(check):
     p = qparam_float(0.79)
     tracemalloc.start()
     try:
-        for label in irreps.labels_up_to(10):
+        for label in irreps.labels_up_to(7):
             assert verify(label, p)["passed"], label
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2**20, peak
+    assert peak <= 2**20, peak
 
 
-def test_basis_caches_are_bounded_and_hold_a_verify_hopf_run():
-    # one verify-hopf or verify-casimir run at the degree cap reads every
-    # label up to it, at one q, so nothing it caches is built twice
-    from cp2q.cli import TOTAL_DEGREE_GUARD
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+def test_hopf_relations_match_the_dense_oracle(q):
+    # same relations and verdicts; each residual is relative to its scale,
+    # and moves at most where BLAS sums several products in another order
+    p = qparam_float(q)
+    for label in irreps.labels_up_to(6):
+        got, ref = irreps.verify_hopf_relations(label, p), dense.verify_hopf_relations(label, p)
+        assert got.keys() == ref.keys() and got["passed"] == ref["passed"], label
+        assert [e["relation"] for e in got["relations"]] == [e["relation"] for e in ref["relations"]]
+        for e, f in zip(got["relations"], ref["relations"]):
+            assert e["passed"] == f["passed"] and abs(e["residual"] - f["residual"]) <= 1e-15, (label, e, f)
 
-    labels = irreps.labels_up_to(TOTAL_DEGREE_GUARD)
-    assert irreps._basis_arrays.cache_info().maxsize >= len(labels)
-    assert irreps._qn_table.cache_info().maxsize >= len({n1 + n2 for n1, n2 in labels})
+
+def perturb_e2(monkeypatch, label, rel):
+    """A relative change `rel` to the first E2 coefficient of `label`."""
+    columns = irreps.action_columns
+
+    def perturbed(lab, p):
+        out = columns(lab, p)
+        if tuple(lab) == label:
+            col = next(j for j, c in enumerate(out["E2"]) if c)
+            (i, c), *rest = out["E2"][col]
+            out["E2"][col] = ((i, c * (1.0 + rel)), *rest)
+        return out
+
+    monkeypatch.setattr(irreps, "action_columns", perturbed)
+
+
+def test_hopf_relations_see_a_changed_e2_coefficient(monkeypatch):
+    from cp2q import ualg
+
+    p = qparam_float(0.5)
+    for label in ((1, 1), (2, 1)):
+        assert irreps.verify_hopf_relations(label, p)["passed"]
+        assert ualg.verify_casimir_scalar(label, p)["passed"]
+    perturb_e2(monkeypatch, (2, 1), 1e-9)
+    assert irreps.verify_hopf_relations((1, 1), p)["passed"]
+    assert not irreps.verify_hopf_relations((2, 1), p)["passed"]
+    assert not ualg.verify_casimir_scalar((2, 1), p)["passed"]

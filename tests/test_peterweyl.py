@@ -1,6 +1,7 @@
 import json
 import random
 
+import dense
 import pytest
 
 from cp2q import irreps, peterweyl as pw, ualg
@@ -105,7 +106,7 @@ def test_gt_lowering_single_state():
     import numpy as np
 
     elem = pw.gt_lowering_word(1, 1, 1, 0, -1, P5)
-    mat = ualg.evaluate(elem, (1, 1), P5)
+    mat = dense.dense(ualg.evaluate(elem, (1, 1), P5))
     index = irreps.gt_index((1, 1))
     got = mat[:, index[(1, 0, 1)]]
     expect = np.zeros(8)
@@ -119,37 +120,50 @@ def test_gt_lowering_full_sweep(label):
     assert rep["passed"], rep
 
 
-def _reference_gt_lowering(label, p, tol):
-    """verify_gt_lowering as each element's full matrix would give it: one
-    ualg.evaluate per element, read at the highest-weight column."""
-    import numpy as np
-
+def coefficient_mass(label, t, p) -> float:
+    """sum |c| |column of word| over the lowering element of triple t, at the
+    highest-weight column: the scale of its residual's rounding."""
     label = irreps.check_label(label)
-    index = irreps.gt_index(label)
-    hw_idx = index[irreps.highest_weight_triple(label)]
-    worst, failures = 0.0, []
-    for t in irreps.gt_triples(label):
-        got = ualg.evaluate(pw.gt_lowering_word(label.n1, label.n2, *t, p), label, p)[:, hw_idx]
-        expect = np.zeros(len(index))
-        expect[index[t]] = 1.0
-        r = float(np.abs(got - expect).max())
-        worst = max(worst, r)
-        if r >= tol:
-            failures.append({"triple": list(t), "residual": r})
-    return {"label": list(label), "max_residual": worst, "passed": not failures,
-            "failures": failures}
+    hw_idx = irreps.gt_index(label)[irreps.highest_weight_triple(label)]
+    elem = pw.gt_lowering_word(label.n1, label.n2, *t, p)
+    columns = dense.word_columns(elem.terms, label, p, hw_idx, {})
+    return sum(abs(c) * abs(columns[w]).max() for w, c in elem.terms.items())
 
 
 @pytest.mark.parametrize("q", [0.3, 0.9])
-def test_gt_lowering_matches_the_full_matrix_reference(q):
+def test_gt_lowering_matches_the_dense_oracle(q):
+    # the words act on the highest-weight vector, rightmost letter first, where
+    # the oracle forms each word's matrix left to right: same verdicts, and
+    # every residual within 1e-15 of its element's coefficient mass
     p = qparam_float(q)
-    tight = 0
     for label in irreps.labels_up_to(5):
-        for tol in (1e-9, 1e-15):
-            rep = pw.verify_gt_lowering(label, p, tol)
-            assert rep == _reference_gt_lowering(label, p, tol), (label, tol)
-            tight += bool(rep["failures"])
-    assert tight  # the tight tol does fail somewhere, so failure lists are compared too
+        rep, ref = pw.verify_gt_lowering(label, p), dense.verify_gt_lowering(label, p)
+        assert rep.keys() == ref.keys() and rep["passed"] == ref["passed"] and not rep["failures"], label
+        # at tol 0 every triple fails, so the failure lists hold every residual
+        rep, ref = pw.verify_gt_lowering(label, p, 0.0), dense.verify_gt_lowering(label, p, 0.0)
+        assert [f["triple"] for f in rep["failures"]] == [f["triple"] for f in ref["failures"]]
+        for f, g in zip(rep["failures"], ref["failures"]):
+            band = 1e-15 * coefficient_mass(label, f["triple"], p)
+            assert abs(f["residual"] - g["residual"]) <= band, (f, g)
+
+
+def test_gt_lowering_sees_a_changed_word_coefficient(monkeypatch):
+    # a 1e-6 relative change to the coefficient of one word of one element
+    lowering = pw.gt_lowering_word
+    target = (2, 1, 1, 0, -1)
+
+    def perturbed(n1, n2, j1, j2, mm, p, pieces=None):
+        elem = lowering(n1, n2, j1, j2, mm, p, pieces)
+        if (n1, n2, j1, j2, mm) == target:
+            w = max(elem.terms, key=lambda w: abs(elem.terms[w]))
+            elem = ualg.AlgebraElement({**elem.terms, w: elem.terms[w] * (1.0 + 1e-6)})
+        return elem
+
+    assert pw.verify_gt_lowering((2, 1), P5)["passed"]
+    monkeypatch.setattr(pw, "gt_lowering_word", perturbed)
+    rep = pw.verify_gt_lowering((2, 1), P5)
+    assert not rep["passed"] and [f["triple"] for f in rep["failures"]] == [[1, 0, -1]]
+    assert pw.verify_gt_lowering((1, 2), P5)["passed"]
 
 
 def test_gt_lowering_rejects_invalid():

@@ -1,5 +1,6 @@
 import random
 
+import dense
 import numpy as np
 import pytest
 
@@ -16,13 +17,18 @@ BATTERY_LABELS = irreps.labels_up_to(4)
 BATTERY_QS = (0.3, 0.5, 0.9)
 
 
+def evaluate(elem, label, p):
+    """ualg.evaluate's columns as a dense matrix."""
+    return dense.dense(ualg.evaluate(elem, label, p))
+
+
 def test_evaluate_unit():
-    assert np.allclose(ualg.evaluate(ualg.AlgebraElement.unit(), (1, 1), P5), np.eye(8))
+    assert np.allclose(evaluate(ualg.AlgebraElement.unit(), (1, 1), P5), np.eye(8))
 
 
 def test_ef_commutator_defining_relation():
     e1, f1 = GEN("E1"), GEN("F1")
-    lhs = ualg.evaluate(e1 * f1 - f1 * e1, (0, 1), P5)
+    lhs = evaluate(e1 * f1 - f1 * e1, (0, 1), P5)
     k1 = irreps.generator_matrix((0, 1), "K1", P5)
     k1i = irreps.generator_matrix((0, 1), "K1inv", P5)
     rhs = (k1 @ k1 - k1i @ k1i) / (Q - 1 / Q)
@@ -30,7 +36,7 @@ def test_ef_commutator_defining_relation():
 
 
 def test_x_on_fundamental():
-    x = ualg.evaluate(ualg.x_element(P5), (0, 1), P5)
+    x = evaluate(ualg.x_element(P5), (0, 1), P5)
     f1 = irreps.generator_matrix((0, 1), "F1", P5)
     f2 = irreps.generator_matrix((0, 1), "F2", P5)
     expect = f2 @ f1 - (2.0 / qint(2, P5)) * (f1 @ f2)
@@ -50,12 +56,12 @@ def test_qcommutator_bilinear_and_self():
 def test_serre_qcommutator_vanishes():
     for i, j in (("E1", "E2"), ("E2", "E1")):
         elem = ualg.qcommutator(GEN(i), ualg.qcommutator(GEN(j), GEN(i), P5), P5)
-        assert np.abs(ualg.evaluate(elem, (1, 1), P5)).max() < 1e-13
+        assert np.abs(evaluate(elem, (1, 1), P5)).max() < 1e-13
 
 
 @pytest.mark.parametrize("label,expect", [((0, 0), 2.0), ((1, 1), 12.5)])
 def test_casimir_scalar_values(label, expect):
-    cas = ualg.evaluate(ualg.casimir_element(P5), label, P5)
+    cas = evaluate(ualg.casimir_element(P5), label, P5)
     assert np.abs(cas - expect * np.eye(cas.shape[0])).max() < 1e-12
     assert ualg.casimir_eigenvalue(*label, P5) == pytest.approx(expect, rel=1e-13)
 
@@ -90,7 +96,7 @@ def test_theta_fixes_casimir_by_evaluation():
     tcas = ualg.theta(cas)
     assert tcas != cas
     for label in ((1, 1), (2, 1)):
-        d = ualg.evaluate(tcas - cas, label, P5)
+        d = evaluate(tcas - cas, label, P5)
         scale = max(abs(ualg.casimir_eigenvalue(*label, P5)), 1.0)
         assert np.abs(d).max() / scale < 1e-12
 
@@ -102,7 +108,7 @@ def test_star_of_x():
 
 def test_star_fixes_casimir_by_evaluation():
     cas = ualg.casimir_element(P5)
-    d = ualg.evaluate(ualg.star(cas) - cas, (1, 1), P5)
+    d = evaluate(ualg.star(cas) - cas, (1, 1), P5)
     assert np.abs(d).max() < 1e-12
 
 
@@ -124,9 +130,9 @@ def test_evaluate_is_homomorphism_on_random_words():
         w1 = tuple(rng.choice(gens) for _ in range(rng.randrange(1, 4)))
         w2 = tuple(rng.choice(gens) for _ in range(rng.randrange(1, 4)))
         for label in ((1, 1), (0, 2)):
-            a = ualg.evaluate(WORD(w1), label, P5)
-            b = ualg.evaluate(WORD(w2), label, P5)
-            ab = ualg.evaluate(WORD(w1 + w2), label, P5)
+            a = evaluate(WORD(w1), label, P5)
+            b = evaluate(WORD(w2), label, P5)
+            ab = evaluate(WORD(w1 + w2), label, P5)
             assert np.abs(ab - a @ b).max() < 1e-11 * max(np.abs(ab).max(), 1.0)
 
 
@@ -143,7 +149,7 @@ def test_k_scaling_identities(label):
         ("K1K2^2 E2", k1k22 * e2, Q**1.5 * (e2 * k1k22)),
         ("K1 E2", k1 * e2, Q**-0.5 * (e2 * k1)),
     ):
-        d = ualg.evaluate(lhs - rhs, label, P5)
+        d = evaluate(lhs - rhs, label, P5)
         assert np.abs(d).max() < 1e-12, name
 
 
@@ -152,8 +158,8 @@ def test_serre_in_xy_form(label):
     # E1 Y + X* E1 = 0 and E2 X* + Y E2 = 0
     x_star, y = ualg.x_star_element(P5), ualg.y_element(P5)
     e1, e2 = GEN("E1"), GEN("E2")
-    assert np.abs(ualg.evaluate(e1 * y + x_star * e1, label, P5)).max() < 1e-12
-    assert np.abs(ualg.evaluate(e2 * x_star + y * e2, label, P5)).max() < 1e-12
+    assert np.abs(evaluate(e1 * y + x_star * e1, label, P5)).max() < 1e-12
+    assert np.abs(evaluate(e2 * x_star + y * e2, label, P5)).max() < 1e-12
 
 
 def test_identity_battery_casimir_central():
@@ -162,16 +168,16 @@ def test_identity_battery_casimir_central():
         p = qparam_float(q)
         cas = ualg.casimir_element(p)
         for label in BATTERY_LABELS:
-            cmat = ualg.evaluate(cas, label, p)
+            cmat = evaluate(cas, label, p)
             for g in ("E1", "F2"):
-                gm = ualg.evaluate(GEN(g), label, p)
+                gm = evaluate(GEN(g), label, p)
                 scale = max(np.abs(cmat @ gm).max(), 1.0)
                 assert np.abs(cmat @ gm - gm @ cmat).max() / scale < 1e-11
 
 
 def test_exact_diagonal_evaluation():
     label = (2, 1)
-    flt = ualg.evaluate(ualg.element_from_string("K1 K2 K2 + 1/2 H H'", P5), label, P5)
+    flt = evaluate(ualg.element_from_string("K1 K2 K2 + 1/2 H H'", P5), label, P5)
     assert np.array_equal(flt, np.diag(np.diag(flt)))
     for i, t in enumerate(irreps.gt_triples(label)):
         # a diagonal word scales by q^(w/12), w the sum of its letters' weights
@@ -190,15 +196,15 @@ def test_exact_diagonal_rejects_ladder_words():
     t = irreps.gt_triples(label)[0]
     with pytest.raises(irreps.LabelError):
         sum(irreps.weight_twelfths(g, label, t) for g in ("K1", "E1"))
-    assert not np.diag(ualg.evaluate(WORD(("K1", "E1")), label, P5)).any()
+    assert not np.diag(evaluate(WORD(("K1", "E1")), label, P5)).any()
 
 
 def test_element_parser():
     elem = ualg.element_from_string("E1 F1 - q^-1 F1 E1", P5)
     expect = ualg.qcommutator(GEN("E1"), GEN("F1"), P5)
-    assert np.abs(ualg.evaluate(elem - expect, (1, 1), P5)).max() < 1e-14
+    assert np.abs(evaluate(elem - expect, (1, 1), P5)).max() < 1e-14
     elem = ualg.element_from_string("3/2 K1 K1' + 2 H H'", P5)
-    assert np.abs(ualg.evaluate(elem, (1, 1), P5) - 3.5 * np.eye(8)).max() < 1e-14
+    assert np.abs(evaluate(elem, (1, 1), P5) - 3.5 * np.eye(8)).max() < 1e-14
     with pytest.raises(ValueError):
         ualg.element_from_string("E1 + bogus", P5)
     assert ualg.element_from_string("- E1", P5) == -GEN("E1")
@@ -230,7 +236,9 @@ def test_element_parser_rejects_malformed_input(expr):
     ["q^-1000 q^-1000 E1", "--n1", "0", "--n2", "1"],
     # finite coefficients whose matrix leaves the float range
     ["q^-580 E1 F1", "--q", "0.3", "--n1", "9", "--n2", "9"],
-], ids=("power", "rational", "product", "matrix"))
+    # unit coefficients: the word products overflow, and their difference is nan
+    ["E1 F1 E1 F1 - F1 E1 F1 E1", "--q", "1e-12", "--n1", "9", "--n2", "9"],
+], ids=("power", "rational", "product", "matrix", "word"))
 def test_evaluate_refuses_values_outside_the_float_range(argv):
     import contextlib
     import io
@@ -249,3 +257,41 @@ def test_evaluate_refuses_values_outside_the_float_range(argv):
     assert code == cli.EXIT_CONFIG_ERROR
     report = json.loads(buf.getvalue(), parse_constant=reject)
     assert report["passed"] is False and "float range" in report["error"]
+    if argv[-1] == "9":  # every term coefficient is finite: the matrix is refused
+        assert report["error"] == "the matrix on (9,9) has entries outside the float range"
+
+
+def random_element(rng, terms):
+    gens = list(irreps.GENERATORS)
+    words = [tuple(rng.choice(gens) for _ in range(rng.randrange(0, 5))) for _ in range(terms)]
+    return ualg.AlgebraElement({w: rng.uniform(-2.0, 2.0) for w in words})
+
+
+@pytest.mark.parametrize("q", BATTERY_QS)
+def test_evaluate_matches_the_dense_oracle(q):
+    # each entry within 1e-15 of the largest c * word entry summed into the
+    # matrix; bit for bit where no entry sums several products
+    p = qparam_float(q)
+    rng = random.Random(13)
+    for _ in range(40):
+        elem = random_element(rng, rng.randrange(1, 6))
+        label = rng.choice(BATTERY_LABELS)
+        got, ref = evaluate(elem, label, p), dense.evaluate(elem, label, p)
+        scale = max(abs(c) * np.abs(dense.evaluate(ualg.AlgebraElement({w: 1.0}), label, p)).max()
+                    for w, c in elem.terms.items())
+        assert np.abs(got - ref).max() <= 1e-15 * scale, (elem, label)
+    # the golden file's element and the benchmark's keep their bytes
+    for expr in ("E1 F1 - q^-1 F1 E1",
+                 "q^1 E1 F1 - q^1 F1 E1 - q^-1 E1 F1 + q^-1 F1 E1 - K1 K1 + K1' K1' + K2 K2'"):
+        elem = ualg.element_from_string(expr, p)
+        assert np.array_equal(evaluate(elem, (3, 3), p), dense.evaluate(elem, (3, 3), p)), expr
+
+
+@pytest.mark.parametrize("q", BATTERY_QS)
+def test_casimir_check_matches_the_dense_oracle(q):
+    p = qparam_float(q)
+    for label in irreps.labels_up_to(5):
+        got, ref = ualg.verify_casimir_scalar(label, p), dense.verify_casimir_scalar(label, p)
+        assert got.keys() == ref.keys() and got["passed"] == ref["passed"] and got["scalar"] == ref["scalar"]
+        for key in ("off_scalar_residual", "commutator_residual"):
+            assert abs(got[key] - ref[key]) <= 1e-15, (label, key)

@@ -75,3 +75,21 @@ def test_tier1_workflow_runs_the_complex_checks_where_the_values_grow_fastest():
     steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
     runs = [s["run"] for s in steps if "run" in s]
     assert f"PYTHONPATH=src python -m cp2q.cli verify-complex --q 0.3 --nmax {cli.NMAX_GUARD}" in runs
+
+
+def test_tier1_workflow_runs_the_hopf_relations_at_their_degree_cap():
+    # the costliest verify-hopf line the cap admits, at the q where the
+    # products grow fastest; no test runs it, and a step fails on a nonzero exit
+    yaml = pytest.importorskip("yaml")
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
+    runs = [s["run"] for s in steps if "run" in s]
+    assert f"PYTHONPATH=src python -m cp2q.cli verify-hopf --q 0.3 --total-degree {cli.TOTAL_DEGREE_GUARD}" in runs
+
+
+def test_tier1_workflow_runs_the_lemma_identities_at_their_powers_cap():
+    # [F2,F1]_q^n expands into 2^n words, so the --powers cap is the costliest
+    # verify-gt line; no test runs it, and a step fails on a nonzero exit
+    yaml = pytest.importorskip("yaml")
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
+    runs = [s["run"] for s in steps if "run" in s]
+    assert f"PYTHONPATH=src python -m cp2q.cli verify-gt --q 0.5 --powers {cli.GT_POWERS_GUARD}" in runs
