@@ -131,7 +131,7 @@ def coefficient_mass(label, t, p) -> float:
 
 
 @pytest.mark.parametrize("q", [0.3, 0.9])
-def test_gt_lowering_matches_the_dense_oracle(q):
+def test_gt_lowering_matches_the_full_matrix_reference(q):
     # the words act on the highest-weight vector, rightmost letter first, where
     # the oracle forms each word's matrix left to right: same verdicts, and
     # every residual within 1e-15 of its element's coefficient mass
