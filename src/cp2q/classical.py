@@ -1,209 +1,241 @@
-"""Numerical verification of the commutative (q = 1) picture.
-
-Random special-unitary 3x3 samples drive identity checks for the chart
-geometry of the projective plane: the two-by-two comparison matrices
-P^(j), their transition functions, determinant formula, and the local
-form of the antiholomorphic differential as finite-difference derivatives
-in chart coordinates.  Everything is numeric-at-samples; seeds make runs
-reproducible.  The sample battery works on stacks: group samples are
-(..., 3, 3) arrays, and the chart functions broadcast over the leading
-axes, a single sample being the unstacked case.
-"""
+"""Numerical verification of the commutative (q = 1) picture: seeded
+special-unitary 3x3 samples drive identity checks for the chart geometry
+of the projective plane (the comparison matrices P^(j), their transition
+functions and determinants) and for the local form of the antiholomorphic
+differential.  Plain Python, one sample at a time, on tuples of rows read
+as m[i][j], as a numpy array reads; only sample_su3 imports numpy."""
 
 from __future__ import annotations
 
+import functools
 import random
-from itertools import permutations
-
-import numpy as np
+from math import sqrt
 
 from . import irreps
 from .qarith import QParam
 
-# classical generator matrices in the defining representation
-SIGMA_H1 = np.diag([-1.0, 1.0, 0.0])
-SIGMA_H2 = np.diag([0.0, -1.0, 1.0])
-SIGMA_E1 = np.zeros((3, 3)); SIGMA_E1[1, 0] = 1.0
-SIGMA_E2 = np.zeros((3, 3)); SIGMA_E2[2, 1] = 1.0
-SIGMA_F1 = SIGMA_E1.T.copy()
-SIGMA_F2 = SIGMA_E2.T.copy()
 
-# samples per stacked block of the battery: its memory stays the same
-# whatever the sample count
-SAMPLE_BLOCK = 512
+def _matrix(entries: dict, n: int = 3) -> tuple:
+    """The n x n matrix with the given {(row, col): value} entries."""
+    return tuple(tuple(entries.get((i, j), 0.0) for j in range(n)) for i in range(n))
+
+
+# classical generator matrices in the defining representation
+SIGMA = {"H1": _matrix({(0, 0): -1.0, (1, 1): 1.0}), "H2": _matrix({(1, 1): -1.0, (2, 2): 1.0}),
+         "E1": _matrix({(1, 0): 1.0}), "E2": _matrix({(2, 1): 1.0}),
+         "F1": _matrix({(0, 1): 1.0}), "F2": _matrix({(1, 2): 1.0})}
+_IDENTITY = _matrix({(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1.0})
 BATTERY_FAMILIES = ("transition", "determinant", "row_orthogonality",
                     "transition_inverse", "projector")
+EXP_DEGREE = 10  # of the Taylor sum for the group flows; see expm_series
 
 
-def _gaussian(seed: int) -> np.ndarray:
-    """A complex Gaussian 3x3 matrix from the standard library's stream of
-    the seed: nine real parts, then nine imaginary parts, row-major."""
-    rng = random.Random(seed)
-    draws = np.array([rng.gauss(0.0, 1.0) for _ in range(18)]).reshape(2, 3, 3)
-    return draws[0] + 1j * draws[1]
+def _mul(a, b) -> tuple:  # a b, for b 3x3
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    return tuple((r[0] * b00 + r[1] * b10 + r[2] * b20, r[0] * b01 + r[1] * b11 + r[2] * b21,
+                  r[0] * b02 + r[1] * b12 + r[2] * b22) for r in a)
 
 
-def sample_stack(seed: int, n: int) -> np.ndarray:
-    """The samples sample_su3(seed), ..., sample_su3(seed + n - 1) as one
-    (n, 3, 3) stack: per-seed draws, then one batched QR, phase fix and
-    determinant."""
-    qmat, r = np.linalg.qr(np.array([_gaussian(s) for s in range(seed, seed + n)]))
-    ph = np.diagonal(r, axis1=-2, axis2=-1)
-    qmat = qmat * (ph / np.abs(ph))[:, None, :]
-    det = np.linalg.det(qmat)
-    out = qmat / (det ** (1.0 / 3.0))[:, None, None]
+def _scaled(c, a) -> tuple:
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def _add(a, b) -> tuple:
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _adjoint(a) -> tuple:
+    return tuple(tuple(x.conjugate() for x in col) for col in zip(*a))
+
+
+def _dot(u, v) -> complex:  # sum_i conj(u_i) v_i over three entries
+    return u[0].conjugate() * v[0] + u[1].conjugate() * v[1] + u[2].conjugate() * v[2]
+
+
+def _largest(values: list) -> float:  # of values >= 0: 0.0 if none, nan if one is nan
+    total = sum(values)
+    return max(values, default=0.0) if total == total else total
+
+
+def _gap(a, b) -> float:  # the largest entrywise |a - b|
+    return _largest([abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)])
+
+
+def _det2(m) -> complex:
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+def _product_gaps(a, b, c) -> list:  # the entrywise |a b - c| of 2x2 matrices
+    (a00, a01), (a10, a11) = a
+    (b00, b01), (b10, b11) = b
+    (c00, c01), (c10, c11) = c
+    return [abs(a00 * b00 + a01 * b10 - c00), abs(a00 * b01 + a01 * b11 - c01),
+            abs(a10 * b00 + a11 * b10 - c10), abs(a10 * b01 + a11 * b11 - c11)]
+
+
+def _det3(m) -> complex:
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _orthonormal_columns(cols) -> list:
+    """Q's columns in a = QR, diag(R) > 0, from a's: classical Gram-Schmidt run twice
+    on each column ("twice is enough": Giraud, Langou and Rozloznik, 2005)."""
+    q = []
+    for v in cols:
+        for _ in range(2):
+            for c, u in [(_dot(u, v), u) for u in q]:
+                v = (v[0] - c * u[0], v[1] - c * u[1], v[2] - c * u[2])
+        norm = sqrt(abs(_dot(v, v)))
+        q.append((v[0] / norm, v[1] / norm, v[2] / norm))
+    return q
+
+
+def sample(seed: int) -> tuple:
+    """Haar-ish special unitary sample as a tuple of rows: Q of a complex Gaussian
+    matrix (random.Random(seed).gauss: nine real parts, then nine imaginary,
+    row-major), over a cube root of det Q.  Seed 0 returns the identity."""
     if seed == 0:
-        out[0] = np.eye(3)
-    return out
+        return tuple(tuple(complex(x) for x in row) for row in _IDENTITY)
+    gauss = random.Random(seed).gauss
+    d = [gauss(0.0, 1.0) for _ in range(18)]
+    qmat = tuple(zip(*_orthonormal_columns(
+        [(complex(d[j], d[9 + j]), complex(d[3 + j], d[12 + j]), complex(d[6 + j], d[15 + j]))
+         for j in range(3)])))
+    root = _det3(qmat) ** (1.0 / 3.0)
+    return tuple((x / root, y / root, w / root) for x, y, w in qmat)
 
 
-def sample_su3(seed: int) -> np.ndarray:
-    """Haar-ish special unitary sample: QR of a complex Gaussian matrix with
-    phase-fixed diagonal, then the determinant phase spread over a cube
-    root.  Deterministic per seed; seed 0 returns the identity."""
-    return sample_stack(seed, 1)[0]
+def sample_su3(seed: int):
+    """sample(seed) as a complex 3x3 numpy array."""
+    import numpy as np
+
+    return np.array(sample(seed), dtype=complex)
 
 
-def _adjoint(a: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(a, -1, -2))
+def check_group_sample(g, tol: float = 1e-12) -> dict:
+    # g g^H on and above the diagonal: each entry below is the conjugate of one above
+    uni = _largest([abs(_dot(g[j], g[i]) - (i == j)) for i in range(3) for j in range(i, 3)])
+    det = abs(_det3(g) - 1.0)  # not finite if any entry is not
+    return {"unitarity": uni, "det": det, "passed": uni < tol and det < tol}
 
 
-def _entry_max(a: np.ndarray) -> np.ndarray:
-    return np.abs(a).max(axis=(-2, -1))
-
-
-def check_group_sample(g: np.ndarray, tol: float = 1e-12) -> dict:
-    uni = _entry_max(g @ _adjoint(g) - np.eye(3))
-    det = np.abs(np.linalg.det(g) - 1.0)
-    return {"unitarity": uni, "det": det, "passed": (uni < tol) & (det < tol)}
-
-
-def _z_of(g: np.ndarray) -> np.ndarray:
-    # sphere coordinates are the last row of the group matrix
-    return g[..., 2, :]
-
-
-def projector_of(z: np.ndarray) -> np.ndarray:
-    return np.conj(z)[..., :, None] * z[..., None, :]
+def projector_of(z) -> tuple:
+    return tuple(tuple(a.conjugate() * b for b in z) for a in z)
 
 
 _CHART_COLS = {1: (2, 3), 2: (1, 3), 3: (1, 2)}  # k < l with {j,k,l} = {1,2,3}
-_ROW_SIGNS = np.array([[1.0], [-1.0]])
+_FORMULA_PAIRS = ((1, 2), (2, 3), (3, 1))  # the transitions with explicit formulas
 
 
-def comparison_matrix(g: np.ndarray, chart: int) -> np.ndarray:
+def comparison_matrix(g, chart: int) -> tuple:
     """P^(j) = conj(z_j) [[u^1_k, u^1_l], [-u^2_k, -u^2_l]]."""
     k, l = _CHART_COLS[chart]
-    rows = g[..., :2, [k - 1, l - 1]] * _ROW_SIGNS
-    return np.conj(_z_of(g)[..., chart - 1])[..., None, None] * rows
+    c = g[2][chart - 1].conjugate()
+    return ((c * g[0][k - 1], c * g[0][l - 1]), (c * -g[1][k - 1], c * -g[1][l - 1]))
 
 
-def _matrix2(a, b, c, d) -> np.ndarray:
-    return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
+def _inverse2(m) -> tuple:
+    (a, b), (c, d) = m
+    det = _det2(m)
+    return ((d / det, -b / det), (-c / det, a / det))
 
 
-def transition_matrix(z: np.ndarray, j: int, k: int) -> np.ndarray:
+def transition_matrix(z, j: int, k: int) -> tuple:
     """Chart transition g_jk on the overlap, from the explicit formulas."""
-    zb = np.conj(z)
-    z1, z2, z3 = zb[..., 0], zb[..., 1], zb[..., 2]
-    zero = np.zeros_like(z1)
+    if (k, j) in _FORMULA_PAIRS:
+        return _inverse2(transition_matrix(z, k, j))
+    z1, z2, z3 = z[0].conjugate(), z[1].conjugate(), z[2].conjugate()
     if (j, k) == (1, 2):
-        return (z2 / z1 ** 2)[..., None, None] * _matrix2(-z2, zero, -z3, z1)
+        s = z2 / z1 ** 2
+        return ((s * -z2, 0.0), (s * -z3, s * z1))
     if (j, k) == (2, 3):
-        return (z3 / z2 ** 2)[..., None, None] * _matrix2(z2, -z1, zero, -z3)
-    if (j, k) == (3, 1):
-        return (z1 / z3 ** 2)[..., None, None] * _matrix2(zero, -z1, z3, -z2)
-    return np.linalg.inv(transition_matrix(z, k, j))
+        s = z3 / z2 ** 2
+        return ((s * z2, s * -z1), (0.0, s * -z3))
+    s = z1 / z3 ** 2  # (3, 1)
+    return ((0.0, s * -z1), (s * z3, s * -z2))
 
 
-def active_charts(z: np.ndarray, threshold: float = 0.1) -> list[int]:
+def active_charts(z, threshold: float = 0.1) -> list[int]:
     return [j for j in (1, 2, 3) if abs(z[j - 1]) > threshold]
 
 
-def transition_check(g: np.ndarray, tol: float = 1e-10, threshold: float = 0.1) -> dict:
-    """The three Appendix-style identity families at each sample of a
-    stack: transition compatibility of the P^(j), their determinants, row
-    orthogonality, inverse consistency of the transitions, and the
-    projector properties.  A chart is active where |z_j| > threshold; a
-    family's residual at a sample is its maximum over the active charts."""
-    z = _z_of(g)
-    active = np.abs(z) > threshold
-    pmat = {j: comparison_matrix(g, j) for j in (1, 2, 3)}
-    overlap, trans = {}, {}
-    for j, k in permutations((1, 2, 3), 2):
-        overlap[j, k] = active[..., j - 1] & active[..., k - 1]
-        # an inactive overlap gets the point (1, 1, 1), where every transition
-        # is invertible, so no division or inverse can fail; it is masked out
-        trans[j, k] = transition_matrix(np.where(overlap[j, k][..., None], z, 1.0), j, k)
-
-    def masked(mask, resid):
-        return np.where(mask, resid, 0.0)
-
-    res = {"transition": [masked(overlap[j, k], _entry_max(pmat[j] @ trans[j, k] - pmat[k]))
-                          for j, k in trans]}
-    res["determinant"] = [
-        masked(active[..., j - 1],
-               np.abs(np.linalg.det(pmat[j]) - (-1.0) ** j * np.conj(z[..., j - 1]) ** 3))
-        for j in (1, 2, 3)]
-    # rows 1 and 2 against the conjugated third row
-    res["row_orthogonality"] = [
-        np.abs(np.sum(np.conj(z)[..., None, :] * g[..., :2, :], axis=-1)).max(axis=-1)]
-    res["transition_inverse"] = [
-        masked(overlap[j, k], _entry_max(trans[j, k] @ trans[k, j] - np.eye(2)))
-        for j, k in trans if j < k]
-    p = projector_of(z)
-    res["projector"] = [_entry_max(p @ p - p), _entry_max(p - _adjoint(p)),
-                        np.abs(np.trace(p, axis1=-2, axis2=-1) - 1.0)]
-    res = {name: np.max(rs, axis=0) for name, rs in res.items()}
-    res["max_residual"] = np.max(list(res.values()), axis=0)
+def transition_check(g, tol: float = 1e-10, threshold: float = 0.1) -> dict:
+    """The Appendix-style identity families at one sample: transition
+    compatibility of the P^(j), their determinants, row orthogonality,
+    inverse consistency of the transitions, and the projector properties,
+    each the maximum over the active charts (|z_j| > threshold) alone."""
+    g0, g1, z = g
+    zb = [x.conjugate() for x in z]
+    pmat = {j: comparison_matrix(g, j) for j in active_charts(z, threshold)}
+    transition, inverse = [], []
+    for j, k in _FORMULA_PAIRS:
+        if j in pmat and k in pmat:
+            t, ti = transition_matrix(z, j, k), transition_matrix(z, k, j)
+            transition += _product_gaps(pmat[j], t, pmat[k]) + _product_gaps(pmat[k], ti, pmat[j])
+            inverse += _product_gaps(*((t, ti) if j < k else (ti, t)), ((1.0, 0.0), (0.0, 1.0)))
+    p = [a * b for a in zb for b in z]  # the projector, row-major
+    pp = [p[i] * p[j] + p[i + 1] * p[j + 3] + p[i + 2] * p[j + 6] for i in (0, 3, 6) for j in (0, 1, 2)]
+    res = {
+        "transition": _largest(transition),
+        "determinant": _largest([abs(_det2(m) - (-1.0) ** j * zb[j - 1] ** 3)
+                                 for j, m in pmat.items()]),
+        # rows 1 and 2 against the conjugated third row
+        "row_orthogonality": _largest([abs(_dot(z, g0)), abs(_dot(z, g1))]),
+        "transition_inverse": _largest(inverse),
+        "projector": _largest([abs(x - y) for x, y in zip(pp, p)]
+                              + [abs(p[3 * i + j] - p[3 * j + i].conjugate()) for i in range(3)
+                                 for j in range(3)] + [abs(p[0] + p[4] + p[8] - 1.0)]),
+    }
+    res["max_residual"] = _largest(list(res.values()))
     res["passed"] = res["max_residual"] < tol
     return res
 
 
 # -- local form of the antiholomorphic differential ---------------------------
 
-def _chart_point(z: np.ndarray, chart: int) -> np.ndarray:
+def _chart_point(z, chart: int) -> tuple:
     k, l = _CHART_COLS[chart]
-    return np.array([z[k - 1] / z[chart - 1], z[l - 1] / z[chart - 1]])
+    return (z[k - 1] / z[chart - 1], z[l - 1] / z[chart - 1])
 
 
-def _projector_from_chart(chart: int, w: np.ndarray) -> np.ndarray:
-    v = np.zeros(3, dtype=complex)
+def _projector_from_chart(chart: int, w) -> tuple:
+    v = [0j] * 3
     k, l = _CHART_COLS[chart]
     v[chart - 1] = 1.0
-    v[k - 1], v[l - 1] = w[0], w[1]
-    v = v / np.linalg.norm(v)
-    return projector_of(v)
+    v[k - 1], v[l - 1] = w
+    norm = sqrt(abs(_dot(v, v)))
+    return projector_of([x / norm for x in v])
 
 
-def expm_antihermitian(a: np.ndarray) -> np.ndarray:
-    """exp(a) for antihermitian a, from the Hermitian eigendecomposition
-    -i a = v diag(w) v^H as v diag(exp(i w)) v^H: unitary up to rounding,
-    with no scaling and squaring."""
-    w, v = np.linalg.eigh(-1j * a)
-    return (v * np.exp(1j * w)) @ _adjoint(v)
+def expm_series(a) -> tuple:
+    """exp(a) as its Taylor sum to degree EXP_DEGREE; at ||a|| <= 2e-2 (the
+    local check's h_step guard) the remainder is below 1e-25."""
+    out = term = _IDENTITY
+    for n in range(1, EXP_DEGREE + 1):
+        term = _scaled(1.0 / n, _mul(term, a))
+        out = _add(out, term)
+    return out
 
 
-def _antihermitian_parts(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # h = a + i b with a and b antihermitian
-    return (h - h.conj().T) / 2.0, (h + h.conj().T) / 2.0j
-
-
-def black_flows() -> tuple:
+@functools.lru_cache(maxsize=4)
+def flow_steps(h_step: float) -> tuple:
     """The black flows theta([E1,E2]) = [F2,F1] and theta(E2) = F2 in the
-    defining matrices, each split into the antihermitian pair that
-    generates group curves.  Built per call: a matrix product at import
-    would start the BLAS library in every command."""
-    return (_antihermitian_parts(SIGMA_F2 @ SIGMA_F1 - SIGMA_F1 @ SIGMA_F2),
-            _antihermitian_parts(SIGMA_F2))
+    defining matrices, each h split into the antihermitian pair a, b with
+    h = a + i b that generates group curves, as exp(+-h_step a), exp(+-h_step b)."""
+    f1, f2 = SIGMA["F1"], SIGMA["F2"]
+    pairs = [(_scaled(0.5, _add(h, _scaled(-1.0, _adjoint(h)))), _scaled(-0.5j, _add(h, _adjoint(h))))
+             for h in (_add(_mul(f2, f1), _scaled(-1.0, _mul(f1, f2))), f2)]
+    return tuple(tuple((expm_series(_scaled(h_step, s)), expm_series(_scaled(-h_step, s)))
+                       for s in pair) for pair in pairs)
 
 
-def dbar_local_check(a, g: np.ndarray, chart: int, h_step: float = 1e-5,
+def dbar_local_check(a, g, chart: int, h_step: float = 1e-5,
                      tol: float = 1e-6) -> dict:
     """Local identity for the differential of a function a(p) of the
-    projector entries: the group-side derivative pair assembled through
-    the comparison matrix equals the chart-coordinate antiholomorphic
-    derivatives.
+    projector entries p[i][j] at g (read as g[i][j]): the group-side
+    derivative pair assembled through the comparison matrix equals the
+    chart-coordinate antiholomorphic derivatives.
 
     Group side: the black action of h is the right canonical action by the
     swapped-ladder image of h, realized as the left-translation flow of
@@ -211,119 +243,103 @@ def dbar_local_check(a, g: np.ndarray, chart: int, h_step: float = 1e-5,
     curves and combine complex-linearly (the complexified generators are
     not tangent to the group, so naive off-group curves would corrupt the
     conjugations inside a).  Chart side: central differences of a in the
-    conjugated local coordinates.
-    """
-    z = _z_of(g)
+    conjugated local coordinates."""
+    g = tuple(tuple(complex(x) for x in row) for row in g)
+    z = g[2]
     if abs(z[chart - 1]) <= 0.1:
         raise ValueError(f"chart {chart} inactive at this sample")
     if not (1e-8 < h_step < 1e-2):
         raise ValueError(f"step {h_step} outside the trustworthy central-difference range")
 
-    def func_of_group(gg: np.ndarray) -> complex:
-        return a(projector_of(gg[2, :]))
+    def real_derivative(plus, minus) -> complex:
+        # along exp(+-h sigma) g, sigma antihermitian: the curve stays on the
+        # group, and a reads the third row of each end point
+        fp, fm = (a(projector_of(_mul((u[2],), g)[0])) for u in (plus, minus))
+        return (fp - fm) / (2.0 * h_step)
 
-    def real_derivative(sigma: np.ndarray) -> complex:
-        # sigma antihermitian: the curve stays on the group
-        gp = expm_antihermitian(h_step * sigma) @ g
-        gm = expm_antihermitian(-h_step * sigma) @ g
-        return (func_of_group(gp) - func_of_group(gm)) / (2.0 * h_step)
-
-    vplus, vminus = (real_derivative(amat) + 1j * real_derivative(bmat)
-                     for amat, bmat in black_flows())
-    lhs = np.array([vplus, vminus]) @ comparison_matrix(g, chart)
+    vplus, vminus = (real_derivative(*amat) + 1j * real_derivative(*bmat)
+                     for amat, bmat in flow_steps(h_step))
+    pmat = comparison_matrix(g, chart)
+    lhs = [vplus * pmat[0][c] + vminus * pmat[1][c] for c in range(2)]
 
     w0 = _chart_point(z, chart)
 
-    def func_of_chart(w: np.ndarray) -> complex:
-        return a(_projector_from_chart(chart, w))
+    def chart_difference(i: int, step: complex) -> complex:  # central, along W_i
+        fp, fm = (a(_projector_from_chart(chart, [w + d * (n == i) for n, w in enumerate(w0)]))
+                  for d in (step, -step))
+        return (fp - fm) / (2 * h_step)
 
-    rhs = np.zeros(2, dtype=complex)
-    for i in range(2):
-        e = np.zeros(2)
-        e[i] = 1.0
-        dx = (func_of_chart(w0 + h_step * e) - func_of_chart(w0 - h_step * e)) / (2 * h_step)
-        dy = (func_of_chart(w0 + 1j * h_step * e) - func_of_chart(w0 - 1j * h_step * e)) / (2 * h_step)
-        rhs[i] = 0.5 * (dx + 1j * dy)  # d/d(conj W_i)
-
-    resid = float(np.abs(lhs - rhs).max())
-    return {"chart": chart, "lhs": lhs.tolist(), "rhs": rhs.tolist(),
+    # d/d(conj W_i) = (d/dx + i d/dy) / 2
+    rhs = [0.5 * (chart_difference(i, h_step) + 1j * chart_difference(i, 1j * h_step)) for i in range(2)]
+    resid = _largest([abs(x - y) for x, y in zip(lhs, rhs)])
+    return {"chart": chart, "lhs": lhs, "rhs": rhs,
             "residual": resid, "passed": resid < tol}
 
 
 def p_entry(i: int, j: int):
     """Convenience observable a = p_ij for the local check."""
-    return lambda p: p[i - 1, j - 1]
+    return lambda p: p[i - 1][j - 1]
 
 
 def classical_rep_check(tol: float = 1e-12) -> dict:
     """Serre-presentation relations for the classical generator matrices,
     plus their match with the q-deformed fundamental representation."""
-    h = {1: SIGMA_H1, 2: SIGMA_H2}
-    e = {1: SIGMA_E1, 2: SIGMA_E2}
-    f = {1: SIGMA_F1, 2: SIGMA_F2}
+    s, zero = SIGMA, _matrix({})
 
     def comm(a, b):
-        return a @ b - b @ a
+        return _add(_mul(a, b), _scaled(-1.0, _mul(b, a)))
 
-    checks = []
+    checks = []  # (relation, left side, right side)
     for k in (1, 2):
-        checks.append((f"[H{k},E{k}] = 2E{k}", comm(h[k], e[k]) - 2 * e[k]))
-        checks.append((f"[H{k},F{k}] = -2F{k}", comm(h[k], f[k]) + 2 * f[k]))
-        checks.append((f"[E{k},F{k}] = H{k}", comm(e[k], f[k]) - h[k]))
-    checks.append(("[H1,H2] = 0", comm(h[1], h[2])))
+        h, e, f = s[f"H{k}"], s[f"E{k}"], s[f"F{k}"]
+        checks += [(f"[H{k},E{k}] = 2E{k}", comm(h, e), _scaled(2.0, e)),
+                   (f"[H{k},F{k}] = -2F{k}", comm(h, f), _scaled(-2.0, f)),
+                   (f"[E{k},F{k}] = H{k}", comm(e, f), h)]
+    checks.append(("[H1,H2] = 0", comm(s["H1"], s["H2"]), zero))
     for k, j in ((1, 2), (2, 1)):
-        checks.append((f"[E{k},F{j}] = 0", comm(e[k], f[j])))
-        checks.append((f"[H{k},E{j}] = -E{j}", comm(h[k], e[j]) + e[j]))
-        checks.append((f"[H{k},F{j}] = F{j}", comm(h[k], f[j]) - f[j]))
-        checks.append((f"(adE{k})^2 E{j} = 0", comm(e[k], comm(e[k], e[j]))))
-        checks.append((f"(adF{k})^2 F{j} = 0", comm(f[k], comm(f[k], f[j]))))
+        h, e, f, ej, fj = s[f"H{k}"], s[f"E{k}"], s[f"F{k}"], s[f"E{j}"], s[f"F{j}"]
+        checks += [(f"[E{k},F{j}] = 0", comm(e, fj), zero),
+                   (f"[H{k},E{j}] = -E{j}", comm(h, ej), _scaled(-1.0, ej)),
+                   (f"[H{k},F{j}] = F{j}", comm(h, fj), fj),
+                   (f"(adE{k})^2 E{j} = 0", comm(e, comm(e, ej)), zero),
+                   (f"(adF{k})^2 F{j} = 0", comm(f, comm(f, fj)), zero)]
+    report = [{"relation": name, "residual": _gap(lhs, rhs), "passed": _gap(lhs, rhs) < tol}
+              for name, lhs, rhs in checks]
+    worst = _largest([r["residual"] for r in report])
 
-    report = []
-    worst = 0.0
-    for name, resid in checks:
-        r = float(np.abs(resid).max())
-        worst = max(worst, r)
-        report.append({"relation": name, "residual": r, "passed": r < tol})
-
-    # q-side fundamental matrices against the classical limit: the ladder
-    # matrices agree exactly, the K's are q^(H/2) entrywise
+    # q-side fundamental matrices (V(0,1) in the paper's basis order) against
+    # the classical limit: the ladder matrices agree exactly, the K's are
+    # q^(H/2) entrywise
     limit = {}
+    perm = (1, 2, 0)
     for q in (0.9, 0.999):
-        p = QParam(q)
-        perm = [1, 2, 0]  # paper basis order of V(0,1)
-        r = 0.0
-        for gen, sig in (("E1", SIGMA_E1), ("E2", SIGMA_E2)):
-            m = irreps.generator_matrix((0, 1), gen, p)[np.ix_(perm, perm)]
-            r = max(r, float(np.abs(m - sig).max()))
-        for gen, hmat in (("K1", SIGMA_H1), ("K2", SIGMA_H2)):
-            m = irreps.generator_matrix((0, 1), gen, p)[np.ix_(perm, perm)]
-            r = max(r, float(np.abs(m - np.diag(q ** (np.diag(hmat) / 2.0))).max()))
-        limit[q] = r
-    worst_limit = max(limit.values())
-
+        cols = irreps.action_columns((0, 1), QParam(q))
+        want = {"E1": s["E1"], "E2": s["E2"],
+                **{f"K{k}": _matrix({(i, i): q ** (s[f"H{k}"][i][i] / 2.0) for i in range(3)})
+                   for k in (1, 2)}}
+        limit[q] = _largest([_gap(_matrix({(perm.index(i), perm.index(j)): c
+                                           for j, col in enumerate(cols[gen]) for i, c in col}), m)
+                             for gen, m in want.items()])
     return {"relations": report, "max_residual": worst,
             "fundamental_match": limit,
-            "passed": worst < tol and worst_limit < 1e-12}
+            "passed": worst < tol and max(limit.values()) < 1e-12}
 
 
 def run_sample_battery(samples: int = 100, seed: int = 1, tol: float = 1e-10) -> dict:
-    """Transition/determinant/orthogonality battery over random samples,
-    checked in stacked blocks of SAMPLE_BLOCK; reports the max residual per
-    identity family.  A sample that is not special unitary stops the
-    battery and is reported by its seed as bad_sample."""
+    """The max residual per identity family of transition_check over the
+    samples of seeds seed, ..., seed + samples - 1, one at a time.  A sample
+    that is not special unitary stops it, reported by seed as bad_sample."""
     worst = dict.fromkeys(BATTERY_FAMILIES, 0.0)
-    for start in range(0, samples, SAMPLE_BLOCK):
-        g = sample_stack(seed + start, min(SAMPLE_BLOCK, samples - start))
+    for s in range(seed, seed + samples):
+        g = sample(s)
         ok = check_group_sample(g)
-        if not ok["passed"].all():
-            i = int(np.argmin(ok["passed"]))
-            return {"samples": samples, "seed": seed, "passed": False,
-                    "bad_sample": seed + start + i,
-                    "detail": {"unitarity": float(ok["unitarity"][i]),
-                               "det": float(ok["det"][i])}}
-        rep = transition_check(g, tol=tol)
+        if not ok["passed"]:
+            return {"samples": samples, "seed": seed, "passed": False, "bad_sample": s,
+                    "detail": {"unitarity": ok["unitarity"], "det": ok["det"]}}
+        rep = transition_check(g, tol)
         for k in BATTERY_FAMILIES:
-            worst[k] = max(worst[k], float(rep[k].max()))
+            if rep[k] > worst[k] or rep[k] != rep[k]:  # a nan stays
+                worst[k] = rep[k]
+    top = _largest(list(worst.values()))
     return {"samples": samples, "seed": seed, "residuals": worst,
-            "max_residual": max(worst.values()),
-            "passed": max(worst.values()) < tol}
+            "max_residual": top, "passed": top < tol}

@@ -17,8 +17,8 @@ import sys
 from collections import Counter
 
 # only qarith loads at import; each command imports the modules it runs
-# on when it runs, so numpy loads only with a command that builds arrays
-# and ncrewrite only with a rewriting command
+# on when it runs, so ncrewrite loads only with a rewriting command; no
+# command loads numpy
 from .qarith import QParam, VerificationError
 
 EXIT_OK = 0
@@ -33,8 +33,10 @@ NMAX_GUARD = 8
 # walks all 6^d words of each degree d (time about 6x and memory about 5x
 # per degree; degree 7 takes 1.4-1.7 s and 40 MB), and its q = 1
 # cross-check, evaluated over all points at once, takes about 13 us per
-# sample point; verify-hopf and verify-casimir hold one irrep's action
-# columns at a time, so time, not memory, set their cap (about 1.9x per
+# sample point; classical-check draws, factors and checks one sample at a
+# time in plain Python (75-90 us per sample; --samples 10000 takes 0.8-1.0
+# s in a fresh process); verify-hopf and verify-casimir hold one irrep's
+# action columns at a time, so time, not memory, set their cap (about 1.9x per
 # degree when it was set; verify-hopf now takes 2.1-2.8 s and 16 MB at
 # --total-degree 13), verify-gt applies each lowering word to one vector
 # (time about 1.5-2x per degree), its --powers identities expand
@@ -48,6 +50,7 @@ NMAX_GUARD = 8
 EVALUATE_DIM_GUARD = 1000
 MAX_DEG_GUARD = 7
 CROSS_CHECK_SAMPLES_GUARD = 10_000
+CLASSICAL_SAMPLES_GUARD = 10_000
 TOTAL_DEGREE_GUARD = 12
 GT_TOTAL_DEGREE_GUARD = 9
 GT_POWERS_GUARD = 12
@@ -344,6 +347,7 @@ def cmd_classical_check(args) -> dict:
     from . import classical
 
     _at_least(args.samples, 1, "--samples")
+    _at_most(args.samples, CLASSICAL_SAMPLES_GUARD, "--samples")
     _at_least(args.seed, 0, "--seed")
     battery = classical.run_sample_battery(args.samples, args.seed, args.tol)
     if "bad_sample" in battery:
@@ -355,8 +359,8 @@ def cmd_classical_check(args) -> dict:
     local_rows = []
     ok = battery["passed"] and reps["passed"]
     for seed in range(args.seed, args.seed + 3):
-        g = classical.sample_su3(seed + 100)
-        for chart in classical.active_charts(g[2, :]):
+        g = classical.sample(seed + 100)
+        for chart in classical.active_charts(g[2]):
             for (i, j) in ((1, 1), (1, 2)):
                 rep = classical.dbar_local_check(classical.p_entry(i, j), g, chart)
                 ok = ok and rep["passed"]
@@ -484,6 +488,10 @@ def main(argv=None) -> int:
         code, report = EXIT_VERIFICATION_FAILED, {"error": str(exc), "passed": False}
     except ConfigError as exc:
         code, report = EXIT_CONFIG_ERROR, {"error": str(exc), "passed": False}
+    except OverflowError:  # a power of q past the float range, as at very small q
+        code, report = EXIT_CONFIG_ERROR, {
+            "error": f"the q-numbers leave the float range at q = {getattr(args, 'q', '?')}",
+            "passed": False}
     try:
         emit(report, args.format)
         sys.stdout.flush()

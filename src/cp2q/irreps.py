@@ -16,9 +16,9 @@ square-root coefficients built from q-numbers, and F_i are the transposes
 action_columns evaluates action_row's formulas over a whole irrep, as
 sparse columns of (row, coefficient) pairs.  It is the one whole-irrep
 source: the identity battery multiplies its columns in plain Python
-(matmul, add), and the numpy adapters that dolbeault's white slot
-operators and the classical checks read (generator_triplets,
-generator_matrix) are built from it.  Columns are built anew on each call,
+(matmul, add), the classical checks read the fundamental's, and the numpy
+adapters generator_triplets (read by dolbeault's white slot operators)
+and generator_matrix are built from it.  Columns are built anew on each call,
 so each check holds the columns of the label it reads.
 """
 

@@ -208,21 +208,33 @@ def test_bad_eps_is_a_config_error(eps):
 
 
 def test_classical_check_reports_a_bad_sample(monkeypatch):
-    stack = classical.sample_stack
+    draw = classical.sample
 
-    def scaled(seed, n):  # the sample of seed 13 is twice a unitary matrix
-        g = stack(seed, n)
-        if seed <= 13 < seed + n:
-            g[13 - seed] *= 2.0
-        return g
+    def scaled(seed):  # the sample of seed 13 is twice a unitary matrix
+        g = draw(seed)
+        return tuple(tuple(2.0 * x for x in row) for row in g) if seed == 13 else g
 
-    monkeypatch.setattr(classical, "sample_stack", scaled)
-    monkeypatch.setattr(classical, "SAMPLE_BLOCK", 2)  # seed 13 sits in the second block
+    monkeypatch.setattr(classical, "sample", scaled)
     code, out = run_cli(["classical-check", "--samples", "5", "--seed", "10"])
     assert code == cli.EXIT_VERIFICATION_FAILED
     report = _strict_json(out)
     assert report["passed"] is False and report["bad_sample"] == 13
     assert "seed 13" in report["error"] and report["unitarity"] > 1.0 and report["det"] > 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "E1", "--q", "1e-16", "--n1", "9", "--n2", "9"],
+    ["verify-hopf", "--q", "1e-30", "--total-degree", "12"],
+    ["verify-casimir", "--q", "1e-30", "--total-degree", "12"],
+    ["verify-gt", "--q", "1e-40", "--total-degree", "9"],
+], ids=lambda a: a[0])
+def test_q_numbers_past_the_float_range_are_a_config_error(argv):
+    # at these q a power q^-k overflows while the q-numbers are built
+    code, out = run_cli(argv)
+    assert code == cli.EXIT_CONFIG_ERROR
+    report = _strict_json(out)
+    assert report["passed"] is False
+    assert report["error"] == f"the q-numbers leave the float range at q = {argv[argv.index('--q') + 1]}"
 
 
 def test_membership_error_exits_1(monkeypatch):
@@ -358,6 +370,9 @@ GUARDS = [
       (ncrewrite, "confluence_check", {"passed": True, "branching_words": 0}),
       (ncrewrite, "critical_pairs", {"passed": True, "overlaps": 0}),
       (ncrewrite, "classical_cross_check", {"passed": True, "max_abs_error": 0.0})]),
+    (["classical-check", "--samples", str(cli.CLASSICAL_SAMPLES_GUARD + 1)],
+     ["classical-check", "--samples", str(cli.CLASSICAL_SAMPLES_GUARD)],
+     [(classical, "run_sample_battery", {"passed": True, "residuals": {}})]),
     # the irrep battery: labels_up_to is stubbed to one label, so each
     # worker runs once at the cap, and the cap is checked before the labels
     (["verify-hopf", "--total-degree", str(cli.TOTAL_DEGREE_GUARD + 1)],
@@ -434,8 +449,8 @@ def test_classical_check_loads_no_scipy():
 
 
 def test_classical_check_at_the_identity_sample_is_quiet():
-    # seed 0 is the identity, where charts 1 and 2 are inactive: the masked
-    # battery must raise no division or inverse warning
+    # seed 0 is the identity, where charts 1 and 2 are inactive: the battery
+    # evaluates nothing of them, so nothing divides by zero or warns
     out = _python("-m", "cp2q.cli", "classical-check", "--samples", "5", "--seed", "0")
     assert out.returncode == 0 and out.stderr == ""
     assert json.loads(out.stdout)["passed"] is True
@@ -496,8 +511,28 @@ def test_battery_launches_load_no_numpy(argv, code):
 
 
 def test_classical_check_loads_no_numpy_random():
-    # its samples are drawn with the standard library; numpy does the algebra
-    assert launch_in_fresh_interpreter(["classical-check", "--samples", "5"]) == (0, {"numpy"})
+    # its samples are drawn with the standard library, and the algebra on
+    # them is plain Python: numpy does not load at all
+    assert launch_in_fresh_interpreter(["classical-check", "--samples", "5"]) == (0, set())
+
+
+# every subcommand at its defaults, with the arguments it requires
+EVERY_COMMAND = [["verify-hopf"], ["verify-casimir"], ["verify-gt"], ["verify-coproduct"],
+                 ["verify-complex"], ["spectrum"], ["cohomology"], ["summability"],
+                 ["rewrite", "p12 p21"], ["verify-cp2-relations"], ["classical-check"],
+                 ["decompose", "cp2"], ["evaluate", "E1 F1 - F1 E1"]]
+
+
+def test_every_command_is_listed():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    assert sorted(a[0] for a in EVERY_COMMAND) == sorted(sub.choices)
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=[a[0] for a in EVERY_COMMAND])
+def test_no_command_loads_numpy(argv):
+    # numpy stays for the library's array adapters and the tests' oracles
+    code, loaded = launch_in_fresh_interpreter(argv)
+    assert code == 0 and "numpy" not in loaded
 
 
 @pytest.mark.parametrize("argv, code, loaded", [([], None, set()), (["spectrum", "--q", "1/2"], 0, {"fractions"})],

@@ -58,6 +58,16 @@ def test_tier1_workflow_runs_the_cross_check_at_its_samples_cap():
             f"--samples {cli.CROSS_CHECK_SAMPLES_GUARD}") in runs
 
 
+def test_tier1_workflow_runs_the_classical_battery_at_its_samples_cap():
+    # the costliest classical-check the cap admits, which no test runs; a
+    # step fails on a nonzero exit, so a failed check fails CI
+    yaml = pytest.importorskip("yaml")
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
+    runs = [s["run"] for s in steps if "run" in s]
+    assert (f"PYTHONPATH=src python -m cp2q.cli classical-check --samples {cli.CLASSICAL_SAMPLES_GUARD} "
+            "--seed 1") in runs
+
+
 def test_tier1_workflow_lists_the_line_bundle_basis_at_its_caps():
     # the largest line-bundle basis the caps admit, which no test lists;
     # a step fails on a nonzero exit
