@@ -128,7 +128,7 @@ def emit(report: dict, fmt: str, stream=None) -> None:
     stream = stream or sys.stdout
     if fmt == "json":
         # written piece by piece, so the report is never held as one string
-        json.dump(report, stream, sort_keys=True, indent=2, default=_jsonable)
+        json.dump(report, stream, sort_keys=True, indent=2)
         stream.write("\n")
     elif fmt == "csv":
         rows = report.get("rows", [])
@@ -144,18 +144,6 @@ def emit(report: dict, fmt: str, stream=None) -> None:
                     stream.write(f"{k},{report[k]}\n")
     else:  # table
         _emit_table(report, stream)
-
-
-def _jsonable(obj):
-    np = sys.modules.get("numpy")  # a numpy value exists only once numpy is loaded
-    if np is not None:
-        if isinstance(obj, (np.floating, np.integer, np.bool_)):
-            return obj.item()
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-    if isinstance(obj, tuple):
-        return list(obj)
-    raise TypeError(f"not serializable: {type(obj)}")
 
 
 def _emit_table(report: dict, stream) -> None:
@@ -298,7 +286,11 @@ def cmd_summability(args) -> dict:
     for eps in args.eps:  # 0+ summability is a claim about each finite eps > 0
         _finite_positive(eps, "--eps")
     cfg = dirac.DiracConfig(p=p, nmax=args.nmax, tol=args.tol)
-    rep = dirac.summability_probe(cfg, args.eps)
+    try:
+        rep = dirac.summability_probe(cfg, args.eps)
+    except ZeroDivisionError as exc:  # a decay ratio over a factor that underflowed to 0.0
+        raise ConfigError(f"--eps {max(args.eps)} is too large at q = {p.q}: the factor (1 + lambda^2)^(-eps/2) "
+                          f"of a shell below --nmax {args.nmax} underflows to 0.0") from exc
     rep["command"] = "summability"
     rep["passed"] = all(sh["factors_decrease_geometrically"] for sh in rep["shells"])
     return rep

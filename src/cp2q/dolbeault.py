@@ -18,8 +18,8 @@ the white leg, so on one pair's slots a differential is I_dim (x) B, B its
 black block, read from the checked dict path above on the first white index
 (black_block).  The complex and equivariance checks run pair by pair in
 plain Python, on B and on the dict path at seeded white indices.  The dense
-spectrum reads slot operators assembled from the blocks and the white
-generators' triplets (irreps.generator_triplets).
+oracles of the tests read the two differentials assembled from the blocks
+as numpy arrays (slot_operator), which import numpy inside the function.
 """
 
 from __future__ import annotations
@@ -273,41 +273,29 @@ class SlotOperator(NamedTuple):
         return mat
 
 
-WHITE_GENERATORS = ("E1", "F1", "E2", "F2", "K1", "K2")
-
-
 @functools.lru_cache(maxsize=32)
 def slot_operator(name: str, nmax: int, p: QParam) -> SlotOperator:
-    """The operator `name` in slot coordinates, assembled once per (nmax, p):
-    "dbar", "dbar_dag" or the white action of one of WHITE_GENERATORS.  On
-    each (family, n) pair a differential is I (x) black_block and a white
-    generator G (x) I, G from its triplets; a doublet slot's entry is
-    2.0 * (r * (r * g)), r = 1/sqrt(2), as the dict path's inner product
-    forms it.  Sorted by column, so a product sums each row in column order."""
+    """The differential `name`, "dbar" or "dbar_dag", in slot coordinates,
+    assembled once per (nmax, p): on each (family, n) pair it is
+    I (x) black_block.  Sorted by column, so a product sums each row in
+    column order."""
     import numpy as np
 
+    if name not in ("dbar", "dbar_dag"):
+        raise ValueError(f"unknown slot operator {name!r}")
     rows, cols, vals = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
-    r = 1.0 / sqrt(2.0)
     size = 0
     for family, n, start, dim, deg in families(nmax):
         k, white = len(deg), np.arange(dim)
         size = start + dim * k
-        if name in ("dbar", "dbar_dag"):
-            b = black_block(name, family, n, p)
-            for a, c in zip(*np.nonzero(b)):
-                rows.append(start + white * k + a)
-                cols.append(start + white * k + c)
-                vals.append(np.full(dim, b[a][c]))
-            continue
-        tgt, src, g = irreps.generator_triplets(family_label(family, n), name, p)
-        for a, d in enumerate(deg):
-            rows.append(start + tgt * k + a)
-            cols.append(start + src * k + a)
-            vals.append(2.0 * (r * (r * g)) if d == 1 else g)
+        b = black_block(name, family, n, p)
+        for a, c in zip(*np.nonzero(b)):
+            rows.append(start + white * k + a)
+            cols.append(start + white * k + c)
+            vals.append(np.full(dim, b[a][c]))
     rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
-    keep = np.flatnonzero(vals != 0.0)
-    keep = keep[np.argsort(cols[keep], kind="stable")]
-    arrays = (rows[keep], cols[keep], vals[keep])
+    order = np.argsort(cols, kind="stable")
+    arrays = (rows[order], cols[order], vals[order])
     for x in arrays:
         x.flags.writeable = False
     return SlotOperator(*arrays, size)
@@ -357,6 +345,9 @@ def verify_complex(nmax: int, p: QParam, tol: float = 1e-10, trials: int = 20, s
         for key, value in zip(worst, (_square_residual(b), _square_residual(bd), max(adj))):
             worst[key] = max(worst[key], value)
     return {"nmax": nmax, "q": p.q, **worst, "passed": max(worst.values()) < tol}
+
+
+WHITE_GENERATORS = ("E1", "F1", "E2", "F2", "K1", "K2")
 
 
 def verify_equivariance(nmax: int, p: QParam, tol: float = 1e-10, trials: int = 5, seed: int = 11) -> dict:

@@ -13,13 +13,14 @@ E2 moves (j1, m) -> (j1+1, m-1/2) or (j2, m) -> (j2-1, m-1/2) with
 square-root coefficients built from q-numbers, and F_i are the transposes
 (the *-structure in an orthonormal basis).
 
-action_columns evaluates action_row's formulas over a whole irrep, as
-sparse columns of (row, coefficient) pairs.  It is the one whole-irrep
-source: the identity battery multiplies its columns in plain Python
-(matmul, add), the classical checks read the fundamental's, and the numpy
-adapters generator_triplets (read by dolbeault's white slot operators)
-and generator_matrix are built from it.  Columns are built anew on each call,
-so each check holds the columns of the label it reads.
+action_row is the one per-row provider of generator actions, and
+action_columns evaluates its formulas over a whole irrep, as sparse columns
+of (row, coefficient) pairs.  It is the one whole-irrep source: the identity
+battery multiplies its columns in plain Python (matmul, add) and the
+classical checks read the fundamental's.  Nothing here loads numpy; the
+tests scatter the columns into dense arrays for their oracles.  Columns are
+built anew on each call, so each check holds the columns of the label it
+reads.
 """
 
 from __future__ import annotations
@@ -155,15 +156,6 @@ def action_row(label, gen: str, triple, p: QParam) -> tuple:
     return tuple((t, c) for t, c in terms if c)
 
 
-def generator_action(label, gen: str, p: QParam) -> list[list[tuple[int, float]]]:
-    """Action of one generator as an adjacency list over the ordered basis:
-    entry i holds the (target index, coefficient) pairs of gen|i>."""
-    label = check_label(label)
-    index = gt_index(label)
-    return [[(index[t], c) for t, c in action_row(label, gen, triple, p)]
-            for triple in gt_triples(label)]
-
-
 def action_columns(label, p: QParam) -> dict[str, list[tuple]]:
     """Every generator on the ordered GT basis as a list of columns: column
     j holds the (row, coefficient) pairs of action_row of basis vector j,
@@ -203,32 +195,6 @@ def action_columns(label, p: QParam) -> dict[str, list[tuple]]:
         power = {x: base ** x for x in set(w)}
         out[gen] = [((i, power[x]),) if power[x] else () for i, x in enumerate(w)]
     return out
-
-
-def generator_triplets(label, gen: str, p: QParam) -> tuple:
-    """One generator's columns (action_columns) as COO triplets (rows, cols,
-    vals) of numpy arrays, column by column: vals[i] is the coefficient of
-    basis vector rows[i] in action_row of basis vector cols[i]."""
-    import numpy as np
-
-    if gen not in GENERATORS:
-        raise LabelError(f"unknown generator {gen!r}")
-    entries = [(i, j, c) for j, col in enumerate(action_columns(label, p)[gen]) for i, c in col]
-    rows, cols, vals = zip(*entries) if entries else ((), (), ())
-    return np.array(rows, np.intp), np.array(cols, np.intp), np.array(vals, float)
-
-
-def generator_matrix(label, gen: str, p: QParam):
-    """Generator matrix on the ordered GT basis, as a dense read-only real
-    ndarray, built anew on each call.  Entry [i, j] is the coefficient of
-    basis vector i in action_row of basis vector j."""
-    import numpy as np
-
-    rows, cols, vals = generator_triplets(label, gen, p)
-    mat = np.zeros((dim(label),) * 2)
-    mat[rows, cols] = vals
-    mat.setflags(write=False)
-    return mat
 
 
 # -- products of column lists ---------------------------------------------------

@@ -1,9 +1,9 @@
 """The identity battery on dense numpy matrices, kept as the tests' oracle.
 
 These are the whole-irrep checks as they ran before they moved to sparse
-columns (irreps.action_columns): dense generator matrices
-(irreps.generator_matrix), products by numpy's @, and the same relation
-lists, scales and report keys.  The sparse checks must reach the same
+columns (irreps.action_columns): dense generator matrices (generator_matrix,
+the columns scattered into an ndarray), products by numpy's @, and the same
+relation lists, scales and report keys.  The sparse checks must reach the same
 verdicts, with residuals that differ only where a sum of several products
 is rounded in another order.
 """
@@ -11,7 +11,7 @@ is rounded in another order.
 import numpy as np
 
 from cp2q import irreps, peterweyl as pw, ualg
-from cp2q.irreps import GENERATORS, check_label, dim, generator_matrix
+from cp2q.irreps import GENERATORS, action_columns, check_label, dim
 
 
 def dense(cols) -> np.ndarray:
@@ -21,6 +21,12 @@ def dense(cols) -> np.ndarray:
         for i, x in col:
             mat[i, j] = x
     return mat
+
+
+def generator_matrix(label, gen: str, p) -> np.ndarray:
+    """One generator on the ordered GT basis as a dense ndarray: entry [i, j]
+    is the coefficient of basis vector i in action_row of basis vector j."""
+    return dense(action_columns(label, p)[gen])
 
 
 def letter_matrix(mats: dict, label, gen: str, p):

@@ -3,11 +3,11 @@ import random
 import types
 from itertools import permutations
 
+import dense
 import numpy as np
 import pytest
 
 from cp2q import classical as cl
-from cp2q import irreps
 from cp2q.qarith import qparam_float
 
 
@@ -433,8 +433,8 @@ def test_commutator_ef_gives_cartan():
 def test_q_fundamental_approaches_classical():
     p = qparam_float(0.999)
     perm = [1, 2, 0]
-    e1 = irreps.generator_matrix((0, 1), "E1", p)[np.ix_(perm, perm)]
+    e1 = dense.generator_matrix((0, 1), "E1", p)[np.ix_(perm, perm)]
     assert np.abs(e1 - np.array(cl.SIGMA["E1"])).max() < 1e-3
-    k1 = irreps.generator_matrix((0, 1), "K1", p)[np.ix_(perm, perm)]
+    k1 = dense.generator_matrix((0, 1), "K1", p)[np.ix_(perm, perm)]
     assert np.abs(k1 - np.eye(3)).max() < 1e-3 + 0.001  # q^(+-1/2) near 1
 

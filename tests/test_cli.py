@@ -207,6 +207,22 @@ def test_bad_eps_is_a_config_error(eps):
     assert code == cli.EXIT_OK and _strict_json(out)["passed"] is True
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["--eps", "300"], cli.EXIT_CONFIG_ERROR),
+    (["--q", "0.3", "--nmax", "8", "--eps", "100"], cli.EXIT_CONFIG_ERROR),
+    (["--q", "0.3", "--nmax", "8", "--eps", "90"], cli.EXIT_OK),
+], ids=("eps-300", "q-0.3-eps-100", "q-0.3-eps-90"))
+def test_an_eps_whose_factors_underflow_is_a_config_error(argv, code):
+    # a shell's factor (1 + lambda^2)^(-eps/2) underflows to 0.0 from eps
+    # about 90.6 at q 0.3 and nmax 8, and the next decay ratio would divide
+    # by it: a usage error naming --eps, with nothing on stderr
+    out = _python("-m", "cp2q.cli", "summability", *argv)
+    assert (out.returncode, out.stderr) == (code, "")
+    report = _strict_json(out.stdout)
+    assert report["passed"] is (code == cli.EXIT_OK)
+    assert code == cli.EXIT_OK or "--eps" in report["error"]
+
+
 def test_classical_check_reports_a_bad_sample(monkeypatch):
     draw = classical.sample
 
@@ -528,11 +544,23 @@ def test_every_command_is_listed():
     assert sorted(a[0] for a in EVERY_COMMAND) == sorted(sub.choices)
 
 
+# a meta-path finder ahead of every other, so that importing numpy or any
+# of its submodules fails as it does where numpy is not installed
+WITHOUT_NUMPY = ("import sys\n"
+                 "class NoNumpy:\n"
+                 "    def find_spec(self, name, path=None, target=None):\n"
+                 "        if name == 'numpy' or name.startswith('numpy.'):\n"
+                 "            raise ImportError(f'no module named {name!r}')\n"
+                 "sys.meta_path.insert(0, NoNumpy())\n")
+
+
 @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=[a[0] for a in EVERY_COMMAND])
 def test_no_command_loads_numpy(argv):
-    # numpy stays for the library's array adapters and the tests' oracles
-    code, loaded = launch_in_fresh_interpreter(argv)
-    assert code == 0 and "numpy" not in loaded
+    # numpy is a test-only dependency: every command runs and writes its
+    # report without it, so no numpy value can reach a report
+    out = _python("-c", WITHOUT_NUMPY + f"from cp2q import cli\nraise SystemExit(cli.main({argv!r}))")
+    assert (out.returncode, out.stderr) == (0, "")
+    assert isinstance(_strict_json(out.stdout), dict)
 
 
 @pytest.mark.parametrize("argv, code, loaded", [([], None, set()), (["spectrum", "--q", "1/2"], 0, {"fractions"})],

@@ -296,7 +296,7 @@ def oracle_mismatches(name, nmax, p):
     ) if not same]
 
 
-SLOT_OPERATORS = ("dbar", "dbar_dag", *db.WHITE_GENERATORS)
+SLOT_OPERATORS = ("dbar", "dbar_dag")
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
@@ -327,20 +327,6 @@ def test_oracle_catches_a_perturbed_black_block_entry(monkeypatch, fresh_operato
     assert oracle_mismatches("dbar_dag", 2, P5) == []
 
 
-def test_oracle_catches_a_perturbed_generator_coefficient(monkeypatch, fresh_operators):
-    triplets = irreps.generator_triplets
-
-    def perturbed(label, gen, p):
-        rows, cols, vals = triplets(label, gen, p)
-        if (tuple(label), gen) == ((1, 1), "E2"):
-            vals[0] = math.nextafter(vals[0], math.inf)
-        return rows, cols, vals
-
-    monkeypatch.setattr(irreps, "generator_triplets", perturbed)
-    assert oracle_mismatches("E2", 2, P5) == ["triplets", "matmul"]
-    assert oracle_mismatches("F2", 2, P5) == []
-
-
 def test_assembly_rejects_images_off_the_slot_span(monkeypatch):
     # a doubled leg keeps the image inside the form spaces, but its v+ and v-
     # no longer match, so it leaves the span of the doublet slots
@@ -358,7 +344,9 @@ def test_slot_operator_is_cached_read_only_and_bounded():
     maxsize = db.slot_operator.cache_info().maxsize
     assert maxsize is not None
     for i in range(maxsize + 1):
-        db.slot_operator("K1", 0, qparam_float(0.3 + 0.01 * i))
+        db.slot_operator("dbar", 0, qparam_float(0.3 + 0.01 * i))
+    with pytest.raises(ValueError, match="K1"):  # the white actions are the tests' column_assembly
+        db.slot_operator("K1", 0, P5)
     assert db.slot_operator.cache_info().currsize == maxsize
     assert db.slot_vectors.cache_info().maxsize is not None
 
@@ -393,7 +381,7 @@ def assembled_verify_equivariance(nmax, p, tol=1e-10, trials=5, seed=11):
     n = ops[0].size
     residuals = {}
     for gname in db.WHITE_GENERATORS:
-        h = db.slot_operator(gname, nmax, p)
+        h = column_assembly(gname, nmax, p)
         worst = 0.0
         for _ in range(trials):
             u = random_coordinates(n, rng)

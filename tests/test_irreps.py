@@ -46,12 +46,12 @@ def test_fundamental_representation_matches_paper(q):
         "E2": np.array([[0, 0, 0], [0, 0, 0], [0, 1, 0]], float),
     }
     for gen, mat in expected.items():
-        got = irreps.generator_matrix((0, 1), gen, p)[np.ix_(FUND_PERM, FUND_PERM)]
+        got = dense.generator_matrix((0, 1), gen, p)[np.ix_(FUND_PERM, FUND_PERM)]
         assert np.allclose(got, mat, atol=1e-14), gen
 
 
 def test_k1_on_trivial_irrep():
-    assert np.allclose(irreps.generator_matrix((0, 0), "K1", P5), np.eye(1))
+    assert np.allclose(dense.generator_matrix((0, 0), "K1", P5), np.eye(1))
 
 
 @pytest.mark.parametrize("label,q,tol", [
@@ -69,11 +69,11 @@ def test_unitarity_contract():
     # transposes of the raising ones; K/H diagonals positive
     for label in irreps.labels_up_to(6):
         for i in "12":
-            e = irreps.generator_matrix(label, "E" + i, P5)
-            f = irreps.generator_matrix(label, "F" + i, P5)
+            e = dense.generator_matrix(label, "E" + i, P5)
+            f = dense.generator_matrix(label, "F" + i, P5)
             assert np.abs(f - e.T).max() < 1e-13
         for gen in irreps.DIAGONAL_GENERATORS:
-            k = irreps.generator_matrix(label, gen, P5)
+            k = dense.generator_matrix(label, gen, P5)
             assert np.allclose(k, np.diag(np.diag(k)))
             assert (np.diag(k) > 0).all()
 
@@ -81,8 +81,8 @@ def test_unitarity_contract():
 def test_weight_bookkeeping_k1k2sq():
     q = 0.5
     for label in ((1, 1), (2, 1), (1, 4)):
-        k1 = irreps.generator_matrix(label, "K1", P5)
-        k2 = irreps.generator_matrix(label, "K2", P5)
+        k1 = dense.generator_matrix(label, "K1", P5)
+        k2 = dense.generator_matrix(label, "K2", P5)
         mat = k1 @ k2 @ k2
         for idx, (j1, j2, mm) in enumerate(irreps.gt_triples(label)):
             expect = q ** (1.5 * (j1 - j2) + (label[1] - label[0]))
@@ -94,10 +94,10 @@ def test_highest_weight_vector():
     for label in ((1, 1), (2, 1), (0, 3)):
         idx = irreps.gt_index(label)[irreps.highest_weight_triple(label)]
         for gen in ("E1", "E2"):
-            col = irreps.generator_matrix(label, gen, P5)[:, idx]
+            col = dense.generator_matrix(label, gen, P5)[:, idx]
             assert np.abs(col).max() < 1e-14
         for i, gen in ((0, "K1"), (1, "K2")):
-            k = irreps.generator_matrix(label, gen, P5)
+            k = dense.generator_matrix(label, gen, P5)
             assert k[idx, idx] == pytest.approx(q ** (label[i] / 2.0), rel=1e-13)
 
 
@@ -106,7 +106,7 @@ def test_exact_diagonals_match_float():
     # integer weight w exact
     for label in ((2, 1), (0, 3), (3, 3)):
         for gen in irreps.DIAGONAL_GENERATORS:
-            flt = irreps.generator_matrix(label, gen, P5)
+            flt = dense.generator_matrix(label, gen, P5)
             assert np.array_equal(flt, np.diag(np.diag(flt)))
             for i, t in enumerate(irreps.gt_triples(label)):
                 w = irreps.weight_twelfths(gen, label, t)
@@ -120,7 +120,7 @@ def test_exact_mode_rejects_ladder_generators():
     for gen in ("E1", "E2", "F1", "F2"):
         with pytest.raises(irreps.LabelError):
             irreps.weight_twelfths(gen, (1, 1), (0, 0, 0))
-        assert not np.diag(irreps.generator_matrix((1, 1), gen, P5)).any()
+        assert not np.diag(dense.generator_matrix((1, 1), gen, P5)).any()
 
 
 def test_sparsity_pattern_of_ladder_actions():
@@ -128,11 +128,12 @@ def test_sparsity_pattern_of_ladder_actions():
     # (j2,m)->(j2-1,m-1/2); K/H are diagonal
     label = (2, 2)
     triples = irreps.gt_triples(label)
-    for src, targets in enumerate(irreps.generator_action(label, "E1", P5)):
+    columns = irreps.action_columns(label, P5)
+    for src, targets in enumerate(columns["E1"]):
         j1, j2, mm = triples[src]
         for tgt, _ in targets:
             assert triples[tgt] == (j1, j2, mm + 2)
-    for src, targets in enumerate(irreps.generator_action(label, "E2", P5)):
+    for src, targets in enumerate(columns["E2"]):
         j1, j2, mm = triples[src]
         for tgt, _ in targets:
             assert triples[tgt] in ((j1 + 1, j2, mm - 1), (j1, j2 - 1, mm - 1))
@@ -141,22 +142,17 @@ def test_sparsity_pattern_of_ladder_actions():
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 0.95])
 def test_generator_matrix_is_dense_assembly_of_action_rows(q):
-    # bit for bit: the whole-irrep assembly repeats action_row's float
-    # operations in action_row's order
+    # bit for bit: the tests' dense oracle scatters the whole-irrep columns,
+    # which repeat action_row's float operations in action_row's order
     p = qparam_float(q)
     for label in irreps.labels_up_to(8):
         index = irreps.gt_index(label)
         for gen in irreps.GENERATORS:
-            dense = np.zeros((len(index), len(index)))
+            expect = np.zeros((len(index), len(index)))
             for src, i in index.items():
                 for tgt, c in irreps.action_row(label, gen, src, p):
-                    dense[index[tgt], i] += c
-            assert np.array_equal(dense, irreps.generator_matrix(label, gen, p)), (label, gen)
-
-
-def test_generator_matrix_rejects_an_unknown_generator():
-    with pytest.raises(irreps.LabelError):
-        irreps.generator_matrix((1, 1), "X1", P5)
+                    expect[index[tgt], i] += c
+            assert np.array_equal(expect, dense.generator_matrix(label, gen, p)), (label, gen)
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.72, 0.95, 0.999])
@@ -210,7 +206,6 @@ def test_each_generator_matrix_is_assembled_once_per_command(monkeypatch, argv, 
     assert cli.main(argv) == cli.EXIT_OK
     capsys.readouterr()
     assert (sum(built.values()), len(built)) == (calls, labels)
-    assert not irreps.generator_matrix((1, 1), "E1", P5).flags.writeable
 
 
 @pytest.mark.parametrize("check", ["hopf", "casimir"])

@@ -3,11 +3,14 @@ cannot find is reported as missing.  These runs catch the deletion or
 renaming of any hooked name, on one command of the numeric path and one of
 the exact path.
 
-One hooked name is gone on purpose: the Laurent scalar class moved from
+Three hooked names are gone on purpose.  The Laurent scalar class moved from
 cp2q.qarith to the tests' ring oracle (tests/laurent.py), and the engine
 prints its coefficients without it.  Its laurent_* spans read 0 before the
-move, since the engine called only its constructor and repr.  The tracer
-lists it as not traced until its hook is dropped."""
+move, since the engine called only its constructor and repr.  The numpy
+generator adapters irreps.generator_action and irreps.generator_matrix were
+deleted, since no command called them: their spans read 0 on every
+workload, and the tests scatter irreps.action_columns themselves.  The
+tracer lists them as not traced until their hooks are dropped."""
 
 import json
 import os
@@ -18,7 +21,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-REMOVED_ON_PURPOSE = ["cp2q.qarith.LaurentScalar"]
+REMOVED_ON_PURPOSE = ["cp2q.qarith.LaurentScalar", "cp2q.irreps.generator_action",
+                      "cp2q.irreps.generator_matrix"]
 
 
 @pytest.mark.parametrize("argv", [["spectrum", "--q", "0.5", "--nmax", "1"], ["rewrite", "p12 p21"]],

@@ -29,16 +29,16 @@ def test_evaluate_unit():
 def test_ef_commutator_defining_relation():
     e1, f1 = GEN("E1"), GEN("F1")
     lhs = evaluate(e1 * f1 - f1 * e1, (0, 1), P5)
-    k1 = irreps.generator_matrix((0, 1), "K1", P5)
-    k1i = irreps.generator_matrix((0, 1), "K1inv", P5)
+    k1 = dense.generator_matrix((0, 1), "K1", P5)
+    k1i = dense.generator_matrix((0, 1), "K1inv", P5)
     rhs = (k1 @ k1 - k1i @ k1i) / (Q - 1 / Q)
     assert np.abs(lhs - rhs).max() < 1e-14
 
 
 def test_x_on_fundamental():
     x = evaluate(ualg.x_element(P5), (0, 1), P5)
-    f1 = irreps.generator_matrix((0, 1), "F1", P5)
-    f2 = irreps.generator_matrix((0, 1), "F2", P5)
+    f1 = dense.generator_matrix((0, 1), "F1", P5)
+    f2 = dense.generator_matrix((0, 1), "F2", P5)
     expect = f2 @ f1 - (2.0 / qint(2, P5)) * (f1 @ f2)
     assert np.abs(x - expect).max() < 1e-14
 

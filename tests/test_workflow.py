@@ -17,9 +17,10 @@ def test_tier1_workflow_runs_the_suite_and_the_benchmark_selftest():
     assert any(s.get("with", {}).get("python-version") == "3.11" for s in steps)
     runs = [s["run"] for s in steps if "run" in s]
     # without pyyaml installed, this very test would skip in CI, and without
-    # scipy the oracle of the eigendecomposition exponential would
+    # scipy the oracle of the eigendecomposition exponential would; numpy is
+    # named since the package no longer pulls it in, and the oracles need it
     install = next(r for r in runs if "pip install" in r)
-    assert {"pytest", "hypothesis", "pyyaml", "mpmath", "scipy"} <= set(install.split())
+    assert {"numpy", "pytest", "hypothesis", "pyyaml", "mpmath", "scipy"} <= set(install.split())
     # --durations=10 puts the slowest tests in every log
     assert ("PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q "
             "--continue-on-collection-errors --durations=10") in runs
