@@ -286,11 +286,14 @@ def cmd_summability(args) -> dict:
     for eps in args.eps:  # 0+ summability is a claim about each finite eps > 0
         _finite_positive(eps, "--eps")
     cfg = dirac.DiracConfig(p=p, nmax=args.nmax, tol=args.tol)
+    too_large = f"--eps {max(args.eps)} is too large at q = {p.q}: the factor (1 + lambda^2)^(-eps/2) of a shell"
     try:
         rep = dirac.summability_probe(cfg, args.eps)
     except ZeroDivisionError as exc:  # a decay ratio over a factor that underflowed to 0.0
-        raise ConfigError(f"--eps {max(args.eps)} is too large at q = {p.q}: the factor (1 + lambda^2)^(-eps/2) "
-                          f"of a shell below --nmax {args.nmax} underflows to 0.0") from exc
+        raise ConfigError(f"{too_large} below --nmax {args.nmax} underflows to 0.0") from exc
+    if min(row["factor"] for sh in rep["shells"] for row in sh["rows"]) < sys.float_info.min:
+        # the decay ratios of a factor past the normal floats are rounding
+        raise ConfigError(f"{too_large} up to --nmax {args.nmax} is 0.0 or subnormal")
     rep["command"] = "summability"
     rep["passed"] = all(sh["factors_decrease_geometrically"] for sh in rep["shells"])
     return rep

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import random
 from collections.abc import Mapping
-from math import sqrt
+from math import isfinite, sqrt
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -302,7 +302,11 @@ def slot_operator(name: str, nmax: int, p: QParam) -> SlotOperator:
 
 
 def _relative(diff: float, scale: float) -> float:
-    """A residual against the largest summand it compares (0 when all vanish)."""
+    """A residual against the largest summand it compares (0 when all vanish).
+    A nan or infinite difference or scale means the q-numbers left the float
+    range, and raises OverflowError rather than give a residual."""
+    if not (isfinite(diff) and isfinite(scale)):
+        raise OverflowError(f"residual {diff} against scale {scale}")
     return diff / scale if diff else 0.0
 
 

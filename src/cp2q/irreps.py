@@ -13,14 +13,16 @@ E2 moves (j1, m) -> (j1+1, m-1/2) or (j2, m) -> (j2-1, m-1/2) with
 square-root coefficients built from q-numbers, and F_i are the transposes
 (the *-structure in an orthonormal basis).
 
-action_row is the one per-row provider of generator actions, and
-action_columns evaluates its formulas over a whole irrep, as sparse columns
-of (row, coefficient) pairs.  It is the one whole-irrep source: the identity
-battery multiplies its columns in plain Python (matmul, add) and the
-classical checks read the fundamental's.  Nothing here loads numpy; the
-tests scatter the columns into dense arrays for their oracles.  Columns are
-built anew on each call, so each check holds the columns of the label it
-reads.
+The ladder formulas are written once, in ladder_moves: the moves of one
+basis vector under E1, F1, E2 or F2, read from a table of the label's
+q-numbers.  action_row, the dict path's per-row provider, and
+action_columns, which builds a whole irrep as sparse columns of (row,
+coefficient) pairs, both call it.  action_columns is the one whole-irrep
+source: the identity battery multiplies its columns in plain Python (matmul,
+add) and the classical checks read the fundamental's.  Nothing here loads
+numpy; the tests scatter the columns into dense arrays for their oracles.
+Columns are built anew on each call, so each check holds the columns of the
+label it reads.
 """
 
 from __future__ import annotations
@@ -99,72 +101,15 @@ def weight_twelfths(gen: str, label, triple) -> int:
     return -w if gen.endswith("inv") else w
 
 
-def coeff_a(label, j1: int, j2: int, p: QParam) -> float:
+def ladder_moves(label: IrrepLabel, gen: str, triple, qi) -> tuple:
+    """E1, F1, E2 or F2 of one basis vector as ((target triple, coefficient),
+    ...), from qi[z] = [z], the label's q-numbers for z = 0 .. n1+n2+2.  A move
+    is kept when its target is in the basis and its coefficient is not 0; past
+    the float range a move off the basis can carry nan, and is dropped too."""
     n1, n2 = label
-    num = qint(n1 - j1, p) * qint(n2 + j1 + 2, p) * qint(j1 + 1, p)
-    den = qint(j1 + j2 + 1, p) * qint(j1 + j2 + 2, p)
-    return sqrt(num / den)
-
-
-def coeff_b(label, j1: int, j2: int, p: QParam) -> float:
-    if j1 + j2 == 0:
-        return 1.0
-    n1, n2 = label
-    num = qint(n1 + j2 + 1, p) * qint(n2 - j2 + 1, p) * qint(j2, p)
-    den = qint(j1 + j2, p) * qint(j1 + j2 + 1, p)
-    return sqrt(num / den)
-
-
-def _qn(half_arg: int, p: QParam) -> float:
-    # q-number of a half-integer given as twice its value
-    if half_arg % 2 == 0:
-        return qint(half_arg // 2, p)
-    from fractions import Fraction
-
-    return qint(Fraction(half_arg, 2), p)
-
-
-def action_row(label, gen: str, triple, p: QParam) -> tuple:
-    """gen|triple> as ((target triple, coefficient), ...), zeros dropped.
-
-    The single source of generator actions; sparse by construction
-    (K/H: 1 entry, E1/F1: <=1, E2/F2: <=2).
-    """
-    label = check_label(label)
-    q = p.q
     j1, j2, mm = triple
     s = j1 + j2
-    if gen in DIAGONAL_GENERATORS:
-        terms = [(triple, (q ** (1.0 / 12.0)) ** weight_twelfths(gen, label, triple))]
-    elif gen == "E1":
-        terms = [((j1, j2, mm + 2), sqrt(_qn(s - mm, p) * _qn(s + mm + 2, p)))]
-    elif gen == "F1":
-        terms = [((j1, j2, mm - 2), sqrt(_qn(s + mm, p) * _qn(s - mm + 2, p)))]
-    elif gen == "E2":
-        terms = [((j1 + 1, j2, mm - 1), sqrt(_qn(s - mm + 2, p)) * coeff_a(label, j1, j2, p))]
-        if valid_triple(label, (j1, j2 - 1, mm - 1)):
-            terms.append(((j1, j2 - 1, mm - 1), sqrt(_qn(s + mm, p)) * coeff_b(label, j1, j2, p)))
-    elif gen == "F2":
-        # adjoint of E2, written out so the transpose contract is testable
-        terms = []
-        if j1 >= 1:
-            terms.append(((j1 - 1, j2, mm + 1), sqrt(_qn(s - mm, p)) * coeff_a(label, j1 - 1, j2, p)))
-        if j2 + 1 <= label.n2:
-            terms.append(((j1, j2 + 1, mm + 1), sqrt(_qn(s + mm + 2, p)) * coeff_b(label, j1, j2 + 1, p)))
-    else:
-        raise LabelError(f"unknown generator {gen!r}")
-    return tuple((t, c) for t, c in terms if c)
-
-
-def action_columns(label, p: QParam) -> dict[str, list[tuple]]:
-    """Every generator on the ordered GT basis as a list of columns: column
-    j holds the (row, coefficient) pairs of action_row of basis vector j,
-    bit for bit, from its formulas and float operations over one table of
-    q-numbers.  K and H are the weights (q^(1/12))**w, one per distinct w."""
-    n1, n2 = label = check_label(label)
-    index = gt_index(label)
-    triples = list(index)
-    qi = [qint(z, p) for z in range(n1 + n2 + 3)]  # _qn(h) is qi[h // 2]: every h here is even
+    up, down = (s + mm) // 2, (s - mm) // 2
 
     def a(j1, j2):
         return sqrt(qi[n1 - j1] * qi[n2 + j1 + 2] * qi[j1 + 1] / (qi[j1 + j2 + 1] * qi[j1 + j2 + 2]))
@@ -172,26 +117,49 @@ def action_columns(label, p: QParam) -> dict[str, list[tuple]]:
     def b(j1, j2):
         return sqrt(qi[n1 + j2 + 1] * qi[n2 - j2 + 1] * qi[j2] / (qi[j1 + j2] * qi[j1 + j2 + 1]))
 
-    def column(*moves):  # a move off the basis has coefficient 0, or nan past the float range
-        return tuple((index[target], c) for target, c in moves if c and target in index)
+    if gen == "E1":
+        moves = [((j1, j2, mm + 2), sqrt(qi[down] * qi[up + 1]))]
+    elif gen == "F1":
+        moves = [((j1, j2, mm - 2), sqrt(qi[up] * qi[down + 1]))]
+    elif gen == "E2":
+        moves = [((j1 + 1, j2, mm - 1), sqrt(qi[down + 1]) * a(j1, j2))]
+        if j2 >= 1:  # at j2 = 0 the move has no target, and b can divide by [0]
+            moves.append(((j1, j2 - 1, mm - 1), sqrt(qi[up]) * b(j1, j2)))
+    elif gen == "F2":
+        # adjoint of E2, written out so the transpose contract is testable
+        moves = [((j1 - 1, j2, mm + 1), sqrt(qi[down]) * a(j1 - 1, j2))] if j1 >= 1 else []
+        moves.append(((j1, j2 + 1, mm + 1), sqrt(qi[up + 1]) * b(j1, j2 + 1)))
+    else:
+        raise LabelError(f"unknown generator {gen!r}")
+    return tuple((t, c) for t, c in moves if c and valid_triple(label, t))
 
-    out: dict = {g: [] for g in ("E1", "F1", "E2", "F2")}
-    for j1, j2, mm in triples:
-        s = j1 + j2
-        up, down = (s + mm) // 2, (s - mm) // 2
-        out["E1"].append(column(((j1, j2, mm + 2), sqrt(qi[down] * qi[up + 1]))))
-        out["F1"].append(column(((j1, j2, mm - 2), sqrt(qi[up] * qi[down + 1]))))
-        e2 = [((j1 + 1, j2, mm - 1), sqrt(qi[down + 1]) * a(j1, j2))]
-        if j2 >= 1 and mm - 1 >= 1 - s:
-            e2.append(((j1, j2 - 1, mm - 1), sqrt(qi[up]) * b(j1, j2)))
-        f2 = [((j1 - 1, j2, mm + 1), sqrt(qi[down]) * a(j1 - 1, j2))] if j1 >= 1 else []
-        if j2 + 1 <= n2:
-            f2.append(((j1, j2 + 1, mm + 1), sqrt(qi[up + 1]) * b(j1, j2 + 1)))
-        out["E2"].append(column(*e2))
-        out["F2"].append(column(*f2))
+
+def action_row(label, gen: str, triple, p: QParam) -> tuple:
+    """gen|triple> as ((target triple, coefficient), ...), zeros dropped.
+
+    The dict path's per-row provider; sparse by construction (K/H: 1 entry,
+    E1/F1: <=1, E2/F2: <=2).
+    """
+    label = check_label(label)
+    if gen in DIAGONAL_GENERATORS:
+        c = (p.q ** (1.0 / 12.0)) ** weight_twelfths(gen, label, triple)
+        return ((triple, c),) if c else ()
+    return ladder_moves(label, gen, triple, [qint(z, p) for z in range(sum(label) + 3)])
+
+
+def action_columns(label, p: QParam) -> dict[str, list[tuple]]:
+    """Every generator on the ordered GT basis as a list of columns: column
+    j holds the (row, coefficient) pairs of action_row of basis vector j,
+    the ladder moves from ladder_moves over one table of q-numbers.  K and H
+    are the weights (q^(1/12))**w, one per distinct w."""
+    label = check_label(label)
+    index = gt_index(label)
+    qi = [qint(z, p) for z in range(sum(label) + 3)]
+    out = {gen: [tuple((index[t], c) for t, c in ladder_moves(label, gen, src, qi)) for src in index]
+           for gen in ("E1", "F1", "E2", "F2")}
     base = p.q ** (1.0 / 12.0)
     for gen in DIAGONAL_GENERATORS:
-        w = [weight_twelfths(gen, label, t) for t in triples]
+        w = [weight_twelfths(gen, label, t) for t in index]
         power = {x: base ** x for x in set(w)}
         out[gen] = [((i, power[x]),) if power[x] else () for i, x in enumerate(w)]
     return out

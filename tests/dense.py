@@ -6,12 +6,75 @@ the columns scattered into an ndarray), products by numpy's @, and the same
 relation lists, scales and report keys.  The sparse checks must reach the same
 verdicts, with residuals that differ only where a sum of several products
 is rounded in another order.
+
+reference_row is the per-row oracle of the generator actions: the ladder
+formulas typed out a second time, independently of irreps.ladder_moves.
 """
+
+from math import sqrt
 
 import numpy as np
 
 from cp2q import irreps, peterweyl as pw, ualg
-from cp2q.irreps import GENERATORS, action_columns, check_label, dim
+from cp2q.irreps import (DIAGONAL_GENERATORS, GENERATORS, LabelError, action_columns, check_label, dim,
+                         valid_triple, weight_twelfths)
+from cp2q.qarith import QParam, qint
+
+
+def coeff_a(label, j1: int, j2: int, p: QParam) -> float:
+    n1, n2 = label
+    num = qint(n1 - j1, p) * qint(n2 + j1 + 2, p) * qint(j1 + 1, p)
+    den = qint(j1 + j2 + 1, p) * qint(j1 + j2 + 2, p)
+    return sqrt(num / den)
+
+
+def coeff_b(label, j1: int, j2: int, p: QParam) -> float:
+    if j1 + j2 == 0:
+        return 1.0
+    n1, n2 = label
+    num = qint(n1 + j2 + 1, p) * qint(n2 - j2 + 1, p) * qint(j2, p)
+    den = qint(j1 + j2, p) * qint(j1 + j2 + 1, p)
+    return sqrt(num / den)
+
+
+def _qn(half_arg: int, p: QParam) -> float:
+    # q-number of a half-integer given as twice its value
+    if half_arg % 2 == 0:
+        return qint(half_arg // 2, p)
+    from fractions import Fraction
+
+    return qint(Fraction(half_arg, 2), p)
+
+
+def reference_row(label, gen: str, triple, p: QParam) -> tuple:
+    """gen|triple> as ((target triple, coefficient), ...), zeros dropped:
+    the per-row formulas as they stood before irreps.ladder_moves shared one
+    copy between action_row and action_columns, each coefficient from its
+    own q-numbers (coeff_a, coeff_b, _qn)."""
+    label = check_label(label)
+    q = p.q
+    j1, j2, mm = triple
+    s = j1 + j2
+    if gen in DIAGONAL_GENERATORS:
+        terms = [(triple, (q ** (1.0 / 12.0)) ** weight_twelfths(gen, label, triple))]
+    elif gen == "E1":
+        terms = [((j1, j2, mm + 2), sqrt(_qn(s - mm, p) * _qn(s + mm + 2, p)))]
+    elif gen == "F1":
+        terms = [((j1, j2, mm - 2), sqrt(_qn(s + mm, p) * _qn(s - mm + 2, p)))]
+    elif gen == "E2":
+        terms = [((j1 + 1, j2, mm - 1), sqrt(_qn(s - mm + 2, p)) * coeff_a(label, j1, j2, p))]
+        if valid_triple(label, (j1, j2 - 1, mm - 1)):
+            terms.append(((j1, j2 - 1, mm - 1), sqrt(_qn(s + mm, p)) * coeff_b(label, j1, j2, p)))
+    elif gen == "F2":
+        # adjoint of E2, written out so the transpose contract is testable
+        terms = []
+        if j1 >= 1:
+            terms.append(((j1 - 1, j2, mm + 1), sqrt(_qn(s - mm, p)) * coeff_a(label, j1 - 1, j2, p)))
+        if j2 + 1 <= label.n2:
+            terms.append(((j1, j2 + 1, mm + 1), sqrt(_qn(s + mm + 2, p)) * coeff_b(label, j1, j2 + 1, p)))
+    else:
+        raise LabelError(f"unknown generator {gen!r}")
+    return tuple((t, c) for t, c in terms if c)
 
 
 def dense(cols) -> np.ndarray:

@@ -210,17 +210,36 @@ def test_bad_eps_is_a_config_error(eps):
 @pytest.mark.parametrize("argv, code", [
     (["--eps", "300"], cli.EXIT_CONFIG_ERROR),
     (["--q", "0.3", "--nmax", "8", "--eps", "100"], cli.EXIT_CONFIG_ERROR),
-    (["--q", "0.3", "--nmax", "8", "--eps", "90"], cli.EXIT_OK),
-], ids=("eps-300", "q-0.3-eps-100", "q-0.3-eps-90"))
+    (["--q", "0.3", "--nmax", "8", "--eps", "90"], cli.EXIT_CONFIG_ERROR),
+    (["--q", "0.3", "--nmax", "8", "--eps", "79"], cli.EXIT_CONFIG_ERROR),
+    (["--q", "0.3", "--nmax", "8", "--eps", "70"], cli.EXIT_OK),
+], ids=("eps-300", "q-0.3-eps-100", "q-0.3-eps-90", "q-0.3-eps-79", "q-0.3-eps-70"))
 def test_an_eps_whose_factors_underflow_is_a_config_error(argv, code):
-    # a shell's factor (1 + lambda^2)^(-eps/2) underflows to 0.0 from eps
-    # about 90.6 at q 0.3 and nmax 8, and the next decay ratio would divide
-    # by it: a usage error naming --eps, with nothing on stderr
+    # a shell's factor (1 + lambda^2)^(-eps/2) is subnormal from eps about
+    # 75.2 at q 0.3 and nmax 8, and 0.0 from about 90.6, where the next
+    # decay ratio would divide by it; a ratio of subnormals is rounding, so
+    # either is a usage error naming --eps, with nothing on stderr
     out = _python("-m", "cp2q.cli", "summability", *argv)
     assert (out.returncode, out.stderr) == (code, "")
     report = _strict_json(out.stdout)
     assert report["passed"] is (code == cli.EXIT_OK)
     assert code == cli.EXIT_OK or "--eps" in report["error"]
+
+
+@pytest.mark.parametrize("q, nmax, code", [
+    ("1e-10", "8", cli.EXIT_OK),
+    ("1e-12", "8", cli.EXIT_CONFIG_ERROR),
+    ("1e-13", "8", cli.EXIT_CONFIG_ERROR),
+    ("1e-20", "8", cli.EXIT_CONFIG_ERROR),
+    ("1e-25", "6", cli.EXIT_CONFIG_ERROR),
+    ("1e-30", "4", cli.EXIT_CONFIG_ERROR),
+])
+def test_verify_complex_past_the_float_range_is_a_config_error(q, nmax, code):
+    # at small q products of q-numbers overflow, and a residual would rest
+    # on a nan or an inf: a usage error rather than a pass or a traceback
+    out = _python("-m", "cp2q.cli", "verify-complex", "--q", q, "--nmax", nmax)
+    assert (out.returncode, out.stderr) == (code, "")
+    assert _strict_json(out.stdout)["passed"] is (code == cli.EXIT_OK)
 
 
 def test_classical_check_reports_a_bad_sample(monkeypatch):

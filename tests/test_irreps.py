@@ -155,20 +155,66 @@ def test_generator_matrix_is_dense_assembly_of_action_rows(q):
             assert np.array_equal(expect, dense.generator_matrix(label, gen, p)), (label, gen)
 
 
-@pytest.mark.parametrize("q", [0.3, 0.5, 0.72, 0.95, 0.999])
-def test_action_columns_are_action_rows_bit_for_bit(q):
-    # the whole-irrep builder repeats action_row's float operations in
-    # action_row's order, so each column is the row, term by term
-    p = qparam_float(q)
-    for label in irreps.labels_up_to(8):
+def row_mismatches(p, labels) -> list:
+    """(label, gen, triple, "row" or "column") of each action_row, and each
+    column of action_columns, that is not dense.reference_row bit for bit."""
+    out = []
+    for label in labels:
         index = irreps.gt_index(label)
         columns = irreps.action_columns(label, p)
         assert set(columns) == set(irreps.GENERATORS)
         for gen in irreps.GENERATORS:
             assert len(columns[gen]) == len(index)
             for src, j in index.items():
-                expect = [(index[tgt], c.hex()) for tgt, c in irreps.action_row(label, gen, src, p)]
-                assert [(i, c.hex()) for i, c in columns[gen][j]] == expect, (label, gen, src)
+                expect = [(tgt, c.hex()) for tgt, c in dense.reference_row(label, gen, src, p)]
+                row = [(tgt, c.hex()) for tgt, c in irreps.action_row(label, gen, src, p)]
+                column = [(index[tgt], c) for tgt, c in expect]
+                if row != expect:
+                    out.append((tuple(label), gen, src, "row"))
+                if [(i, c.hex()) for i, c in columns[gen][j]] != column:
+                    out.append((tuple(label), gen, src, "column"))
+    return out
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.72, 0.95, 0.999])
+def test_action_columns_are_action_rows_bit_for_bit(q):
+    # one formula serves the rows and the columns, and both repeat the
+    # per-row reference's float operations in its order, term by term
+    assert row_mismatches(qparam_float(q), irreps.labels_up_to(8)) == []
+
+
+def test_rows_and_columns_agree_past_the_float_range():
+    # at q 1e-13 on V(8,11) products of q-numbers overflow, and a move off
+    # the basis can carry nan; rows drop it as columns do, and keep the
+    # same bits (nan included) on every move into the basis
+    p, label = qparam_float(1e-13), (8, 11)
+    index = irreps.gt_index(label)
+    columns = irreps.action_columns(label, p)
+    for gen in irreps.GENERATORS:
+        for src, j in index.items():
+            row = irreps.action_row(label, gen, src, p)
+            assert all(tgt in index for tgt, _ in row), (gen, src)
+            got = [(index[tgt], c.hex()) for tgt, c in row]
+            assert got == [(i, c.hex()) for i, c in columns[gen][j]], (gen, src)
+
+
+def test_the_reference_row_sees_a_changed_e2_coefficient(monkeypatch):
+    # src/ holds one copy of the ladder formulas, so the comparison with
+    # the reference is what catches a change to it: scale one E2
+    # coefficient and both the row and the column of that triple differ
+    moves = irreps.ladder_moves
+    label, src = (2, 1), (1, 1, 0)
+
+    def scaled(lab, gen, triple, qi):
+        out = moves(lab, gen, triple, qi)
+        if (tuple(lab), gen, triple) == (label, "E2", src):
+            (t, c), *rest = out
+            out = ((t, c * (1.0 + 1e-12)), *rest)
+        return out
+
+    monkeypatch.setattr(irreps, "ladder_moves", scaled)
+    assert row_mismatches(P5, [irreps.IrrepLabel(2, 1), irreps.IrrepLabel(1, 1)]) == [
+        (label, "E2", src, "row"), (label, "E2", src, "column")]
 
 
 # the benchmark's battery and forms commands at seed 1, how often each builds

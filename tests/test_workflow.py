@@ -16,11 +16,17 @@ def test_tier1_workflow_runs_the_suite_and_the_benchmark_selftest():
     steps = spec["jobs"]["tier1"]["steps"]
     assert any(s.get("with", {}).get("python-version") == "3.11" for s in steps)
     runs = [s["run"] for s in steps if "run" in s]
-    # without pyyaml installed, this very test would skip in CI, and without
+    # the test dependencies are listed once, in pyproject.toml's test extra.
+    # Without pyyaml installed, this very test would skip in CI, and without
     # scipy the oracle of the eigendecomposition exponential would; numpy is
     # named since the package no longer pulls it in, and the oracles need it
     install = next(r for r in runs if "pip install" in r)
-    assert {"numpy", "pytest", "hypothesis", "pyyaml", "mpmath", "scipy"} <= set(install.split())
+    assert install == 'python -m pip install -e ".[test]"'
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((WORKFLOW.parents[2] / "pyproject.toml").read_text())["project"]
+    extra = project["optional-dependencies"]["test"]
+    names = {re.match(r"[\w.-]+", dep).group(0).lower() for dep in extra}
+    assert {"numpy", "pytest", "hypothesis", "pyyaml", "mpmath", "scipy"} <= names
     # --durations=10 puts the slowest tests in every log
     assert ("PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q "
             "--continue-on-collection-errors --durations=10") in runs
