@@ -24,7 +24,7 @@ from math import sqrt
 from typing import NamedTuple
 
 from . import dolbeault as db, irreps, peterweyl as pw, ualg
-from .qarith import QParam, VerificationError, qint
+from .qarith import QParam, VerificationError, qint, relative
 
 
 def default_s(p: QParam) -> float:
@@ -165,7 +165,7 @@ def verify_spectrum_closed_form(table: SpectrumTable, p: QParam, rtol: float = 1
             continue
         expect = closed_form_eigenvalue(r.family, r.n, p)
         expect_mult = family_multiplicity(r.family, r.n)
-        rel = abs(abs(r.eigenvalue) - expect) / expect
+        rel = relative(abs(abs(r.eigenvalue) - expect), expect)
         worst = max(worst, rel)
         if rel >= rtol or r.multiplicity != expect_mult:
             failures.append({"row": r._asdict(), "expect": expect, "expect_mult": expect_mult})
@@ -209,8 +209,8 @@ def verify_laplacian_identity(cfg: DiracConfig, trials: int = 6, seed: int = 3) 
             block = _family_block(family, n, cfg)
             expect = (ualg.casimir_eigenvalue(*db.family_label(family, n), p) - 2.0) / two
             k = range(len(block))  # largest entry of block @ block - expect * I
-            resid = max(abs(sum(block[i][m] * block[m][j] for m in k) - (expect if i == j else 0.0))
-                        for i in k for j in k) / max(abs(expect), 1.0)
+            resid = relative(max(abs(sum(block[i][m] * block[m][j] for m in k) - (expect if i == j else 0.0))
+                                 for i in k for j in k), max(abs(expect), 1.0))
             worst = max(worst, resid)
             per_block.append({"family": family, "n": n, "expect": expect, "residual": resid})
 
@@ -223,7 +223,7 @@ def verify_laplacian_identity(cfg: DiracConfig, trials: int = 6, seed: int = 3) 
         pw.add_into(shifted, f, -2.0)
         diff = dirac_apply(dirac_apply(f, cfg), cfg)
         pw.add_into(diff, shifted, -1.0 / two)
-        worst_vec = max(worst_vec, db.form_norm(diff) / max(db.form_norm(f), 1.0))
+        worst_vec = max(worst_vec, relative(db.form_norm(diff), max(db.form_norm(f), 1.0)))
     passed = worst < cfg.tol and worst_vec < cfg.tol
     return {"q": p.q, "s": cfg.s_value, "nmax": cfg.nmax,
             "block_residual": worst, "vector_residual": worst_vec,

@@ -27,13 +27,13 @@ from __future__ import annotations
 import functools
 import random
 from collections.abc import Mapping
-from math import isfinite, sqrt
+from math import sqrt
 from types import MappingProxyType
 from typing import NamedTuple
 
 from . import irreps, peterweyl as pw, ualg
 from .peterweyl import PWVector, add_into
-from .qarith import QParam, VerificationError
+from .qarith import QParam, VerificationError, relative
 
 
 class MembershipError(VerificationError, ArithmeticError):
@@ -116,7 +116,7 @@ def _apply(table: dict, f: FormVector, p: QParam) -> tuple[FormVector, float]:
                 out[k] = c
             else:
                 junk = max(junk, abs(c))
-    return out, junk / max(summand, 1.0)
+    return out, relative(junk, max(summand, 1.0))
 
 
 def dbar_raw(f: FormVector, p: QParam) -> tuple[FormVector, float]:
@@ -196,8 +196,8 @@ def _coordinates(img: FormVector, slots) -> list[float]:
     for t in slots:
         coords.append(c := float(inner_product(t, img)))  # an empty image's product is the int 0
         add_into(resid, t, -c)
-    junk = _largest(resid)
-    if junk > _SPAN_TOL * max(_largest(img), 1.0):
+    junk = relative(_largest(resid), max(_largest(img), 1.0))
+    if junk > _SPAN_TOL:
         raise MembershipError(f"image left the span of the slots: residual {junk:.3e}")
     return coords
 
@@ -301,33 +301,24 @@ def slot_operator(name: str, nmax: int, p: QParam) -> SlotOperator:
     return SlotOperator(*arrays, size)
 
 
-def _relative(diff: float, scale: float) -> float:
-    """A residual against the largest summand it compares (0 when all vanish).
-    A nan or infinite difference or scale means the q-numbers left the float
-    range, and raises OverflowError rather than give a residual."""
-    if not (isfinite(diff) and isfinite(scale)):
-        raise OverflowError(f"residual {diff} against scale {scale}")
-    return diff / scale if diff else 0.0
-
-
 def _difference(a: FormVector, b: FormVector) -> float:
     """Largest coefficient of a - b, against the largest of either."""
     diff = dict(a)
     add_into(diff, b, -1.0)
-    return _relative(_largest(diff), max(_largest(a), _largest(b)))
+    return relative(_largest(diff), max(_largest(a), _largest(b)))
 
 
 def _square_residual(b: list[list[float]]) -> float:
     """Largest entry of b @ b, against the largest product summed into it."""
     k = range(len(b))
     terms = [[b[i][m] * b[m][j] for m in k] for i in k for j in k]
-    return _relative(max(abs(sum(t)) for t in terms), max(abs(x) for t in terms for x in t))
+    return relative(max(abs(sum(t)) for t in terms), max(abs(x) for t in terms for x in t))
 
 
 def _transpose_residual(a: list[list[float]], b: list[list[float]]) -> float:
     """Largest |a[j][i] - b[i][j]|, against the largest entry of either."""
     pairs = [(a[j][i], b[i][j]) for i in range(len(b)) for j in range(len(b))]
-    return _relative(max(abs(x - y) for x, y in pairs), max(abs(x) for pair in pairs for x in pair))
+    return relative(max(abs(x - y) for x, y in pairs), max(abs(x) for pair in pairs for x in pair))
 
 
 def verify_complex(nmax: int, p: QParam, tol: float = 1e-10, trials: int = 20, seed: int = 7) -> dict:
@@ -368,16 +359,17 @@ def verify_equivariance(nmax: int, p: QParam, tol: float = 1e-10, trials: int = 
     about the paper's operators.
     """
     rng = random.Random(seed)
-    images = functools.cache(lambda family, n, w: [(dbar(s, p), dbar_dag(s, p)) for s in block_slots(family, n, w)])
+    slots = functools.cache(block_slots)
+    images = functools.cache(lambda family, n, w: [(dbar(s, p), dbar_dag(s, p)) for s in slots(family, n, w)])
     gens = {g: ualg.AlgebraElement.gen(g) for g in WHITE_GENERATORS}
     residuals = dict.fromkeys(gens, 0.0)
     for family, n, _, dim, _ in families(nmax):
         for w in rng.sample(irreps.gt_triples(family_label(family, n)), min(trials, dim)):
-            for i, s in enumerate(block_slots(family, n, w)):
+            for i, s in enumerate(slots(family, n, w)):
                 for g, elem in gens.items():
                     moved = pw.white_act(elem, s, p)
                     targets = list(dict.fromkeys(k.white for k in moved))
-                    coords = _coordinates(moved, [block_slots(family, n, t)[i] for t in targets])
+                    coords = _coordinates(moved, [slots(family, n, t)[i] for t in targets])
                     for o, img in enumerate(images(family, n, w)[i]):
                         lhs: FormVector = {}
                         for t, c in zip(targets, coords):

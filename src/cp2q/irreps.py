@@ -30,7 +30,7 @@ from __future__ import annotations
 from math import isnan, nan, sqrt
 from typing import NamedTuple
 
-from .qarith import QParam, qint
+from .qarith import QParam, qint, relative
 
 
 class LabelError(ValueError):
@@ -214,6 +214,13 @@ def largest(*mats) -> float:
     return nan if any(map(isnan, vals)) else max(vals, default=0.0)
 
 
+def residual(lhs, rhs=None, scale=None) -> float:
+    """qarith.relative of the largest |entry| of lhs - rhs (of lhs without rhs)
+    and max(scale, 1), scale being by default the largest entry of both sides."""
+    diff = lhs if rhs is None else add(lhs, (-1.0, rhs))
+    return relative(largest(diff), max(largest(lhs, rhs) if scale is None else scale, 1.0))
+
+
 def verify_hopf_relations(label, p: QParam, tol: float = 1e-11) -> dict:
     """Check every defining relation of the symmetry algebra on one irrep.
 
@@ -226,12 +233,6 @@ def verify_hopf_relations(label, p: QParam, tol: float = 1e-11) -> dict:
     q = p.q
     g = action_columns(label, p)
     zero = [()] * dim(label)
-
-    def residual(lhs, rhs=None, scale=None):
-        # relative to the largest entry of the constituent products when
-        # given, else of both sides; no rhs is 0
-        diff = lhs if rhs is None else add(lhs, (-1.0, rhs))
-        return largest(diff) / max(largest(lhs, rhs) if scale is None else scale, 1.0)
 
     def qcomm(a, b, ab=None):  # ab: a @ b when the caller has it
         return add(matmul(a, b) if ab is None else ab, (-1.0, matmul(add(zero, (1.0 / q, b)), a)))

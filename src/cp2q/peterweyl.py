@@ -21,7 +21,7 @@ from math import sqrt
 from typing import NamedTuple
 
 from . import irreps, ualg
-from .qarith import QParam, qbinom, qfact, qint
+from .qarith import QParam, qbinom, qfact, qint, relative
 
 
 class PWBasisVector(NamedTuple):
@@ -248,7 +248,7 @@ def verify_gt_lowering(label, p: QParam, tol: float = 1e-9, mats: dict | None = 
     worst, failures = 0.0, []
     for i, (t, elem) in enumerate(zip(triples, elems)):
         got = irreps.add([()], *((c, images[w[::-1]]) for w, c in elem.terms.items()))
-        r = irreps.largest(irreps.add(got, (-1.0, [((i, 1.0),)])))
+        r = irreps.residual(got, [((i, 1.0),)], 1.0)
         worst = max(worst, r)
         if r >= tol:
             failures.append({"triple": list(t), "residual": r})
@@ -298,7 +298,7 @@ def verify_lemma_commutators(label, nmax_power: int, p: QParam, tol: float = 1e-
         for name, lhs, rhs in cases:
             lm = ualg.evaluate(lhs, label, p, mats)
             rm = ualg.evaluate(rhs, label, p, mats)
-            r = irreps.largest(irreps.add(lm, (-1.0, rm))) / max(irreps.largest(rm), 1.0)
+            r = irreps.residual(lm, rm, irreps.largest(rm))
             worst = max(worst, r)
             report.append({"identity": name, "power": n, "residual": r, "passed": r < tol})
     return {"label": list(label), "max_residual": worst,
@@ -316,7 +316,7 @@ def form1_membership_report(vplus: PWVector, vminus: PWVector, p: QParam, tol: f
     def residual(got: PWVector, expect: PWVector) -> float:
         diff = dict(got)
         add_into(diff, expect, -1.0)
-        return max((abs(c) for c in diff.values()), default=0.0)
+        return relative(max((abs(c) for c in diff.values()), default=0.0), 1.0)
 
     checks = [
         ("E1 v+ = 0", residual(black_act(gen("E1"), vplus, p), {})),

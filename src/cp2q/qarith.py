@@ -19,6 +19,7 @@ one is built; an integer exponent or coefficient never loads it.
 from __future__ import annotations
 
 import re
+from math import isfinite
 from typing import NamedTuple
 
 
@@ -30,6 +31,14 @@ class VerificationError(Exception):
     """A check failed while it ran; the command line reports it and exits 1.
     The failures named by the engine derive from it, so the command line
     needs none of their modules to catch them."""
+
+
+def relative(diff: float, scale: float) -> float:
+    """A residual, diff / scale, or 0.0 when diff is 0.  A nan or inf on either
+    side means the q-numbers left the float range: it raises OverflowError."""
+    if not (isfinite(diff) and isfinite(scale)):
+        raise OverflowError(f"residual {diff} against scale {scale}")
+    return diff / scale if diff else 0.0
 
 
 #: exponent lattice denominator: t = q^(1/12)

@@ -16,7 +16,7 @@ import math
 
 from . import irreps
 from .irreps import GENERATORS
-from .qarith import QParam, qint, term_tokens
+from .qarith import QParam, qint, relative, term_tokens
 
 Word = tuple  # tuple of generator names; () is the unit
 
@@ -218,12 +218,11 @@ def verify_casimir_scalar(label, p: QParam, tol: float = 1e-10) -> dict:
     mats = irreps.action_columns(label, p)
     cas = evaluate(casimir_element(p), label, p, mats)
     value = casimir_eigenvalue(label[0], label[1], p)
-    off = irreps.largest(irreps.add(cas, (-value, irreps.identity(len(cas))))) / max(abs(value), 1.0)
+    off = irreps.residual(cas, [((j, value),) for j in range(len(cas))], abs(value))
     comm = 0.0
     for g in mats.values():
         cg = irreps.matmul(cas, g)
-        scale = max(irreps.largest(cg), 1.0)
-        comm = max(comm, irreps.largest(irreps.add(cg, (-1.0, irreps.matmul(g, cas)))) / scale)
+        comm = max(comm, irreps.residual(cg, irreps.matmul(g, cas), irreps.largest(cg)))
     return {
         "label": list(label),
         "scalar": value,
@@ -345,12 +344,12 @@ def verify_coproduct_identity(p: QParam, tol: float = 1e-12, label=(0, 1)) -> di
     ):
         lhs = tensor_evaluate(coproduct_expand(elem), label, label, p, mats, mats)
         rhs = tensor_evaluate(closed, label, label, p, mats, mats)
-        results[f"coproduct {name}"] = irreps.largest(irreps.add(lhs, (-1.0, rhs))) / max(irreps.largest(rhs), 1.0)
+        results[f"coproduct {name}"] = irreps.residual(lhs, rhs, irreps.largest(rhs))
 
     k1 = AlgebraElement.gen("K1")
     lhs = tensor_evaluate(coproduct_expand(k1), label, label, p, mats, mats)
     rhs = tensor_evaluate({(("K1",), ("K1",)): 1.0}, label, label, p, mats, mats)  # K1 (x) K1
-    results["coproduct K1 grouplike"] = irreps.largest(irreps.add(lhs, (-1.0, rhs)))
+    results["coproduct K1 grouplike"] = irreps.residual(lhs, rhs, 1.0)
 
     # counit axiom (eps (x) id) Delta = id, and eps(X) = 0
     for name, elem in (("X", x_element(p)), ("K1", k1)):
@@ -360,8 +359,9 @@ def verify_coproduct_identity(p: QParam, tol: float = 1e-12, label=(0, 1)) -> di
             left_collapsed = left_collapsed + c * counit(AlgebraElement.word(lw)) * AlgebraElement.word(rw)
             right_collapsed = right_collapsed + c * counit(AlgebraElement.word(rw)) * AlgebraElement.word(lw)
         for side, collapsed in (("eps(x)id", left_collapsed), ("id(x)eps", right_collapsed)):
-            results[f"counit law {side} on {name}"] = irreps.largest(evaluate(collapsed - elem, label, p, mats))
-    results["counit X"] = abs(counit(x_element(p)))
+            results[f"counit law {side} on {name}"] = irreps.residual(evaluate(collapsed - elem, label, p, mats),
+                                                                        scale=1.0)
+    results["counit X"] = relative(abs(counit(x_element(p))), 1.0)
 
     worst = max(results.values())
     return {"q": p.q, "residuals": results, "max_residual": worst, "passed": worst < tol}

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cp2q import classical, cli, dirac, dolbeault, irreps, ncrewrite, peterweyl, ualg
+from cp2q import classical, cli, dirac, dolbeault, irreps, ncrewrite, peterweyl, qarith, ualg
 
 
 def run_cli(argv):
@@ -262,14 +262,31 @@ def test_classical_check_reports_a_bad_sample(monkeypatch):
     ["verify-hopf", "--q", "1e-30", "--total-degree", "12"],
     ["verify-casimir", "--q", "1e-30", "--total-degree", "12"],
     ["verify-gt", "--q", "1e-40", "--total-degree", "9"],
+    # here the q-numbers are finite, and a product of them overflows into a
+    # residual's nan or inf
+    pytest.param(["verify-hopf", "--q", "1e-20", "--total-degree", "8"], id="verify-hopf-residual"),
+    pytest.param(["verify-casimir", "--q", "1e-15", "--total-degree", "8"], id="verify-casimir-residual"),
+    pytest.param(["verify-gt", "--q", "0.01", "--total-degree", "9"], id="verify-gt-residual"),
 ], ids=lambda a: a[0])
 def test_q_numbers_past_the_float_range_are_a_config_error(argv):
-    # at these q a power q^-k overflows while the q-numbers are built
+    # at the first four q a power q^-k overflows while the q-numbers are built
     code, out = run_cli(argv)
     assert code == cli.EXIT_CONFIG_ERROR
     report = _strict_json(out)
     assert report["passed"] is False
     assert report["error"] == f"the q-numbers leave the float range at q = {argv[argv.index('--q') + 1]}"
+
+
+@pytest.mark.parametrize("check, label, q", [
+    (irreps.verify_hopf_relations, (0, 12), 1e-14),
+    (ualg.verify_casimir_scalar, (0, 11), 1e-12),
+    (peterweyl.verify_gt_lowering, (7, 2), 0.01),
+], ids=["verify_hopf_relations", "verify_casimir_scalar", "verify_gt_lowering"])
+def test_a_non_finite_residual_raises_overflow_error(check, label, q):
+    # a product of q-numbers overflows here: 19 of hopf's 27 residuals and one
+    # of the others' are nan or inf, and none may pass or be reported
+    with pytest.raises(OverflowError):
+        check(label, qarith.QParam(q))
 
 
 def test_membership_error_exits_1(monkeypatch):

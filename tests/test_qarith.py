@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache, reduce
+import math
 from math import comb
 from operator import mul
 
@@ -16,6 +17,7 @@ from cp2q.qarith import (
     qfact,
     qint,
     qparam_float,
+    relative,
 )
 from laurent import LaurentScalar, _coerce
 
@@ -184,6 +186,20 @@ def test_laurent_no_zero_coeffs_stored():
     a = sub(t_power(3), t_power(3))
     assert not a.coeffs
     assert a == LaurentScalar.zero()
+
+
+@pytest.mark.parametrize("diff, scale, expect", [(0.0, 0.0, 0.0), (0.0, 2.0, 0.0), (3e-17, 1.0, 3e-17),
+                                                 (2.5e-13, 7.3, 2.5e-13 / 7.3), (1.0, 3.0, 1.0 / 3.0)])
+def test_relative_is_the_plain_quotient_or_zero(diff, scale, expect):
+    # no difference reads 0.0, even against a zero scale
+    assert relative(diff, scale).hex() == expect.hex()
+
+
+@pytest.mark.parametrize("diff, scale", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
+                                         (0.0, math.nan), (0.0, math.inf), (math.inf, math.inf)])
+def test_relative_refuses_a_nan_or_inf(diff, scale):
+    with pytest.raises(OverflowError):
+        relative(diff, scale)
 
 
 def test_qparam_validation():

@@ -103,6 +103,15 @@ def test_tier1_workflow_runs_the_hopf_relations_at_their_degree_cap():
     assert f"PYTHONPATH=src python -m cp2q.cli verify-hopf --q 0.3 --total-degree {cli.TOTAL_DEGREE_GUARD}" in runs
 
 
+def test_tier1_workflow_runs_the_casimir_checks_at_their_degree_cap():
+    # the costliest verify-casimir line the cap admits, which no test runs; a
+    # step fails on a nonzero exit (q 0.3 exits 1 on rounding at this degree)
+    yaml = pytest.importorskip("yaml")
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
+    runs = [s["run"] for s in steps if "run" in s]
+    assert f"PYTHONPATH=src python -m cp2q.cli verify-casimir --q 0.5 --total-degree {cli.TOTAL_DEGREE_GUARD}" in runs
+
+
 def test_tier1_workflow_runs_the_lemma_identities_at_their_powers_cap():
     # [F2,F1]_q^n expands into 2^n words, so the --powers cap is the costliest
     # verify-gt line; no test runs it, and a step fails on a nonzero exit
