@@ -12,7 +12,7 @@ import random
 from math import sqrt
 
 from . import irreps
-from .qarith import QParam
+from .qarith import QParam, largest
 
 
 def _matrix(entries: dict, n: int = 3) -> tuple:
@@ -52,25 +52,20 @@ def _dot(u, v) -> complex:  # sum_i conj(u_i) v_i over three entries
     return u[0].conjugate() * v[0] + u[1].conjugate() * v[1] + u[2].conjugate() * v[2]
 
 
-def _largest(values: list) -> float:  # of values >= 0: 0.0 if none, nan if one is nan
-    total = sum(values)
-    return max(values, default=0.0) if total == total else total
-
-
 def _gap(a, b) -> float:  # the largest entrywise |a - b|
-    return _largest([abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)])
+    return largest([x - y for ra, rb in zip(a, b) for x, y in zip(ra, rb)])
 
 
 def _det2(m) -> complex:
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
-def _product_gaps(a, b, c) -> list:  # the entrywise |a b - c| of 2x2 matrices
+def _product_gaps(a, b, c) -> list:  # the entrywise a b - c of 2x2 matrices
     (a00, a01), (a10, a11) = a
     (b00, b01), (b10, b11) = b
     (c00, c01), (c10, c11) = c
-    return [abs(a00 * b00 + a01 * b10 - c00), abs(a00 * b01 + a01 * b11 - c01),
-            abs(a10 * b00 + a11 * b10 - c10), abs(a10 * b01 + a11 * b11 - c11)]
+    return [a00 * b00 + a01 * b10 - c00, a00 * b01 + a01 * b11 - c01,
+            a10 * b00 + a11 * b10 - c10, a10 * b01 + a11 * b11 - c11]
 
 
 def _det3(m) -> complex:
@@ -115,7 +110,7 @@ def sample_su3(seed: int):
 
 def check_group_sample(g, tol: float = 1e-12) -> dict:
     # g g^H on and above the diagonal: each entry below is the conjugate of one above
-    uni = _largest([abs(_dot(g[j], g[i]) - (i == j)) for i in range(3) for j in range(i, 3)])
+    uni = largest([_dot(g[j], g[i]) - (i == j) for i in range(3) for j in range(i, 3)])
     det = abs(_det3(g) - 1.0)  # not finite if any entry is not
     return {"unitarity": uni, "det": det, "passed": uni < tol and det < tol}
 
@@ -177,17 +172,16 @@ def transition_check(g, tol: float = 1e-10, threshold: float = 0.1) -> dict:
     p = [a * b for a in zb for b in z]  # the projector, row-major
     pp = [p[i] * p[j] + p[i + 1] * p[j + 3] + p[i + 2] * p[j + 6] for i in (0, 3, 6) for j in (0, 1, 2)]
     res = {
-        "transition": _largest(transition),
-        "determinant": _largest([abs(_det2(m) - (-1.0) ** j * zb[j - 1] ** 3)
-                                 for j, m in pmat.items()]),
+        "transition": largest(transition),
+        "determinant": largest([_det2(m) - (-1.0) ** j * zb[j - 1] ** 3 for j, m in pmat.items()]),
         # rows 1 and 2 against the conjugated third row
-        "row_orthogonality": _largest([abs(_dot(z, g0)), abs(_dot(z, g1))]),
-        "transition_inverse": _largest(inverse),
-        "projector": _largest([abs(x - y) for x, y in zip(pp, p)]
-                              + [abs(p[3 * i + j] - p[3 * j + i].conjugate()) for i in range(3)
-                                 for j in range(3)] + [abs(p[0] + p[4] + p[8] - 1.0)]),
+        "row_orthogonality": largest([_dot(z, g0), _dot(z, g1)]),
+        "transition_inverse": largest(inverse),
+        "projector": largest([x - y for x, y in zip(pp, p)]
+                             + [p[3 * i + j] - p[3 * j + i].conjugate() for i in range(3)
+                                for j in range(3)] + [p[0] + p[4] + p[8] - 1.0]),
     }
-    res["max_residual"] = _largest(list(res.values()))
+    res["max_residual"] = largest(res.values())
     res["passed"] = res["max_residual"] < tol
     return res
 
@@ -271,7 +265,7 @@ def dbar_local_check(a, g, chart: int, h_step: float = 1e-5,
 
     # d/d(conj W_i) = (d/dx + i d/dy) / 2
     rhs = [0.5 * (chart_difference(i, h_step) + 1j * chart_difference(i, 1j * h_step)) for i in range(2)]
-    resid = _largest([abs(x - y) for x, y in zip(lhs, rhs)])
+    resid = largest([x - y for x, y in zip(lhs, rhs)])
     return {"chart": chart, "lhs": lhs, "rhs": rhs,
             "residual": resid, "passed": resid < tol}
 
@@ -305,7 +299,7 @@ def classical_rep_check(tol: float = 1e-12) -> dict:
                    (f"(adF{k})^2 F{j} = 0", comm(f, comm(f, fj)), zero)]
     report = [{"relation": name, "residual": _gap(lhs, rhs), "passed": _gap(lhs, rhs) < tol}
               for name, lhs, rhs in checks]
-    worst = _largest([r["residual"] for r in report])
+    worst = largest([r["residual"] for r in report])
 
     # q-side fundamental matrices (V(0,1) in the paper's basis order) against
     # the classical limit: the ladder matrices agree exactly, the K's are
@@ -317,12 +311,12 @@ def classical_rep_check(tol: float = 1e-12) -> dict:
         want = {"E1": s["E1"], "E2": s["E2"],
                 **{f"K{k}": _matrix({(i, i): q ** (s[f"H{k}"][i][i] / 2.0) for i in range(3)})
                    for k in (1, 2)}}
-        limit[q] = _largest([_gap(_matrix({(perm.index(i), perm.index(j)): c
-                                           for j, col in enumerate(cols[gen]) for i, c in col}), m)
-                             for gen, m in want.items()])
+        limit[q] = largest([_gap(_matrix({(perm.index(i), perm.index(j)): c
+                                          for j, col in enumerate(cols[gen]) for i, c in col}), m)
+                            for gen, m in want.items()])
     return {"relations": report, "max_residual": worst,
             "fundamental_match": limit,
-            "passed": worst < tol and max(limit.values()) < 1e-12}
+            "passed": worst < tol and largest(limit.values()) < 1e-12}
 
 
 def run_sample_battery(samples: int = 100, seed: int = 1, tol: float = 1e-10) -> dict:
@@ -338,8 +332,7 @@ def run_sample_battery(samples: int = 100, seed: int = 1, tol: float = 1e-10) ->
                     "detail": {"unitarity": ok["unitarity"], "det": ok["det"]}}
         rep = transition_check(g, tol)
         for k in BATTERY_FAMILIES:
-            if rep[k] > worst[k] or rep[k] != rep[k]:  # a nan stays
-                worst[k] = rep[k]
-    top = _largest(list(worst.values()))
+            worst[k] = largest((worst[k], rep[k]))
+    top = largest(worst.values())
     return {"samples": samples, "seed": seed, "residuals": worst,
             "max_residual": top, "passed": top < tol}

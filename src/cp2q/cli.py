@@ -27,26 +27,21 @@ EXIT_CONFIG_ERROR = 2
 
 SPECTRUM_Q_RANGE = (0.3, 0.95)
 NMAX_GUARD = 8
-# caps on unbounded work, from the measured cost table in the README:
-# evaluate prints a dense dim x dim matrix, held as sparse columns (about
-# 10 bytes of memory and 11 of output per entry), verify-cp2-relations
-# walks all 6^d words of each degree d (time about 6x and memory about 5x
-# per degree; degree 7 takes 1.4-1.7 s and 40 MB), and its q = 1
-# cross-check, evaluated over all points at once, takes about 13 us per
-# sample point; classical-check draws, factors and checks one sample at a
-# time in plain Python (75-90 us per sample; --samples 10000 takes 0.8-1.0
-# s in a fresh process); verify-hopf and verify-casimir hold one irrep's
-# action columns at a time, so time, not memory, set their cap (about 1.9x per
-# degree when it was set; verify-hopf now takes 2.1-2.8 s and 16 MB at
-# --total-degree 13), verify-gt applies each lowering word to one vector
-# (time about 1.5-2x per degree), its --powers identities expand
-# [F2,F1]_q^n into 2^n words, and decompose
-# lists every basis vector up to --nmax (the sphere basis, the largest
-# kind at N = 0, grows about nmax^5: with --dump, 0.7-0.9 s, 34 MB and
-# 5.7 MB of output at nmax 12, 2.9-3.0 s and 88 MB at 16), and a line
-# bundle's basis holds V(n, n + |N|) for each n, about N^2 vectors per
-# label: the |N| cap keeps it at nmax 12 below the sphere's (70,980
-# vectors at |N| = 26 against 74,529; 180 MB at |N| = 100)
+# caps on unbounded work; their measured time and memory are in the README's
+# cost table ("Caps on unbounded work"), the one place that keeps the numbers:
+# evaluate prints a dense dim x dim matrix, held as sparse columns (memory and
+# output grow with dim^2); verify-cp2-relations walks all 6^d words of each
+# degree d (time and memory grow several-fold per degree), and its q = 1
+# cross-check sums both sides of each relation at one point at a time;
+# classical-check draws, factors and checks one sample at a time in plain
+# Python, so its time grows linearly in --samples; verify-hopf and
+# verify-casimir hold one irrep's action columns at a time, so time, not
+# memory, sets their cap; verify-gt applies each lowering word to one vector,
+# and its --powers identities expand [F2,F1]_q^n into 2^n words; decompose
+# lists every basis vector up to --nmax (the sphere basis, the largest kind at
+# N = 0, grows about nmax^5), and a line bundle's basis holds V(n, n + |N|)
+# for each n, about N^2 vectors per label: the |N| cap keeps it at nmax 12
+# below the sphere's
 EVALUATE_DIM_GUARD = 1000
 MAX_DEG_GUARD = 7
 CROSS_CHECK_SAMPLES_GUARD = 10_000

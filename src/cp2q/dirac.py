@@ -20,11 +20,11 @@ oracle functions here import numpy inside the function.
 
 from __future__ import annotations
 
-from math import sqrt
+from math import isfinite, sqrt
 from typing import NamedTuple
 
 from . import dolbeault as db, irreps, peterweyl as pw, ualg
-from .qarith import QParam, VerificationError, qint, relative
+from .qarith import QParam, VerificationError, largest, qint, relative
 
 
 def default_s(p: QParam) -> float:
@@ -144,6 +144,8 @@ def spectrum(cfg: DiracConfig) -> SpectrumTable:
             continue  # the constants: the zero row
         block = _family_block(family, n, cfg)
         (b00, b01), (b10, b11) = block
+        if not all(map(isfinite, (b00, b01, b10, b11))):
+            raise OverflowError(f"block ({family},{n}) has an entry that is not finite: {block}")
         if b00 or b11 or abs(b01 - b10) > cfg.tol * max(abs(b10), 1.0):
             raise SpectrumSymmetryError(f"block ({family},{n}) not symmetric with zero diagonal: {block}")
         lam = abs(b10)
@@ -209,8 +211,8 @@ def verify_laplacian_identity(cfg: DiracConfig, trials: int = 6, seed: int = 3) 
             block = _family_block(family, n, cfg)
             expect = (ualg.casimir_eigenvalue(*db.family_label(family, n), p) - 2.0) / two
             k = range(len(block))  # largest entry of block @ block - expect * I
-            resid = relative(max(abs(sum(block[i][m] * block[m][j] for m in k) - (expect if i == j else 0.0))
-                                 for i in k for j in k), max(abs(expect), 1.0))
+            resid = relative(largest([sum(block[i][m] * block[m][j] for m in k) - (expect if i == j else 0.0)
+                                      for i in k for j in k]), max(abs(expect), 1.0))
             worst = max(worst, resid)
             per_block.append({"family": family, "n": n, "expect": expect, "residual": resid})
 
@@ -251,7 +253,7 @@ def cohomology(cfg: DiracConfig) -> dict:
         for i, k in enumerate(deg):
             dims[k] += size
             # a slot is harmonic iff the block's operator vanishes on it
-            if max(abs(row[i]) for row in block) < cfg.tol:
+            if relative(largest([row[i] for row in block]), 1.0) < cfg.tol:
                 harmonic[k] += size
         exact[deg[-1]] += size * _rank(d, cfg.tol)
         coexact[deg[0]] += size * _rank(dd, cfg.tol)

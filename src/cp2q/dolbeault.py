@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from . import irreps, peterweyl as pw, ualg
 from .peterweyl import PWVector, add_into
-from .qarith import QParam, VerificationError, relative
+from .qarith import QParam, VerificationError, largest, relative
 
 
 class MembershipError(VerificationError, ArithmeticError):
@@ -96,11 +96,11 @@ def _apply(table: dict, f: FormVector, p: QParam) -> tuple[FormVector, float]:
     sum (at least 1): what is left when summands of that size cancel."""
     ops = _operators(p)
     pieces: dict = {}
-    junk = summand = 0.0
+    junk, summands = [], []  # the off-space coefficients, the black images' coefficients
     for k, c in f.items():
         name = part(k)
         if name is None:
-            junk = max(junk, abs(c))
+            junk.append(c)
         else:
             pieces.setdefault(name, {})[k] = c
     out: FormVector = {}
@@ -109,14 +109,14 @@ def _apply(table: dict, f: FormVector, p: QParam) -> tuple[FormVector, float]:
         for source, op, sign in legs:
             if source in pieces:
                 leg = pw.black_act(ops[op], pieces[source], p)
-                summand = max(summand, _largest(leg))
+                summands.extend(leg.values())
                 add_into(img, leg, sign)
         for k, c in img.items():
             if part(k) == target:
                 out[k] = c
             else:
-                junk = max(junk, abs(c))
-    return out, relative(junk, max(summand, 1.0))
+                junk.append(c)
+    return out, relative(largest(junk), max(largest(summands), 1.0))
 
 
 def dbar_raw(f: FormVector, p: QParam) -> tuple[FormVector, float]:
@@ -127,10 +127,6 @@ def dbar_raw(f: FormVector, p: QParam) -> tuple[FormVector, float]:
 
 def dbar_dag_raw(f: FormVector, p: QParam) -> tuple[FormVector, float]:
     return _apply(_DBAR_DAG, f, p)
-
-
-def _largest(f: FormVector) -> float:
-    return max(map(abs, f.values()), default=0.0)
 
 
 def _checked(raw, f: FormVector, p: QParam, tol: float) -> FormVector:
@@ -196,7 +192,7 @@ def _coordinates(img: FormVector, slots) -> list[float]:
     for t in slots:
         coords.append(c := float(inner_product(t, img)))  # an empty image's product is the int 0
         add_into(resid, t, -c)
-    junk = relative(_largest(resid), max(_largest(img), 1.0))
+    junk = relative(largest(resid.values()), max(largest(img.values()), 1.0))
     if junk > _SPAN_TOL:
         raise MembershipError(f"image left the span of the slots: residual {junk:.3e}")
     return coords
@@ -305,20 +301,20 @@ def _difference(a: FormVector, b: FormVector) -> float:
     """Largest coefficient of a - b, against the largest of either."""
     diff = dict(a)
     add_into(diff, b, -1.0)
-    return relative(_largest(diff), max(_largest(a), _largest(b)))
+    return relative(largest(diff.values()), largest([*a.values(), *b.values()]))
 
 
 def _square_residual(b: list[list[float]]) -> float:
     """Largest entry of b @ b, against the largest product summed into it."""
     k = range(len(b))
     terms = [[b[i][m] * b[m][j] for m in k] for i in k for j in k]
-    return relative(max(abs(sum(t)) for t in terms), max(abs(x) for t in terms for x in t))
+    return relative(largest(map(sum, terms)), largest([x for t in terms for x in t]))
 
 
 def _transpose_residual(a: list[list[float]], b: list[list[float]]) -> float:
     """Largest |a[j][i] - b[i][j]|, against the largest entry of either."""
     pairs = [(a[j][i], b[i][j]) for i in range(len(b)) for j in range(len(b))]
-    return relative(max(abs(x - y) for x, y in pairs), max(abs(x) for pair in pairs for x in pair))
+    return relative(largest([x - y for x, y in pairs]), largest([x for pair in pairs for x in pair]))
 
 
 def verify_complex(nmax: int, p: QParam, tol: float = 1e-10, trials: int = 20, seed: int = 7) -> dict:

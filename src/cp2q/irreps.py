@@ -27,9 +27,10 @@ label it reads.
 
 from __future__ import annotations
 
-from math import isnan, nan, sqrt
+from math import sqrt
 from typing import NamedTuple
 
+from . import qarith
 from .qarith import QParam, qint, relative
 
 
@@ -208,10 +209,8 @@ def add(a, *terms) -> list[tuple]:
 
 
 def largest(*mats) -> float:
-    """Largest |entry| of column lists (0.0 for none), and nan if an entry
-    is nan, as numpy's max gives it."""
-    vals = [abs(x) for m in mats for col in m for _, x in col]
-    return nan if any(map(isnan, vals)) else max(vals, default=0.0)
+    """qarith.largest of the entries of column lists, flattened into one list."""
+    return qarith.largest([x for m in mats for col in m for _, x in col])
 
 
 def residual(lhs, rhs=None, scale=None) -> float:

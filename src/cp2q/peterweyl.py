@@ -21,7 +21,7 @@ from math import sqrt
 from typing import NamedTuple
 
 from . import irreps, ualg
-from .qarith import QParam, qbinom, qfact, qint, relative
+from .qarith import QParam, largest, qbinom, qfact, qint, relative
 
 
 class PWBasisVector(NamedTuple):
@@ -316,7 +316,7 @@ def form1_membership_report(vplus: PWVector, vminus: PWVector, p: QParam, tol: f
     def residual(got: PWVector, expect: PWVector) -> float:
         diff = dict(got)
         add_into(diff, expect, -1.0)
-        return relative(max((abs(c) for c in diff.values()), default=0.0), 1.0)
+        return relative(largest(diff.values()), 1.0)
 
     checks = [
         ("E1 v+ = 0", residual(black_act(gen("E1"), vplus, p), {})),

@@ -19,7 +19,7 @@ one is built; an integer exponent or coefficient never loads it.
 from __future__ import annotations
 
 import re
-from math import isfinite
+from math import isfinite, isnan, nan
 from typing import NamedTuple
 
 
@@ -39,6 +39,14 @@ def relative(diff: float, scale: float) -> float:
     if not (isfinite(diff) and isfinite(scale)):
         raise OverflowError(f"residual {diff} against scale {scale}")
     return diff / scale if diff else 0.0
+
+
+def largest(values) -> float:
+    """The largest |x| of values, 0.0 for none, and nan if any x is nan, where
+    max would keep a nan only when it comes first: the worst entry a residual
+    hands to relative, or a check compares with its tol."""
+    vals = list(map(abs, values))
+    return nan if any(map(isnan, vals)) else max(vals, default=0.0)
 
 
 #: exponent lattice denominator: t = q^(1/12)

@@ -289,6 +289,76 @@ def test_a_non_finite_residual_raises_overflow_error(check, label, q):
         check(label, qarith.QParam(q))
 
 
+NAN = float("nan")
+ONES = [[1.0, 1.0], [1.0, 1.0]]
+
+
+def _nan_at(k: int) -> list:
+    """A 2x2 block of ones with a nan at row-major position k."""
+    return [[NAN if 2 * i + j == k else 1.0 for j in range(2)] for i in range(2)]
+
+
+def _black_act_with_nan(monkeypatch):
+    """Make the last coefficient of every nonzero black image a nan."""
+    black_act = peterweyl.black_act
+
+    def with_nan(elem, vec, p):
+        out = black_act(elem, vec, p)
+        if out:
+            out[next(reversed(out))] = NAN
+        return out
+
+    monkeypatch.setattr(peterweyl, "black_act", with_nan)
+
+
+def _apply_with_a_nan_leg(monkeypatch):
+    _black_act_with_nan(monkeypatch)
+    dolbeault.dbar_raw(dolbeault.block_slots("diag", 1)[0], qarith.QParam(0.5))
+
+
+def _membership_of_two_doublets(monkeypatch):
+    # v+ has 2 where E1 v- has 1, so "E1 v- = v+" reads a finite difference
+    # before the nan: a check that fails must still raise on the nan
+    _black_act_with_nan(monkeypatch)
+    w1, w2 = (0, 0, 0), (1, 0, 1)
+    vp, vm = ({**peterweyl.pw_vector(1, 1, w1, t, c), **peterweyl.pw_vector(1, 1, w2, t)}
+              for t, c in (((1, 0, 1), 2.0), ((1, 0, -1), 1.0)))
+    peterweyl.form1_membership_report(vp, vm, qarith.QParam(0.5))
+
+
+def _laplacian_block(monkeypatch):
+    # (block @ block)[0][1] = 1 * 0 + 0 * nan is the nan, after a finite entry
+    monkeypatch.setattr(dirac, "_family_block", lambda family, n, cfg: [[1.0, 0.0], [0.0, NAN]])
+    dirac.verify_laplacian_identity(dirac.DiracConfig(p=qarith.QParam(0.5), nmax=0), trials=1)
+
+
+def _cohomology_block(monkeypatch):
+    # each block's first column is (1, nan): not harmonic, unless the nan is dropped
+    monkeypatch.setattr(dirac, "_black_blocks", lambda family, n, p: ([[1.0, 0.0], [NAN, 0.0]], [[0.0, 0.0]] * 2))
+    dirac.cohomology(dirac.DiracConfig(p=qarith.QParam(0.5), nmax=1))
+
+
+NAN_SITES = {
+    **{f"square_residual-{k}": lambda mp, k=k: dolbeault._square_residual(_nan_at(k)) for k in range(4)},
+    **{f"transpose_residual-a{k}": lambda mp, k=k: dolbeault._transpose_residual(_nan_at(k), ONES)
+       for k in range(4)},
+    **{f"transpose_residual-b{k}": lambda mp, k=k: dolbeault._transpose_residual(ONES, _nan_at(k))
+       for k in range(4)},
+    "apply": _apply_with_a_nan_leg,
+    "form1_membership_report": _membership_of_two_doublets,
+    "verify_laplacian_identity": _laplacian_block,
+    "cohomology": _cohomology_block,
+}
+
+
+@pytest.mark.parametrize("site", NAN_SITES)
+def test_a_nan_anywhere_in_a_maximum_raises_overflow_error(site, monkeypatch):
+    # every maximum that feeds a residual is qarith.largest, which keeps a nan
+    # where Python's max keeps it only when it comes first
+    with pytest.raises(OverflowError):
+        NAN_SITES[site](monkeypatch)
+
+
 def test_membership_error_exits_1(monkeypatch):
     raw = dolbeault.dbar_raw
     monkeypatch.setattr(dolbeault, "dbar_raw", lambda f, p: (raw(f, p)[0], 1.0))
@@ -304,6 +374,19 @@ def test_spectrum_symmetry_error_exits_1(monkeypatch):
     assert code == cli.EXIT_VERIFICATION_FAILED
     report = json.loads(out)
     assert report["passed"] is False and "not symmetric" in report["error"]
+
+
+@pytest.mark.parametrize("block", [[[0.0, NAN], [1.0, 0.0]], [[0.0, 1.0], [NAN, 0.0]],
+                                   [[0.0, float("inf")], [1.0, 0.0]], [[NAN, 1.0], [1.0, 0.0]]],
+                         ids=["upper", "lower", "inf", "diagonal"])
+def test_spectrum_non_finite_block_exits_2(monkeypatch, block):
+    # the symmetry guard is False for a nan, which would otherwise become a row
+    monkeypatch.setattr(dirac, "_family_block", lambda family, n, cfg: block)
+    code, out = run_cli(["spectrum", "--q", "0.5", "--nmax", "1"])
+    assert code == cli.EXIT_CONFIG_ERROR
+    report = _strict_json(out)
+    assert report["passed"] is False
+    assert report["error"] == "the q-numbers leave the float range at q = 0.5"
 
 
 def test_spectrum_rejects_an_asymmetric_block(monkeypatch):

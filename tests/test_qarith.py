@@ -13,6 +13,7 @@ from cp2q.qarith import (
     LATTICE,
     QArithError,
     QParam,
+    largest,
     qbinom,
     qfact,
     qint,
@@ -200,6 +201,31 @@ def test_relative_is_the_plain_quotient_or_zero(diff, scale, expect):
 def test_relative_refuses_a_nan_or_inf(diff, scale):
     with pytest.raises(OverflowError):
         relative(diff, scale)
+
+
+def test_largest_of_nothing_is_zero():
+    assert largest([]).hex() == (0.0).hex()
+    assert largest(iter(())).hex() == (0.0).hex()
+
+
+@pytest.mark.parametrize("values", [[math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan],
+                                    [math.inf, math.nan], [complex(math.nan, 0.0), 1.0]],
+                         ids=["first", "middle", "last", "after-inf", "complex"])
+def test_largest_keeps_a_nan_wherever_it_comes(values):
+    # Python's max keeps a nan only when it comes first
+    assert math.isnan(largest(values))
+    assert math.isnan(largest(iter(values)))
+
+
+@pytest.mark.parametrize("values, expect", [([-3.0, 2.0], 3.0), ([3 + 4j, -1.0], 5.0),
+                                            ([-0.0], 0.0), ([-2, 1.5], 2), ([1.0, -math.inf], math.inf)])
+def test_largest_reads_the_absolute_value(values, expect):
+    assert largest(values) == expect and math.copysign(1.0, largest(values)) == 1.0
+
+
+@given(st.lists(st.floats(min_value=0.0, allow_nan=False), min_size=1))
+def test_largest_of_non_negative_floats_is_max(values):
+    assert largest(values).hex() == max(values).hex()
 
 
 def test_qparam_validation():
