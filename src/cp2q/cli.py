@@ -27,7 +27,9 @@ EXIT_CONFIG_ERROR = 2
 
 SPECTRUM_Q_RANGE = (0.3, 0.95)
 NMAX_GUARD = 8
-# caps on unbounded work; their measured time and memory are in the README's
+# caps on unbounded work; each is declared with its flag's least value
+# beside the flag in build_parser, and main refuses a value outside them
+# before the command runs; their measured time and memory are in the README's
 # cost table ("Caps on unbounded work"), the one place that keeps the numbers:
 # evaluate prints a dense dim x dim matrix, held as sparse columns (memory and
 # output grow with dim^2); verify-cp2-relations walks all 6^d words of each
@@ -73,16 +75,9 @@ def _qparam(args) -> QParam:
     return QParam(q)
 
 
-def _at_least(value: int, low: int, flag: str) -> None:
-    """Reject a count below the least value with a meaning, such as one
-    that would leave a report with nothing checked."""
-    if value < low:
-        raise ConfigError(f"{flag} must be >= {low}, got {value}")
-
-
-def _at_most(value: int, high: int, flag: str) -> None:
-    """Reject a size whose measured cost is out of desk scale."""
-    if value > high:
+def _at_most(value: int, high: int | None, flag: str) -> None:
+    """Reject a size whose measured cost is out of desk scale (None: no cap)."""
+    if high is not None and value > high:
         raise ConfigError(f"{flag} is capped at {high}, got {value}")
 
 
@@ -108,13 +103,15 @@ def _parsed(parse, *args):
         raise ConfigError(str(exc)) from exc
 
 
-def _spectrum_guard(args, q: float) -> None:
-    _at_least(args.nmax, 0, "--nmax")
+def _spectrum_config(args):
+    """A spectral command's Dirac configuration, q inside SPECTRUM_Q_RANGE."""
+    from . import dirac
+
+    p = _qparam(args)
     lo, hi = SPECTRUM_Q_RANGE
-    if not (lo <= q <= hi):
-        raise ConfigError(f"spectrum commands accept q in [{lo}, {hi}], got {q}")
-    if args.nmax > NMAX_GUARD:
-        raise ConfigError(f"nmax is capped at {NMAX_GUARD}, got {args.nmax}")
+    if not (lo <= p.q <= hi):
+        raise ConfigError(f"spectrum commands accept q in [{lo}, {hi}], got {p.q}")
+    return dirac.DiracConfig(p=p, nmax=args.nmax, tol=args.tol)
 
 
 # -- output ------------------------------------------------------------------
@@ -160,8 +157,6 @@ def cmd_verify_hopf(args) -> dict:
     from . import irreps
 
     p = _qparam(args)
-    _at_least(args.total_degree, 0, "--total-degree")
-    _at_most(args.total_degree, TOTAL_DEGREE_GUARD, "--total-degree")
     labels = irreps.labels_up_to(args.total_degree)
     worst = 0.0
     failed = []
@@ -181,8 +176,6 @@ def cmd_verify_casimir(args) -> dict:
     from . import irreps, ualg
 
     p = _qparam(args)
-    _at_least(args.total_degree, 0, "--total-degree")
-    _at_most(args.total_degree, TOTAL_DEGREE_GUARD, "--total-degree")
     labels = irreps.labels_up_to(args.total_degree)
     rows = []
     ok = True
@@ -202,10 +195,6 @@ def cmd_verify_gt(args) -> dict:
     from . import irreps, peterweyl
 
     p = _qparam(args)
-    _at_least(args.total_degree, 0, "--total-degree")
-    _at_most(args.total_degree, GT_TOTAL_DEGREE_GUARD, "--total-degree")
-    _at_least(args.powers, 1, "--powers")
-    _at_most(args.powers, GT_POWERS_GUARD, "--powers")
     ok = True
     rows = []
     # the commutator identities are checked on V(1,1) and share its columns
@@ -237,8 +226,6 @@ def cmd_verify_complex(args) -> dict:
     from . import dolbeault
 
     p = _qparam(args)
-    _at_least(args.nmax, 0, "--nmax")
-    _at_most(args.nmax, NMAX_GUARD, "--nmax")
     comp = dolbeault.verify_complex(args.nmax, p, args.tol)
     equi = dolbeault.verify_equivariance(args.nmax, p, args.tol)
     return {"command": "verify-complex", "q": p.q, "nmax": args.nmax, "tol": args.tol,
@@ -248,11 +235,9 @@ def cmd_verify_complex(args) -> dict:
 def cmd_spectrum(args) -> dict:
     from . import dirac
 
-    p = _qparam(args)
-    _spectrum_guard(args, p.q)
-    cfg = dirac.DiracConfig(p=p, nmax=args.nmax, tol=args.tol)
+    cfg = _spectrum_config(args)
     table = dirac.spectrum(cfg)
-    check = dirac.verify_spectrum_closed_form(table, p)
+    check = dirac.verify_spectrum_closed_form(table, cfg.p)
     report = table.to_dict()
     report["command"] = "spectrum"
     report["closed_form_check"] = {"passed": check["passed"],
@@ -264,10 +249,7 @@ def cmd_spectrum(args) -> dict:
 def cmd_cohomology(args) -> dict:
     from . import dirac
 
-    p = _qparam(args)
-    _spectrum_guard(args, p.q)
-    cfg = dirac.DiracConfig(p=p, nmax=args.nmax, tol=args.tol)
-    rep = dirac.cohomology(cfg)
+    rep = dirac.cohomology(_spectrum_config(args))
     rep["command"] = "cohomology"
     return rep
 
@@ -275,20 +257,14 @@ def cmd_cohomology(args) -> dict:
 def cmd_summability(args) -> dict:
     from . import dirac
 
-    p = _qparam(args)
-    _at_least(args.nmax, 2, "--nmax")  # two shells give the first decay ratio
-    _spectrum_guard(args, p.q)
+    cfg = _spectrum_config(args)
     for eps in args.eps:  # 0+ summability is a claim about each finite eps > 0
         _finite_positive(eps, "--eps")
-    cfg = dirac.DiracConfig(p=p, nmax=args.nmax, tol=args.tol)
-    too_large = f"--eps {max(args.eps)} is too large at q = {p.q}: the factor (1 + lambda^2)^(-eps/2) of a shell"
     try:
         rep = dirac.summability_probe(cfg, args.eps)
-    except ZeroDivisionError as exc:  # a decay ratio over a factor that underflowed to 0.0
-        raise ConfigError(f"{too_large} below --nmax {args.nmax} underflows to 0.0") from exc
-    if min(row["factor"] for sh in rep["shells"] for row in sh["rows"]) < sys.float_info.min:
-        # the decay ratios of a factor past the normal floats are rounding
-        raise ConfigError(f"{too_large} up to --nmax {args.nmax} is 0.0 or subnormal")
+    except FloatingPointError as exc:  # a factor whose decay ratios would be rounding
+        raise ConfigError(f"--eps {max(args.eps)} is too large at q = {cfg.p.q}: the factor (1 + lambda^2)"
+                          f"^(-eps/2) of a shell up to --nmax {args.nmax} is 0.0 or subnormal") from exc
     rep["command"] = "summability"
     rep["passed"] = all(sh["factors_decrease_geometrically"] for sh in rep["shells"])
     return rep
@@ -310,12 +286,6 @@ def cmd_rewrite(args) -> dict:
 def cmd_verify_cp2_relations(args) -> dict:
     from . import ncrewrite
 
-    _at_least(args.samples, 1, "--samples")
-    _at_most(args.samples, CROSS_CHECK_SAMPLES_GUARD, "--samples")
-    # a word needs three letters to hold two redexes, so a lower degree
-    # leaves the confluence sweep with nothing to check
-    _at_least(args.max_deg, 3, "--max-deg")
-    _at_most(args.max_deg, MAX_DEG_GUARD, "--max-deg")
     rep = ncrewrite.verify_cp2_relations()
     conf = ncrewrite.confluence_check(args.max_deg)
     pairs = ncrewrite.critical_pairs()
@@ -336,9 +306,6 @@ def cmd_verify_cp2_relations(args) -> dict:
 def cmd_classical_check(args) -> dict:
     from . import classical
 
-    _at_least(args.samples, 1, "--samples")
-    _at_most(args.samples, CLASSICAL_SAMPLES_GUARD, "--samples")
-    _at_least(args.seed, 0, "--seed")
     battery = classical.run_sample_battery(args.samples, args.seed, args.tol)
     if "bad_sample" in battery:
         return {
@@ -367,8 +334,6 @@ def cmd_classical_check(args) -> dict:
 def cmd_decompose(args) -> dict:
     from . import peterweyl
 
-    _at_least(args.nmax, 0, "--nmax")
-    _at_most(args.nmax, DECOMPOSE_NMAX_GUARD, "--nmax")
     if args.kind == "line_bundle":  # a negative N builds V(n + |N|, n)
         _at_most(abs(args.N), DECOMPOSE_N_GUARD, "|--N|")
     elif args.N:
@@ -391,8 +356,6 @@ def cmd_evaluate(args) -> dict:
 
     p = _qparam(args)
     elem = _parsed(ualg.element_from_string, args.expr, p)
-    _at_least(args.n1, 0, "--n1")
-    _at_least(args.n2, 0, "--n2")
     label = irreps.IrrepLabel(args.n1, args.n2)
     _at_most(irreps.dim(label), EVALUATE_DIM_GUARD, "the dimension of the --n1 --n2 irrep")
     cols = ualg.evaluate(elem, label, p)
@@ -417,52 +380,54 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, fn, **defaults):
         sp = sub.add_parser(name)
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn, bounds=[])
         if "q" in defaults:
             sp.add_argument("--q", default=defaults["q"])
         if "tol" in defaults:
             sp.add_argument("--tol", type=float, default=defaults["tol"])
         if "nmax" in defaults:
-            sp.add_argument("--nmax", type=int, default=defaults["nmax"])
+            integer(sp, "--nmax", *defaults["nmax"])
         return sp
 
+    def integer(sp, flag, default, least, cap=None):
+        # the one declaration of an integer flag's least value and cap
+        sp.get_default("bounds").append((sp.add_argument(flag, type=int, default=default), least, cap))
+
     sp = add("verify-hopf", cmd_verify_hopf, q="0.5", tol=1e-11)
-    sp.add_argument("--total-degree", type=int, default=6)
+    integer(sp, "--total-degree", 6, 0, TOTAL_DEGREE_GUARD)
     sp = add("verify-casimir", cmd_verify_casimir, q="0.5", tol=1e-10)
-    sp.add_argument("--total-degree", type=int, default=4)
+    integer(sp, "--total-degree", 4, 0, TOTAL_DEGREE_GUARD)
     sp = add("verify-gt", cmd_verify_gt, q="0.5", tol=1e-9)
-    sp.add_argument("--total-degree", type=int, default=4)
-    sp.add_argument("--powers", type=int, default=3)
+    integer(sp, "--total-degree", 4, 0, GT_TOTAL_DEGREE_GUARD)
+    integer(sp, "--powers", 3, 1, GT_POWERS_GUARD)
     add("verify-coproduct", cmd_verify_coproduct, q="0.5", tol=1e-12)
-    add("verify-complex", cmd_verify_complex, q="0.5", tol=1e-10, nmax=3)
-    add("spectrum", cmd_spectrum, q="0.5", tol=1e-9, nmax=5)
-    add("cohomology", cmd_cohomology, q="0.5", tol=1e-10, nmax=3)
-    sp = add("summability", cmd_summability, q="0.5", tol=1e-10, nmax=8)
+    add("verify-complex", cmd_verify_complex, q="0.5", tol=1e-10, nmax=(3, 0, NMAX_GUARD))
+    add("spectrum", cmd_spectrum, q="0.5", tol=1e-9, nmax=(5, 0, NMAX_GUARD))
+    add("cohomology", cmd_cohomology, q="0.5", tol=1e-10, nmax=(3, 0, NMAX_GUARD))
+    # summability's --nmax starts at 2: two shells give the first decay ratio
+    sp = add("summability", cmd_summability, q="0.5", tol=1e-10, nmax=(8, 2, NMAX_GUARD))
     sp.add_argument("--eps", type=float, nargs="+", default=[0.1, 1.0, 4.0])
-    sp = sub.add_parser("rewrite")
-    sp.set_defaults(fn=cmd_rewrite)
+    sp = add("rewrite", cmd_rewrite)
     sp.add_argument("expr")
-    sp = sub.add_parser("verify-cp2-relations")
-    sp.set_defaults(fn=cmd_verify_cp2_relations)
-    sp.add_argument("--max-deg", type=int, default=4)
-    sp.add_argument("--samples", type=int, default=100)
-    sp = sub.add_parser("classical-check")
-    sp.set_defaults(fn=cmd_classical_check)
-    sp.add_argument("--samples", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=1)
+    sp = add("verify-cp2-relations", cmd_verify_cp2_relations)
+    # a word needs three letters to hold two redexes, so a lower degree
+    # leaves the confluence sweep with nothing to check
+    integer(sp, "--max-deg", 4, 3, MAX_DEG_GUARD)
+    integer(sp, "--samples", 100, 1, CROSS_CHECK_SAMPLES_GUARD)
+    sp = add("classical-check", cmd_classical_check)
+    integer(sp, "--samples", 100, 1, CLASSICAL_SAMPLES_GUARD)
+    integer(sp, "--seed", 1, 0)
     sp.add_argument("--tol", type=float, default=1e-10)
-    sp = sub.add_parser("decompose")
-    sp.set_defaults(fn=cmd_decompose)
+    sp = add("decompose", cmd_decompose)
     sp.add_argument("kind", choices=("sphere", "cp2", "line_bundle", "form1_doublet"))
-    sp.add_argument("--nmax", type=int, default=3)
+    integer(sp, "--nmax", 3, 0, DECOMPOSE_NMAX_GUARD)
     sp.add_argument("--N", type=int, default=0)
     sp.add_argument("--dump", action="store_true")
-    sp = sub.add_parser("evaluate")
-    sp.set_defaults(fn=cmd_evaluate)
+    sp = add("evaluate", cmd_evaluate)
     sp.add_argument("expr")
     sp.add_argument("--q", default="0.5")
-    sp.add_argument("--n1", type=int, default=1)
-    sp.add_argument("--n2", type=int, default=1)
+    integer(sp, "--n1", 1, 0)
+    integer(sp, "--n2", 1, 0)
     return ap
 
 
@@ -471,6 +436,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         _tol_guard(args)
+        # each integer flag's least value and cap, declared beside it in
+        # build_parser: below the least value a report would check nothing or
+        # name a label or seed that does not exist
+        for action, least, cap in args.bounds:
+            flag, value = action.option_strings[0], getattr(args, action.dest)
+            if value < least:
+                raise ConfigError(f"{flag} must be >= {least}, got {value}")
+            _at_most(value, cap, flag)
         report = args.fn(args)
         # the verdict is the report's; a report with no verdict (rewrite's) passes
         code = EXIT_OK if report.get("passed", True) else EXIT_VERIFICATION_FAILED

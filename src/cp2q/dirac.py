@@ -21,6 +21,7 @@ oracle functions here import numpy inside the function.
 from __future__ import annotations
 
 from math import isfinite, sqrt
+from sys import float_info
 from typing import NamedTuple
 
 from . import dolbeault as db, irreps, peterweyl as pw, ualg
@@ -321,6 +322,8 @@ def summability_probe(cfg: DiracConfig, epsilons) -> dict:
         ratios = []
         for n, entries in shells:
             factor = sum((1.0 + lam * lam) ** (-eps / 2.0) for _, _, lam, _ in entries)
+            if factor < float_info.min:  # its decay ratios would be rounding, or divide by 0.0
+                raise FloatingPointError(f"the factor of shell {n} at eps {eps} is 0.0 or subnormal")
             increment = sum(2 * mult * (1.0 + lam * lam) ** (-eps / 2.0)
                             for _, _, lam, mult in entries)
             running += increment

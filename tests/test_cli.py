@@ -141,25 +141,35 @@ def test_verify_complex_passes_where_the_values_grow_like_q_to_the_minus_n(q, nm
     assert report["complex"]["passed"] and report["equivariance"]["passed"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify-hopf", "--total-degree", "-1"],
-    ["verify-casimir", "--total-degree", "-1"],
-    ["verify-gt", "--total-degree", "-1"],
-    ["verify-gt", "--powers", "0"],
-    ["summability", "--nmax", "1"],
-    ["classical-check", "--samples", "0"],
-    ["verify-cp2-relations", "--samples", "0"],
-    ["verify-complex", "--nmax", "-1"],
+# each command line one below a least value, with the error it prints
+EMPTY_CHECKS = [
+    (["verify-hopf", "--total-degree", "-1"], "--total-degree must be >= 0, got -1"),
+    (["verify-casimir", "--total-degree", "-1"], "--total-degree must be >= 0, got -1"),
+    (["verify-gt", "--total-degree", "-1"], "--total-degree must be >= 0, got -1"),
+    (["verify-gt", "--powers", "0"], "--powers must be >= 1, got 0"),
+    (["summability", "--nmax", "1"], "--nmax must be >= 2, got 1"),
+    (["classical-check", "--samples", "0"], "--samples must be >= 1, got 0"),
+    (["verify-cp2-relations", "--samples", "0"], "--samples must be >= 1, got 0"),
+    (["verify-complex", "--nmax", "-1"], "--nmax must be >= 0, got -1"),
     # no word below degree 3 holds two redexes, so the sweep checks nothing
-    ["verify-cp2-relations", "--max-deg", "2"],
-    ["verify-cp2-relations", "--max-deg", "-1"],
-])
-def test_empty_checks_are_config_errors(argv):
-    # each of these would check nothing and still report a pass
+    (["verify-cp2-relations", "--max-deg", "2"], "--max-deg must be >= 3, got 2"),
+    (["verify-cp2-relations", "--max-deg", "-1"], "--max-deg must be >= 3, got -1"),
+    (["spectrum", "--nmax", "-1"], "--nmax must be >= 0, got -1"),
+    (["cohomology", "--nmax", "-1"], "--nmax must be >= 0, got -1"),
+    (["classical-check", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["decompose", "sphere", "--nmax", "-1"], "--nmax must be >= 0, got -1"),
+    (["evaluate", "E1", "--n1", "-1"], "--n1 must be >= 0, got -1"),
+    (["evaluate", "E1", "--n2", "-1"], "--n2 must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("argv, error", EMPTY_CHECKS, ids=[f"argv{i}" for i in range(len(EMPTY_CHECKS))])
+def test_empty_checks_are_config_errors(argv, error):
+    # each of these would check nothing and still report a pass, or name
+    # a label or seed that does not exist
     code, out = run_cli(argv)
     assert code == cli.EXIT_CONFIG_ERROR
-    report = json.loads(out)
-    assert report["passed"] is False and report["error"]
+    assert json.loads(out) == {"error": error, "passed": False}
 
 
 def _strict_json(text):
@@ -223,7 +233,8 @@ def test_an_eps_whose_factors_underflow_is_a_config_error(argv, code):
     assert (out.returncode, out.stderr) == (code, "")
     report = _strict_json(out.stdout)
     assert report["passed"] is (code == cli.EXIT_OK)
-    assert code == cli.EXIT_OK or "--eps" in report["error"]
+    assert code == cli.EXIT_OK or (report["error"].startswith("--eps ")
+                                   and report["error"].endswith(" is 0.0 or subnormal"))
 
 
 @pytest.mark.parametrize("q, nmax, code", [
@@ -541,6 +552,17 @@ GUARDS = [
     (["decompose", "line_bundle", "--nmax", "12", "--N", str(-cli.DECOMPOSE_N_GUARD - 1)],
      ["decompose", "line_bundle", "--nmax", "12", "--N", str(-cli.DECOMPOSE_N_GUARD)],
      [(peterweyl, "subspace_basis", [])]),
+    # the spectral commands share the --nmax cap of verify-complex
+    (["spectrum", "--nmax", str(cli.NMAX_GUARD + 1)],
+     ["spectrum", "--nmax", str(cli.NMAX_GUARD)],
+     [(dirac, "spectrum", dirac.SpectrumTable(0.5, 1.0, cli.NMAX_GUARD, [])),
+      (dirac, "verify_spectrum_closed_form", {"passed": True, "max_rel_error": 0.0})]),
+    (["cohomology", "--nmax", str(cli.NMAX_GUARD + 1)],
+     ["cohomology", "--nmax", str(cli.NMAX_GUARD)],
+     [(dirac, "cohomology", {"passed": True})]),
+    (["summability", "--nmax", str(cli.NMAX_GUARD + 1)],
+     ["summability", "--nmax", str(cli.NMAX_GUARD)],
+     [(dirac, "summability_probe", {"shells": []})]),
 ]
 
 
@@ -557,6 +579,25 @@ def test_unbounded_work_is_refused_before_it_starts(monkeypatch, over, at, worke
     code, _ = run_cli(at)
     assert code == cli.EXIT_OK
     assert called == [name for _, name, _ in workers]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("command", ["verify-complex", "spectrum", "cohomology", "summability"])
+def test_the_nmax_cap_is_worded_alike_in_every_command(command, fmt):
+    code, out = run_cli(["--format", fmt, command, "--nmax", str(cli.NMAX_GUARD + 1)])
+    assert code == cli.EXIT_CONFIG_ERROR
+    assert f"--nmax is capped at {cli.NMAX_GUARD}, got {cli.NMAX_GUARD + 1}" in out
+
+
+def test_every_integer_flag_declares_its_bounds():
+    # the bounds main reads are declared once, beside each integer flag;
+    # decompose --N is the one integer flag with no plain bound (its cap is
+    # on |N|, and only line_bundle reads it)
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    for name, sp in sub.choices.items():
+        integers = {a.dest for a in sp._actions if a.type is int} - {"N"}
+        bounded = [action.dest for action, _, _ in sp.get_default("bounds")]
+        assert sorted(bounded) == sorted(integers), name
 
 
 SRC = Path(cli.__file__).resolve().parents[1]

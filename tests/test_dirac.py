@@ -229,6 +229,15 @@ def test_summability_probe():
     assert all(a > b for a, b in zip(incs, incs[1:]))
 
 
+@pytest.mark.parametrize("eps", [80.0, 100.0, 300.0])
+def test_summability_probe_refuses_a_subnormal_factor(eps):
+    # at q 0.3 a shell's factor is subnormal from eps about 75.2 and 0.0 from
+    # about 90.6, where the next decay ratio would divide by it: the probe
+    # refuses it before any ratio is formed over it
+    with pytest.raises(FloatingPointError, match="0.0 or subnormal"):
+        dr.summability_probe(cfg(nmax=8, q=0.3), [0.1, eps])
+
+
 def test_summability_slower_at_larger_q():
     p3 = dr.summability_probe(cfg(nmax=6, q=0.5), [0.1])
     p9 = dr.summability_probe(cfg(nmax=6, q=0.9), [0.1])
