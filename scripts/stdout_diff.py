@@ -10,7 +10,8 @@ argument string such as "verify-gt --q 0.3 --total-degree 7" (a bare
 repeat, and their values add up.  The committed files of REV
 are exported into a temporary directory with `git archive`, so the
 repository gains no worktree entry, and each command runs in a fresh
-`python -m cp2q.cli` under REV's `src/` and under this checkout's `src/`.
+`python -m cp2q.cli` under REV's `src/` and, at the same time, under this
+checkout's `src/`.
 
 Exit 0 when every command prints the same bytes and exits with the same
 code on both sides, and writes nothing to stderr on this checkout where it
@@ -50,13 +51,17 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, capture_output=True, check=True)
 
 
-def run(tree: Path, argv: list[str]) -> tuple[int, bytes, bytes]:
+def start(tree: Path, argv: list[str]) -> subprocess.Popen:
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env.update({"PYTHONPATH": str(tree / "src"), "PYTHONHASHSEED": "0"})
     env.update(dict.fromkeys(THREAD_VARS, "1"))
-    out = subprocess.run([sys.executable, "-m", "cp2q.cli", *argv], capture_output=True,
-                         env=env, cwd=tree)
-    return out.returncode, out.stdout, out.stderr
+    return subprocess.Popen([sys.executable, "-m", "cp2q.cli", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env, cwd=tree)
+
+
+def finish(proc: subprocess.Popen) -> tuple[int, bytes, bytes]:
+    out, err = proc.communicate()
+    return proc.returncode, out, err
 
 
 def main(argv=None) -> int:
@@ -81,7 +86,9 @@ def main(argv=None) -> int:
             return 2
         differ = 0
         for cmd in commands:
-            (old_code, old_out, old_err), (new_code, new_out, new_err) = run(Path(tmp), cmd), run(ROOT, cmd)
+            # both sides of a command run at once, each in its own process
+            procs = [start(Path(tmp), cmd), start(ROOT, cmd)]
+            (old_code, old_out, old_err), (new_code, new_out, new_err) = map(finish, procs)
             what = [f"exit {old_code} -> {new_code}"] if old_code != new_code else []
             what += ["stdout"] if old_out != new_out else []
             what += ["stderr"] if new_err and not old_err else []

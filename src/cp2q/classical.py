@@ -12,12 +12,12 @@ import random
 from math import sqrt
 
 from . import irreps
-from .qarith import QParam, largest
+from .qarith import QParam, largest, relative
 
 
-def _matrix(entries: dict, n: int = 3) -> tuple:
-    """The n x n matrix with the given {(row, col): value} entries."""
-    return tuple(tuple(entries.get((i, j), 0.0) for j in range(n)) for i in range(n))
+def _matrix(entries: dict) -> tuple:
+    """The 3x3 matrix with the given {(row, col): value} entries."""
+    return tuple(tuple(entries.get((i, j), 0.0) for j in range(3)) for i in range(3))
 
 
 # classical generator matrices in the defining representation
@@ -28,6 +28,7 @@ _IDENTITY = _matrix({(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1.0})
 BATTERY_FAMILIES = ("transition", "determinant", "row_orthogonality",
                     "transition_inverse", "projector")
 EXP_DEGREE = 10  # of the Taylor sum for the group flows; see expm_series
+ACTIVE_CHART = 0.1  # chart j is active where |z_j| > ACTIVE_CHART
 
 
 def _mul(a, b) -> tuple:  # a b, for b 3x3
@@ -108,11 +109,11 @@ def sample_su3(seed: int):
     return np.array(sample(seed), dtype=complex)
 
 
-def check_group_sample(g, tol: float = 1e-12) -> dict:
+def check_group_sample(g) -> dict:
     # g g^H on and above the diagonal: each entry below is the conjugate of one above
-    uni = largest([_dot(g[j], g[i]) - (i == j) for i in range(3) for j in range(i, 3)])
-    det = abs(_det3(g) - 1.0)  # not finite if any entry is not
-    return {"unitarity": uni, "det": det, "passed": uni < tol and det < tol}
+    uni = relative(largest([_dot(g[j], g[i]) - (i == j) for i in range(3) for j in range(i, 3)]), 1.0)
+    det = relative(abs(_det3(g) - 1.0), 1.0)
+    return {"unitarity": uni, "det": det, "passed": uni < 1e-12 and det < 1e-12}
 
 
 def projector_of(z) -> tuple:
@@ -151,18 +152,18 @@ def transition_matrix(z, j: int, k: int) -> tuple:
     return ((0.0, s * -z1), (s * z3, s * -z2))
 
 
-def active_charts(z, threshold: float = 0.1) -> list[int]:
-    return [j for j in (1, 2, 3) if abs(z[j - 1]) > threshold]
+def active_charts(z) -> list[int]:
+    return [j for j in (1, 2, 3) if abs(z[j - 1]) > ACTIVE_CHART]
 
 
-def transition_check(g, tol: float = 1e-10, threshold: float = 0.1) -> dict:
+def transition_check(g, tol: float = 1e-10) -> dict:
     """The Appendix-style identity families at one sample: transition
     compatibility of the P^(j), their determinants, row orthogonality,
     inverse consistency of the transitions, and the projector properties,
-    each the maximum over the active charts (|z_j| > threshold) alone."""
+    each the maximum over the active charts alone."""
     g0, g1, z = g
     zb = [x.conjugate() for x in z]
-    pmat = {j: comparison_matrix(g, j) for j in active_charts(z, threshold)}
+    pmat = {j: comparison_matrix(g, j) for j in active_charts(z)}
     transition, inverse = [], []
     for j, k in _FORMULA_PAIRS:
         if j in pmat and k in pmat:
@@ -181,7 +182,7 @@ def transition_check(g, tol: float = 1e-10, threshold: float = 0.1) -> dict:
                              + [p[3 * i + j] - p[3 * j + i].conjugate() for i in range(3)
                                 for j in range(3)] + [p[0] + p[4] + p[8] - 1.0]),
     }
-    res["max_residual"] = largest(res.values())
+    res["max_residual"] = relative(largest(res.values()), 1.0)
     res["passed"] = res["max_residual"] < tol
     return res
 
@@ -240,7 +241,7 @@ def dbar_local_check(a, g, chart: int, h_step: float = 1e-5,
     conjugated local coordinates."""
     g = tuple(tuple(complex(x) for x in row) for row in g)
     z = g[2]
-    if abs(z[chart - 1]) <= 0.1:
+    if abs(z[chart - 1]) <= ACTIVE_CHART:
         raise ValueError(f"chart {chart} inactive at this sample")
     if not (1e-8 < h_step < 1e-2):
         raise ValueError(f"step {h_step} outside the trustworthy central-difference range")
@@ -265,7 +266,7 @@ def dbar_local_check(a, g, chart: int, h_step: float = 1e-5,
 
     # d/d(conj W_i) = (d/dx + i d/dy) / 2
     rhs = [0.5 * (chart_difference(i, h_step) + 1j * chart_difference(i, 1j * h_step)) for i in range(2)]
-    resid = largest([x - y for x, y in zip(lhs, rhs)])
+    resid = relative(largest([x - y for x, y in zip(lhs, rhs)]), 1.0)
     return {"chart": chart, "lhs": lhs, "rhs": rhs,
             "residual": resid, "passed": resid < tol}
 
@@ -275,10 +276,10 @@ def p_entry(i: int, j: int):
     return lambda p: p[i - 1][j - 1]
 
 
-def classical_rep_check(tol: float = 1e-12) -> dict:
+def classical_rep_check() -> dict:
     """Serre-presentation relations for the classical generator matrices,
     plus their match with the q-deformed fundamental representation."""
-    s, zero = SIGMA, _matrix({})
+    s, zero, tol = SIGMA, _matrix({}), 1e-12
 
     def comm(a, b):
         return _add(_mul(a, b), _scaled(-1.0, _mul(b, a)))
@@ -297,7 +298,7 @@ def classical_rep_check(tol: float = 1e-12) -> dict:
                    (f"[H{k},F{j}] = F{j}", comm(h, fj), fj),
                    (f"(adE{k})^2 E{j} = 0", comm(e, comm(e, ej)), zero),
                    (f"(adF{k})^2 F{j} = 0", comm(f, comm(f, fj)), zero)]
-    report = [{"relation": name, "residual": _gap(lhs, rhs), "passed": _gap(lhs, rhs) < tol}
+    report = [{"relation": name, "residual": (res := relative(_gap(lhs, rhs), 1.0)), "passed": res < tol}
               for name, lhs, rhs in checks]
     worst = largest([r["residual"] for r in report])
 
@@ -316,7 +317,7 @@ def classical_rep_check(tol: float = 1e-12) -> dict:
                             for gen, m in want.items()])
     return {"relations": report, "max_residual": worst,
             "fundamental_match": limit,
-            "passed": worst < tol and largest(limit.values()) < 1e-12}
+            "passed": worst < tol and relative(largest(limit.values()), 1.0) < tol}
 
 
 def run_sample_battery(samples: int = 100, seed: int = 1, tol: float = 1e-10) -> dict:
@@ -333,6 +334,6 @@ def run_sample_battery(samples: int = 100, seed: int = 1, tol: float = 1e-10) ->
         rep = transition_check(g, tol)
         for k in BATTERY_FAMILIES:
             worst[k] = largest((worst[k], rep[k]))
-    top = largest(worst.values())
+    top = relative(largest(worst.values()), 1.0)
     return {"samples": samples, "seed": seed, "residuals": worst,
             "max_residual": top, "passed": top < tol}

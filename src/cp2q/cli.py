@@ -116,8 +116,8 @@ def _spectrum_config(args):
 
 # -- output ------------------------------------------------------------------
 
-def emit(report: dict, fmt: str, stream=None) -> None:
-    stream = stream or sys.stdout
+def emit(report: dict, fmt: str) -> None:
+    stream = sys.stdout
     if fmt == "json":
         # written piece by piece, so the report is never held as one string
         json.dump(report, stream, sort_keys=True, indent=2)

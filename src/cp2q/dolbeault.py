@@ -129,22 +129,26 @@ def dbar_dag_raw(f: FormVector, p: QParam) -> tuple[FormVector, float]:
     return _apply(_DBAR_DAG, f, p)
 
 
-def _checked(raw, f: FormVector, p: QParam, tol: float) -> FormVector:
+# largest relative off-space residual of _apply that dbar and dbar_dag accept
+_OFFSPACE_TOL = 1e-9
+
+
+def _checked(raw, f: FormVector, p: QParam) -> FormVector:
     out, junk = raw(f, p)
-    if junk > tol:
+    if junk > _OFFSPACE_TOL:
         raise MembershipError(f"image left the form spaces: residual {junk:.3e}")
     return out
 
 
-def dbar(f: FormVector, p: QParam, tol: float = 1e-9) -> FormVector:
+def dbar(f: FormVector, p: QParam) -> FormVector:
     """Degree-raising differential; validates that the image lands in the
     form spaces (doublet membership, line-bundle support)."""
-    return _checked(dbar_raw, f, p, tol)
+    return _checked(dbar_raw, f, p)
 
 
-def dbar_dag(f: FormVector, p: QParam, tol: float = 1e-9) -> FormVector:
+def dbar_dag(f: FormVector, p: QParam) -> FormVector:
     """Degree-lowering adjoint differential, with the same validation."""
-    return _checked(dbar_dag_raw, f, p, tol)
+    return _checked(dbar_dag_raw, f, p)
 
 
 # -- slot bases and blocks ----------------------------------------------------
@@ -317,14 +321,14 @@ def _transpose_residual(a: list[list[float]], b: list[list[float]]) -> float:
     return relative(largest([x - y for x, y in pairs]), largest([x for pair in pairs for x in pair]))
 
 
-def verify_complex(nmax: int, p: QParam, tol: float = 1e-10, trials: int = 20, seed: int = 7) -> dict:
+def verify_complex(nmax: int, p: QParam, tol: float = 1e-10, trials: int = 20) -> dict:
     """Squared differentials vanish and the two are adjoint to each other,
     decided on each (family, n) pair's black blocks B and B_dag: B @ B, and
     B^T against B_dag.  At `trials` seeded white indices per pair the dict
     path's block of each differential must be the transpose of the other's
     black block too, so the adjointness residual also covers that every white
     index has the blocks.  Residuals are relative to the largest summand."""
-    rng = random.Random(seed)
+    rng = random.Random(7)
     worst = dict.fromkeys(("dbar_squared", "dbar_dag_squared", "adjointness"), 0.0)
     for family, n, _, dim, _ in families(nmax):
         b, bd = black_block("dbar", family, n, p), black_block("dbar_dag", family, n, p)
@@ -341,7 +345,7 @@ def verify_complex(nmax: int, p: QParam, tol: float = 1e-10, trials: int = 20, s
 WHITE_GENERATORS = ("E1", "F1", "E2", "F2", "K1", "K2")
 
 
-def verify_equivariance(nmax: int, p: QParam, tol: float = 1e-10, trials: int = 5, seed: int = 11) -> dict:
+def verify_equivariance(nmax: int, p: QParam, tol: float = 1e-10, trials: int = 5) -> dict:
     """The differentials commute with the white (symmetry) action: on the
     dict path, op(white_act(G, s)) against white_act(G, op(s)) for each white
     generator G, differential op and slot s at `trials` seeded white indices
@@ -354,7 +358,7 @@ def verify_equivariance(nmax: int, p: QParam, tol: float = 1e-10, trials: int = 
     the black leg.  The check guards the implementation; it is no evidence
     about the paper's operators.
     """
-    rng = random.Random(seed)
+    rng = random.Random(11)
     slots = functools.cache(block_slots)
     images = functools.cache(lambda family, n, w: [(dbar(s, p), dbar_dag(s, p)) for s in slots(family, n, w)])
     gens = {g: ualg.AlgebraElement.gen(g) for g in WHITE_GENERATORS}

@@ -41,7 +41,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, hypot, lcm
 
-from .qarith import LATTICE, VerificationError, _coeff, largest, term_tokens
+from .qarith import LATTICE, VerificationError, _coeff, largest, relative, term_tokens
 
 # letter codes in reduction order
 Z1, Z2, Z3, Z3S, Z2S, Z1S = range(6)
@@ -523,7 +523,7 @@ def classical_cross_check(samples: int = 100, seed: int = 1, tol: float = 1e-10)
     for zpt in sample_points(samples, seed):
         vals = _letter_values(zpt)
         worst = largest([worst, *(_value(lhs, vals) - _value(rhs, vals) for lhs, rhs in sides)])
-    return {"samples": samples, "max_abs_error": worst, "passed": worst < tol}
+    return {"samples": samples, "max_abs_error": worst, "passed": relative(worst, 1.0) < tol}
 
 
 # -- text grammar ---------------------------------------------------------------

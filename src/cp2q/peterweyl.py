@@ -75,7 +75,7 @@ def _act(elem: ualg.AlgebraElement, vec: PWVector, p: QParam, leg: str) -> PWVec
     out: PWVector = {}
     white, q = leg == "white", p.q
     for word, wc in elem.terms.items():
-        partial = dict(vec)
+        partial = vec
         for gen in reversed(word):  # rightmost letter acts first
             nxt: PWVector = {}
             # label-grouped order fixes the key order of the result, which
@@ -99,7 +99,7 @@ def _act(elem: ualg.AlgebraElement, vec: PWVector, p: QParam, leg: str) -> PWVec
                         nxt[nk] = nxt.get(nk, 0.0) + c * coeff
             partial = nxt
         add_into(out, partial, wc)
-    return {k: v for k, v in out.items() if v != 0.0}
+    return out
 
 
 def white_act(elem: ualg.AlgebraElement, vec: PWVector, p: QParam) -> PWVector:
@@ -336,5 +336,5 @@ def form1_membership_report(vplus: PWVector, vminus: PWVector, p: QParam, tol: f
     }
 
 
-def check_form1_membership(vplus: PWVector, vminus: PWVector, p: QParam, tol: float = 1e-10) -> bool:
-    return form1_membership_report(vplus, vminus, p, tol)["passed"]
+def check_form1_membership(vplus: PWVector, vminus: PWVector, p: QParam) -> bool:
+    return form1_membership_report(vplus, vminus, p)["passed"]

@@ -5,9 +5,9 @@ is imposed on words.  Identities between elements are certified by
 evaluation on a battery of irreducibles, which at desk scale is cheap and
 sidesteps a PBW rewriting theory.  The module supplies the named operators
 entering the Dolbeault complex (X, Y and their stars), the central Casimir
-element of the extension, the Hopf structure maps (star, the op-algebra
-involution swapping raising and lowering operators, coproduct, counit),
-and the command line's element grammar, a float fold of qarith.term_tokens.
+element of the extension, the Hopf structure maps (star, coproduct,
+counit), and the command line's element grammar, a float fold of
+qarith.term_tokens.
 """
 
 from __future__ import annotations
@@ -34,14 +34,12 @@ class AlgebraElement:
         return AlgebraElement()
 
     @staticmethod
-    def unit(coeff: float = 1.0) -> "AlgebraElement":
-        return AlgebraElement({(): coeff})
+    def unit() -> "AlgebraElement":
+        return AlgebraElement({(): 1.0})
 
     @staticmethod
-    def gen(name: str, coeff: float = 1.0) -> "AlgebraElement":
-        if name not in GENERATORS:
-            raise ValueError(f"unknown generator {name!r}")
-        return AlgebraElement({(name,): coeff})
+    def gen(name: str) -> "AlgebraElement":
+        return AlgebraElement.word((name,))
 
     @staticmethod
     def word(names, coeff: float = 1.0) -> "AlgebraElement":
@@ -100,12 +98,6 @@ def star(elem: AlgebraElement) -> AlgebraElement:
         sw = tuple(swap.get(g, g) for g in reversed(w))
         out[sw] = out.get(sw, 0.0) + c  # real coefficients: conjugation is trivial
     return AlgebraElement(out)
-
-
-def theta(elem: AlgebraElement) -> AlgebraElement:
-    """The involution onto the opposite algebra: same letter swap as star,
-    linear instead of antilinear.  Squares to the identity."""
-    return star(elem)  # over the reals the two maps coincide on elements
 
 
 def qcommutator(a: AlgebraElement, b: AlgebraElement, p: QParam) -> AlgebraElement:
@@ -333,9 +325,11 @@ def coproduct_closed_form_y(p: QParam) -> TensorElement:
     return _closed_form_coproduct("E2", "E1", (1.0 - q * q) / (1.0 + q * q), p)
 
 
-def verify_coproduct_identity(p: QParam, tol: float = 1e-12, label=(0, 1)) -> dict:
+def verify_coproduct_identity(p: QParam, tol: float = 1e-12) -> dict:
     """Primitive expansion of the coproducts of X and Y against their closed
-    forms, evaluated on V (x) V; plus grouplikeness of K1 and the counit law."""
+    forms, evaluated on V (x) V with V the fundamental V(0,1); plus
+    grouplikeness of K1 and the counit law."""
+    label = (0, 1)
     mats = irreps.action_columns(label, p)
     results = {}
     for name, elem, closed in (

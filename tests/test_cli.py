@@ -268,6 +268,20 @@ def test_classical_check_reports_a_bad_sample(monkeypatch):
     assert "seed 13" in report["error"] and report["unitarity"] > 1.0 and report["det"] > 1.0
 
 
+def test_classical_check_refuses_a_nan_residual(monkeypatch):
+    # a nan family residual exits 2, as every numeric check's does, where it
+    # used to print NaN, which is not JSON, and exit 1
+    check = classical.transition_check
+
+    def with_nan(g, tol):
+        return {**check(g, tol), "projector": NAN}
+
+    monkeypatch.setattr(classical, "transition_check", with_nan)
+    code, out = run_cli(["classical-check", "--samples", "3"])
+    assert code == cli.EXIT_CONFIG_ERROR
+    assert _strict_json(out)["passed"] is False
+
+
 @pytest.mark.parametrize("argv", [
     ["evaluate", "E1", "--q", "1e-16", "--n1", "9", "--n2", "9"],
     ["verify-hopf", "--q", "1e-30", "--total-degree", "12"],
@@ -349,6 +363,16 @@ def _cohomology_block(monkeypatch):
     dirac.cohomology(dirac.DiracConfig(p=qarith.QParam(0.5), nmax=1))
 
 
+def _classical_rep_gap(monkeypatch):
+    monkeypatch.setattr(classical, "_gap", lambda a, b: NAN)
+    classical.classical_rep_check()
+
+
+def _cross_check_value(monkeypatch):
+    monkeypatch.setattr(ncrewrite, "_value", lambda terms, vals: NAN)
+    ncrewrite.classical_cross_check(samples=1)
+
+
 NAN_SITES = {
     **{f"square_residual-{k}": lambda mp, k=k: dolbeault._square_residual(_nan_at(k)) for k in range(4)},
     **{f"transpose_residual-a{k}": lambda mp, k=k: dolbeault._transpose_residual(_nan_at(k), ONES)
@@ -359,6 +383,9 @@ NAN_SITES = {
     "form1_membership_report": _membership_of_two_doublets,
     "verify_laplacian_identity": _laplacian_block,
     "cohomology": _cohomology_block,
+    "dbar_local_check": lambda mp: classical.dbar_local_check(lambda p: NAN, classical.sample(3), 1),
+    "classical_rep_check": _classical_rep_gap,
+    "classical_cross_check": _cross_check_value,
 }
 
 

@@ -165,7 +165,7 @@ def test_membership_error_raised_on_corrupt_input():
     # the image validation runs
     bad = pw.pw_vector(2, 2, (1, 0, 1), (1, 0, -1))
     with pytest.raises(db.MembershipError):
-        db.dbar(bad, P5, tol=1e-12)
+        db.dbar(bad, P5)
 
 
 @pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 0.95])

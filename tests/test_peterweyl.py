@@ -1,5 +1,7 @@
+import inspect
 import json
 import random
+import types
 
 import dense
 import pytest
@@ -52,6 +54,50 @@ def test_actions_commute():
         a = pw.white_act(h, pw.black_act(g, v, P5), P5)
         b = pw.black_act(g, pw.white_act(h, v, P5), P5)
         assert residual(a, b) < 1e-12
+
+
+def leg_moves(module) -> tuple[int, list]:
+    """Each generator's white and black action on seeded Peter-Weyl basis
+    vectors of a few labels, through `module`'s white_act and black_act: the
+    number of image keys read, and those that left the input key's label or
+    moved the leg the action must not touch (black for the white action,
+    white for the black one)."""
+    rng = random.Random(31)
+    legs = ((module.white_act, lambda k: (k.n1, k.n2, k.black)),
+            (module.black_act, lambda k: (k.n1, k.n2, k.white)))
+    read, moved = 0, []
+    for label in ((1, 0), (1, 1), (2, 1), (0, 3), (2, 2)):
+        triples = irreps.gt_triples(label)
+        for _ in range(4):
+            vec = pw.pw_vector(*label, rng.choice(triples), rng.choice(triples), rng.uniform(-1.0, 1.0))
+            (key,) = vec
+            for name in irreps.GENERATORS:
+                for act, kept in legs:
+                    image = act(GEN(name), vec, P5)
+                    read += len(image)
+                    moved += [(name, key, k) for k in image if kept(k) != kept(key)]
+    return read, moved
+
+
+def test_each_action_moves_only_its_own_leg():
+    # the premise of dolbeault.verify_equivariance: the white action keeps
+    # each key's black leg, on which the differentials act, and the black
+    # action keeps its white leg
+    read, moved = leg_moves(pw)
+    assert read > 0 and moved == []
+
+
+@pytest.mark.parametrize("built", ["PWBasisVector(key.n1, key.n2, trip, key.black)",
+                                   "PWBasisVector(key.n1, key.n2, key.white, trip)"], ids=["white", "black"])
+def test_an_action_that_moves_the_other_leg_fails_leg_locality(built):
+    # the action's key built with the moved triple on both legs
+    src = inspect.getsource(pw)
+    assert src.count(built) == 1
+    mutant = types.ModuleType("cp2q.peterweyl_mutant")
+    mutant.__package__ = "cp2q"
+    exec(compile(src.replace(built, "PWBasisVector(key.n1, key.n2, trip, trip)"), pw.__file__, "exec"),
+         mutant.__dict__)
+    assert leg_moves(mutant)[1]
 
 
 def test_sphere_subspace():

@@ -25,11 +25,11 @@ def _git_checkout() -> bool:
 
 @pytest.mark.skipif(not _git_checkout(), reason="needs a git checkout with a HEAD commit")
 def test_spectral_stdout_matches_head():
-    # seed 1 of the spectral workload and of the forms workload (verify-complex)
-    out = subprocess.run([sys.executable, str(SCRIPT), "HEAD", "--workload", "spectral", "--workload", "forms",
-                          "--seed", "1"], capture_output=True, text=True)
+    # seed 1 of all four workloads: the spectral commands, the forms
+    # workload's verify-complex, the exact path and the identity battery
+    out = subprocess.run([sys.executable, str(SCRIPT), "HEAD", "--seed", "1"], capture_output=True, text=True)
     assert out.returncode == 0, out.stdout + out.stderr
-    assert out.stdout.splitlines()[-1] == "6 commands, 0 differ from HEAD"
+    assert out.stdout.splitlines()[-1] == "15 commands, 0 differ from HEAD"
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
