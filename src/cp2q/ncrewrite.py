@@ -38,7 +38,6 @@ classical_value's arithmetic, reading each side's terms once.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd, hypot, lcm
 
 from .qarith import LATTICE, VerificationError, _coeff, largest, relative, term_tokens
@@ -340,6 +339,8 @@ def canon(f: NCPoly, interned: dict) -> tuple:
     try:
         g = gcd(*f.values())  # 0 for the zero polynomial
     except TypeError:  # a Fraction coefficient
+        from fractions import Fraction
+
         g = Fraction(gcd(*[v.numerator for v in f.values()]), lcm(*[v.denominator for v in f.values()]))
     g = g if f.get(lead, 0) > 0 else -g
     base = _Base({(w, e - lead[1]): v // g for (w, e), v in f.items()})

@@ -307,7 +307,7 @@ def verify_lemma_commutators(label, nmax_power: int, p: QParam, tol: float = 1e-
 
 # -- antiholomorphic 1-form membership ---------------------------------------
 
-def form1_membership_report(vplus: PWVector, vminus: PWVector, p: QParam, tol: float = 1e-10) -> dict:
+def form1_membership_report(vplus: PWVector, vminus: PWVector, p: QParam) -> dict:
     """All conditions defining a 1-form doublet, by black action."""
     q = p.q
     gen = ualg.AlgebraElement.gen
@@ -328,7 +328,7 @@ def form1_membership_report(vplus: PWVector, vminus: PWVector, p: QParam, tol: f
         ("K1K2^2 v+ = q^3/2 v+", residual(black_act(k1k22, vplus, p), scaled(vplus, q**1.5))),
         ("K1K2^2 v- = q^3/2 v-", residual(black_act(k1k22, vminus, p), scaled(vminus, q**1.5))),
     ]
-    first_violation = next((name for name, r in checks if r >= tol), None)
+    first_violation = next((name for name, r in checks if r >= 1e-10), None)
     return {
         "passed": first_violation is None,
         "first_violation": first_violation,

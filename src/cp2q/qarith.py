@@ -97,11 +97,19 @@ def _coeff(c):
 def qint(z, p: QParam) -> float:
     """q-number [z] = (q^z - q^-z)/(q - q^-1), for 12z integral."""
     if not isinstance(z, int):
-        # rejects an exponent off the 1/12 lattice; the quotient of two
-        # ints rounds once, as float(Fraction(z)) does
-        z = _as_twelfths(z) / LATTICE
+        # rejects an exponent off the 1/12 lattice
+        return qint_twelfths(_as_twelfths(z), p)
+    # an int exponent, the hot case, is exact as a float and skips the call
     q = p.q
     return (q ** float(z) - q ** float(-z)) / (q - 1.0 / q)
+
+
+def qint_twelfths(tw: int, p: QParam) -> float:
+    """qint of tw/12, by qint's expression.  The exponent is the quotient of
+    two ints, rounded once as float(Fraction(tw, 12)) is."""
+    z = tw / LATTICE
+    q = p.q
+    return (q ** z - q ** -z) / (q - 1.0 / q)
 
 
 def qfact(n: int, p: QParam) -> float:

@@ -16,7 +16,7 @@ import math
 
 from . import irreps
 from .irreps import GENERATORS
-from .qarith import QParam, qint, relative, term_tokens
+from .qarith import QParam, largest, qint, qint_twelfths, relative, term_tokens
 
 Word = tuple  # tuple of generator names; () is the unit
 
@@ -165,12 +165,11 @@ def casimir_element(p: QParam) -> AlgebraElement:
 
 
 def casimir_eigenvalue(n1: int, n2: int, p: QParam) -> float:
-    """Closed-form Casimir scalar on V_(n1,n2)."""
-    from fractions import Fraction
-
-    a = qint(Fraction(n1 - n2, 3), p)
-    b = qint(Fraction(2 * n1 + n2, 3) + 1, p)
-    c = qint(Fraction(n1 + 2 * n2, 3) + 1, p)
+    """Closed-form Casimir scalar on V_(n1,n2): [(n1-n2)/3]^2 +
+    [(2n1+n2)/3 + 1]^2 + [(n1+2n2)/3 + 1]^2, each exponent in twelfths."""
+    a = qint_twelfths(4 * (n1 - n2), p)
+    b = qint_twelfths(4 * (2 * n1 + n2) + 12, p)
+    c = qint_twelfths(4 * (n1 + 2 * n2) + 12, p)
     return a * a + b * b + c * c
 
 
@@ -200,21 +199,32 @@ def evaluate(elem: AlgebraElement, label, p: QParam, mats: dict | None = None) -
     c * word summed in elem.terms order."""
     mats = irreps.action_columns(label, p) if mats is None else mats
     n = irreps.dim(label)
-    eye = irreps.identity(n)  # eye @ G is G, entry for entry
+    eye = irreps.diagonal([1.0] * n)  # eye @ G is G, entry for entry
     words = word_products(elem.terms, eye, lambda m, g: mats[g] if m is eye else irreps.matmul(m, mats[g]))
     return irreps.add([()] * n, *((c, words[w]) for w, c in elem.terms.items()))
 
 
 def verify_casimir_scalar(label, p: QParam, tol: float = 1e-10) -> dict:
-    """Casimir matrix == closed-form scalar, and commutes with every generator."""
+    """Casimir matrix == closed-form scalar, and commutes with every generator.
+
+    A K or H generator's commutator is read entry by entry off its weights,
+    each entry rounded as the column products round it."""
     mats = irreps.action_columns(label, p)
     cas = evaluate(casimir_element(p), label, p, mats)
     value = casimir_eigenvalue(label[0], label[1], p)
-    off = irreps.residual(cas, [((j, value),) for j in range(len(cas))], abs(value))
+    # a non-finite entry of cas raises here, so the commutators read finite ones
+    off = irreps.residual(cas, irreps.diagonal([value] * len(cas)), abs(value))
     comm = 0.0
-    for g in mats.values():
-        cg = irreps.matmul(cas, g)
-        comm = max(comm, irreps.residual(cg, irreps.matmul(g, cas), irreps.largest(cg)))
+    for name, g in mats.items():
+        if name in irreps.DIAGONAL_GENERATORS:
+            w = irreps.weights(g)
+            cg = [y * w[j] for j, col in enumerate(cas) for _, y in col]  # cas @ g
+            gc = [w[i] * y for col in cas for i, y in col]  # g @ cas
+            r = irreps.paired_residual(cg, gc, largest(cg))
+        else:
+            cg = irreps.matmul(cas, g)
+            r = irreps.residual(cg, irreps.matmul(g, cas), irreps.largest(cg))
+        comm = max(comm, r)
     return {
         "label": list(label),
         "scalar": value,

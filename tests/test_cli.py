@@ -758,6 +758,21 @@ def test_import_loads_no_unused_module(argv, code, loaded):
     assert launch_in_fresh_interpreter(argv) == (code, loaded)
 
 
+def test_casimir_launch_loads_no_fractions():
+    # the closed-form scalar's thirds are q-numbers of integer twelfths
+    got, loaded = launch_in_fresh_interpreter(["verify-casimir", "--total-degree", "3"])
+    assert got == 0 and "fractions" not in loaded
+
+
+@pytest.mark.parametrize("argv", [["verify-cp2-relations", "--max-deg", "3"], ["rewrite", "p12 p21"]],
+                         ids=("verify-cp2-relations", "rewrite"))
+def test_exact_launches_load_no_fractions(argv):
+    # integer coefficients stay ints; only a Fraction coefficient's reduction
+    # in ncrewrite.canon imports fractions
+    got, loaded = launch_in_fresh_interpreter(argv)
+    assert got == 0 and "fractions" not in loaded
+
+
 def test_numeric_launch_loads_no_rewriting_engine():
     got, loaded = launch_in_fresh_interpreter(["verify-hopf", "--total-degree", "2"])
     assert got == 0 and "cp2q.ncrewrite" not in loaded

@@ -16,7 +16,10 @@ float, re-captured when the q = 1 cross-check moved to the standard
 library's random draws (every other byte unchanged).  The two
 verify-complex reports were re-captured when the complex and equivariance
 checks moved from random vectors on the assembled operators to the black
-blocks and the dict path: only their residual floats moved.
+blocks and the dict path: only their residual floats moved.  The two
+identity-battery reports at degree 8, the benchmark's verify-hopf and
+verify-casimir lines, were captured before the diagonal generators were read
+as weights and the ladder coefficients from one table per label.
 Any change to a number, a coefficient's printed form, a key order or a
 float's last digit shows up here as a failure.
 """
@@ -39,6 +42,9 @@ CASES = {
     "cohomology_q09_nmax4": ["cohomology", "--q", "0.9", "--nmax", "4"],
     "summability_nmax8": ["summability", "--q", "0.5", "--nmax", "8"],
     "verify_casimir_deg3": ["verify-casimir", "--q", "0.5", "--total-degree", "3"],
+    # the seed-1 verify-hopf and verify-casimir lines of the benchmark's battery workload
+    "verify_hopf_q079_deg8": ["verify-hopf", "--q", "0.79", "--total-degree", "8"],
+    "verify_casimir_q044_deg8": ["verify-casimir", "--q", "0.44", "--total-degree", "8"],
     "decompose_cp2_dump": ["decompose", "cp2", "--nmax", "2", "--dump"],
     "decompose_form1_doublet_nmax2": ["decompose", "form1_doublet", "--nmax", "2"],
     "decompose_sphere_nmax3": ["decompose", "sphere", "--nmax", "3"],

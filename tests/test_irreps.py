@@ -1,8 +1,9 @@
+import columns
 import dense
 import numpy as np
 import pytest
 
-from cp2q import irreps
+from cp2q import irreps, ualg
 from cp2q.qarith import qparam_float
 
 P5 = qparam_float(0.5)
@@ -314,3 +315,92 @@ def test_hopf_relations_see_a_changed_e2_coefficient(monkeypatch):
     assert irreps.verify_hopf_relations((1, 1), p)["passed"]
     assert not irreps.verify_hopf_relations((2, 1), p)["passed"]
     assert not ualg.verify_casimir_scalar((2, 1), p)["passed"]
+
+
+def same_report(check, label, p):
+    """check's report, or the name of the exception it raised, with every
+    float written out bit for bit."""
+    def bits(x):
+        if isinstance(x, float):
+            return x.hex()
+        if isinstance(x, dict):
+            return {k: bits(v) for k, v in x.items()}
+        if isinstance(x, list):
+            return [bits(v) for v in x]
+        return x
+
+    try:
+        return bits(check(label, p))
+    except ArithmeticError as exc:
+        return type(exc).__name__
+
+
+CHECKS = {
+    "hopf": (irreps.verify_hopf_relations, columns.verify_hopf_relations),
+    "casimir": (ualg.verify_casimir_scalar, columns.verify_casimir_scalar),
+}
+
+
+@pytest.mark.parametrize("check", CHECKS)
+@pytest.mark.parametrize("q", [1e-14, 0.3, 0.5, 0.9, 0.99999])
+def test_checks_match_the_column_oracle_bit_for_bit(check, q):
+    # the diagonal generators read as weights, the shared Serre products and
+    # the one-pass residuals round every entry as the column products did
+    got, ref = CHECKS[check]
+    p = qparam_float(q)
+    for label in irreps.labels_up_to(6):
+        assert same_report(got, label, p) == same_report(ref, label, p), label
+
+
+def patch_column(monkeypatch, label, gen, col, entries):
+    """Replace column `col` of gen on `label` by `entries`."""
+    build = irreps.action_columns
+
+    def patched(lab, p):
+        out = build(lab, p)
+        if tuple(lab) == label:
+            out[gen][col] = entries
+        return out
+
+    monkeypatch.setattr(irreps, "action_columns", patched)
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_an_empty_weight_column_reads_as_no_entry(monkeypatch, check):
+    # an underflowed weight leaves its column empty; the weights read it as
+    # 0.0, which must give the residuals of the column products
+    got, ref = CHECKS[check]
+    p = qparam_float(0.5)
+    patch_column(monkeypatch, (2, 1), "K1", 3, ())
+    patch_column(monkeypatch, (2, 1), "Hinv", 5, ())
+    assert same_report(got, (2, 1), p) == same_report(ref, (2, 1), p)
+
+
+@pytest.mark.parametrize("check", CHECKS)
+@pytest.mark.parametrize("weight", [float("inf"), float("nan")])
+def test_a_non_finite_weight_raises_overflow_error(monkeypatch, check, weight):
+    patch_column(monkeypatch, (2, 1), "K2", 4, ((4, weight),))
+    with pytest.raises(OverflowError):
+        CHECKS[check][0]((2, 1), qparam_float(0.5))
+
+
+def test_a_non_finite_weight_exits_2(monkeypatch, capsys):
+    from cp2q import cli
+
+    patch_column(monkeypatch, (1, 1), "H", 0, ((0, float("inf")),))
+    assert cli.main(["verify-hopf", "--total-degree", "2"]) == cli.EXIT_CONFIG_ERROR
+    capsys.readouterr()
+
+
+def test_checks_see_a_changed_k1_weight(monkeypatch):
+    # K1 and K1^-1 are read off the columns, so a 1e-9 change to one weight
+    # of V(2,1) fails both checks there and nowhere else
+    p = qparam_float(0.5)
+    labels = irreps.labels_up_to(4)
+    col = 2
+    weight = irreps.action_columns((2, 1), p)["K1"][col][0][1]
+    patch_column(monkeypatch, (2, 1), "K1", col, ((col, weight * (1.0 + 1e-9)),))
+    for label in labels:
+        expect = tuple(label) != (2, 1)
+        assert irreps.verify_hopf_relations(label, p)["passed"] is expect, label
+        assert ualg.verify_casimir_scalar(label, p)["passed"] is expect, label

@@ -17,6 +17,7 @@ from cp2q.qarith import (
     qbinom,
     qfact,
     qint,
+    qint_twelfths,
     qparam_float,
     relative,
 )
@@ -92,6 +93,17 @@ def test_qint_on_the_lattice_rounds_as_the_fraction_formula():
             want = (q ** float(z) - q ** float(-z)) / (q - 1.0 / q)
             assert qint(z, p).hex() == want.hex(), (q, z)
     assert qint(0.5, P5) == qint(Fraction(1, 2), P5)
+
+
+def test_qint_twelfths_rounds_as_the_fraction_formula():
+    # integer twelfths reach the same float exponent as float(Fraction) does,
+    # so an exponent needs no Fraction to keep its bits
+    for q in QS + (0.44, 0.999, 1e-6):
+        p = qparam_float(q)
+        for tw in range(-200, 201):
+            z = Fraction(tw, 12)
+            want = (q ** float(z) - q ** float(-z)) / (q - 1.0 / q)
+            assert qint_twelfths(tw, p).hex() == want.hex(), (q, tw)
 
 
 def test_qint_rejects_off_lattice():

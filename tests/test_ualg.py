@@ -66,6 +66,18 @@ def test_casimir_scalar_values(label, expect):
     assert ualg.casimir_eigenvalue(*label, P5) == pytest.approx(expect, rel=1e-13)
 
 
+def test_casimir_scalar_reads_its_thirds_in_twelfths():
+    # bit for bit the closed form over Fraction thirds
+    from fractions import Fraction
+
+    for q in (0.3, 0.44, 0.5, 0.79, 0.99999):
+        for n1, n2 in irreps.labels_up_to(12):
+            a, b, c = ((q ** float(z) - q ** float(-z)) / (q - 1.0 / q)
+                       for z in (Fraction(n1 - n2, 3), Fraction(2 * n1 + n2, 3) + 1, Fraction(n1 + 2 * n2, 3) + 1))
+            got = ualg.casimir_eigenvalue(n1, n2, qparam_float(q))
+            assert got.hex() == (a * a + b * b + c * c).hex(), (q, n1, n2)
+
+
 def test_casimir_classical_limit():
     # (0,1) at q -> 1 approaches (1 + 16 + 25)/9
     p = qparam_float(0.999)
