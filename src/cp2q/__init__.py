@@ -9,8 +9,7 @@ __version__ = "0.1.0"
 from .qarith import (
     QArithError,
     QParam,
-    qbinom,
-    qfact,
+    qfactorials,
     qint,
     qparam_float,
 )
@@ -18,8 +17,7 @@ from .qarith import (
 __all__ = [
     "QArithError",
     "QParam",
-    "qbinom",
-    "qfact",
+    "qfactorials",
     "qint",
     "qparam_float",
     "__version__",

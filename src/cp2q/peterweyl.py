@@ -21,7 +21,7 @@ from math import sqrt
 from typing import NamedTuple
 
 from . import irreps, ualg
-from .qarith import QParam, largest, qbinom, qfact, qint, relative
+from .qarith import QParam, largest, qfactorials, qint, relative
 
 
 class PWBasisVector(NamedTuple):
@@ -175,58 +175,45 @@ def basis_dump_lines(spec: SubspaceSpec, basis: list) -> list[str]:
 
 # -- the lowering-operator machinery ----------------------------------------
 
-def gt_lowering_word(n1: int, n2: int, j1: int, j2: int, mm: int, p: QParam,
-                     pieces: dict | None = None) -> ualg.AlgebraElement:
-    """Lowering element carrying the highest-weight vector onto |j1,j2,m>.
+def gt_lowering_elements(label, p: QParam) -> list[ualg.AlgebraElement]:
+    """The lowering element of each triple (j1, j2, m) of the label, in
+    irreps.gt_triples order: the element carrying the highest-weight vector
+    onto |j1,j2,m>.
 
-    Sum over k of q-binomially weighted words F1^a [F2,F1]_q^b F2^c with the
-    square-root normalization factor; reproduces each basis vector when
-    evaluated on the irrep and applied to the highest-weight vector.
-    `pieces` memoizes the products F1^a [F2,F1]_q^b F2^c by (a, b, c), for
-    callers that build many elements at one q.
+    Each is a sum over k of q-binomially weighted words F1^a [F2,F1]_q^b F2^c
+    times the square-root normalization factor, its terms summed by add_into.
+    The q-factorials and the powers are built once per label, and each
+    product F1^a [F2,F1]_q^b F2^c once, keyed by (a, b, c).
     """
-    label = irreps.check_label((n1, n2))
-    if not irreps.valid_triple(label, (j1, j2, mm)):
-        raise irreps.LabelError(f"triple {(j1, j2, mm)} invalid in V{tuple(label)}")
+    label = irreps.check_label(label)
+    n1, n2 = label
     q = p.q
-    s = j1 + j2
-    half_plus = (s + mm) // 2   # (j1+j2)/2 + m
-    half_minus = (s - mm) // 2  # (j1+j2)/2 - m
-
-    norm_sq = (
-        qint(s + 1, p)
-        * qfact(half_plus, p) / qfact(half_minus, p)
-        * qfact(n2 - j2, p) * qfact(j1, p) / (qfact(n1 - j1, p) * qfact(j2, p))
-        * qfact(n1 + j2 + 1, p) * qfact(n2 + j1 + 1, p)
-        / (qfact(n1, p) * qfact(n2, p) * qfact(n1 + n2 + 1, p))
-    )
-    nfac = sqrt(norm_sq)
-
-    if pieces is None:
-        pieces = {}
-    total = ualg.AlgebraElement.zero()
-    for k in range(n1 - j1 + 1):
-        coeff = (
-            q ** (-k * (s + k + 1))
-            / qfact(s + k + 1, p)
-            * qbinom(n1 - j1, k, p)
+    fact = qfactorials(n1 + n2 + 1, p)
+    f1, f2 = ualg.AlgebraElement.gen("F1"), ualg.AlgebraElement.gen("F2")
+    f1p, f2p = ualg.powers(f1, n1 + n2), ualg.powers(f2, n1 + n2)
+    qcp = ualg.powers(ualg.qcommutator(f2, f1, p), n1)
+    products: dict = {}
+    elems = []
+    for j1, j2, mm in irreps.gt_triples(label):
+        s = j1 + j2
+        half_plus = (s + mm) // 2   # (j1+j2)/2 + m
+        half_minus = (s - mm) // 2  # (j1+j2)/2 - m
+        norm_sq = (
+            qint(s + 1, p)
+            * fact[half_plus] / fact[half_minus]
+            * fact[n2 - j2] * fact[j1] / (fact[n1 - j1] * fact[j2])
+            * fact[n1 + j2 + 1] * fact[n2 + j1 + 1]
+            / (fact[n1] * fact[n2] * fact[n1 + n2 + 1])
         )
-        total = total + coeff * _lowering_piece(half_minus + k, n1 - j1 - k, j2 + k, p, pieces)
-    return nfac * total
-
-
-def _lowering_piece(a: int, b: int, c: int, p: QParam, pieces: dict) -> ualg.AlgebraElement:
-    """F1^a [F2,F1]_q^b F2^c, through the memo `pieces`, which also holds
-    [F2,F1]_q^b under the key b."""
-    key = (a, b, c)
-    hit = pieces.get(key)
-    if hit is None:
-        f1 = ualg.AlgebraElement.gen("F1")
-        f2 = ualg.AlgebraElement.gen("F2")
-        if b not in pieces:
-            pieces[b] = ualg.power(ualg.qcommutator(f2, f1, p), b)
-        hit = pieces[key] = ualg.power(f1, a) * pieces[b] * ualg.power(f2, c)
-    return hit
+        terms: dict = {}
+        for k in range(n1 - j1 + 1):
+            a, b, c = half_minus + k, n1 - j1 - k, j2 + k
+            if (a, b, c) not in products:
+                products[a, b, c] = f1p[a] * qcp[b] * f2p[c]
+            qbinom = fact[n1 - j1] / (fact[k] * fact[b])
+            add_into(terms, products[a, b, c].terms, q ** (-k * (s + k + 1)) / fact[s + k + 1] * qbinom)
+        elems.append(sqrt(norm_sq) * ualg.AlgebraElement(terms))
+    return elems
 
 
 def verify_gt_lowering(label, p: QParam, tol: float = 1e-9, mats: dict | None = None) -> dict:
@@ -241,8 +228,7 @@ def verify_gt_lowering(label, p: QParam, tol: float = 1e-9, mats: dict | None = 
     mats = irreps.action_columns(label, p) if mats is None else mats
     triples = irreps.gt_triples(label)
     hw_idx = triples.index(irreps.highest_weight_triple(label))
-    pieces: dict = {}
-    elems = [gt_lowering_word(label.n1, label.n2, *t, p, pieces) for t in triples]
+    elems = gt_lowering_elements(label, p)
     images = ualg.word_products({w[::-1] for e in elems for w in e.terms}, [((hw_idx, 1.0),)],
                                 lambda v, g: irreps.matmul(mats[g], v))
     worst, failures = 0.0, []
@@ -269,9 +255,9 @@ def verify_lemma_commutators(label, nmax_power: int, p: QParam, tol: float = 1e-
     q = p.q
     gen = ualg.AlgebraElement.gen
     word = ualg.AlgebraElement.word
-    power = ualg.power
     e1, e2, f1, f2 = gen("E1"), gen("E2"), gen("F1"), gen("F2")
     qc = ualg.qcommutator(f2, f1, p)
+    f1p, f2p, qcp = (ualg.powers(x, nmax_power) for x in (f1, f2, qc))
 
     report = []
     worst = 0.0
@@ -280,20 +266,20 @@ def verify_lemma_commutators(label, nmax_power: int, p: QParam, tol: float = 1e-
         c = 1.0 / (q - 1.0 / q)
         cases = [
             ("[E1, F1^n]",
-             e1 * power(f1, n) - power(f1, n) * e1,
-             (cn * c) * (power(f1, n - 1) * (q ** (-n + 1) * word(("K1", "K1")) - q ** (n - 1) * word(("K1inv", "K1inv"))))),
+             e1 * f1p[n] - f1p[n] * e1,
+             (cn * c) * (f1p[n - 1] * (q ** (-n + 1) * word(("K1", "K1")) - q ** (n - 1) * word(("K1inv", "K1inv"))))),
             ("[E1, [F2,F1]_q^n]",
-             e1 * power(qc, n) - power(qc, n) * e1,
-             (-cn * q ** (n - 2)) * (power(qc, n - 1) * word(("F2", "K1inv", "K1inv")))),
+             e1 * qcp[n] - qcp[n] * e1,
+             (-cn * q ** (n - 2)) * (qcp[n - 1] * word(("F2", "K1inv", "K1inv")))),
             ("[E2, F2^n]",
-             e2 * power(f2, n) - power(f2, n) * e2,
-             (cn * c) * (power(f2, n - 1) * (q ** (-n + 1) * word(("K2", "K2")) - q ** (n - 1) * word(("K2inv", "K2inv"))))),
+             e2 * f2p[n] - f2p[n] * e2,
+             (cn * c) * (f2p[n - 1] * (q ** (-n + 1) * word(("K2", "K2")) - q ** (n - 1) * word(("K2inv", "K2inv"))))),
             ("[E2, [F2,F1]_q^n]",
-             e2 * power(qc, n) - power(qc, n) * e2,
-             cn * (f1 * power(qc, n - 1) * word(("K2", "K2")))),
+             e2 * qcp[n] - qcp[n] * e2,
+             cn * (f1 * qcp[n - 1] * word(("K2", "K2")))),
             ("F2 F1^n - q^-n F1^n F2",
-             f2 * power(f1, n) - q ** (-n) * (power(f1, n) * f2),
-             cn * (power(f1, n - 1) * qc)),
+             f2 * f1p[n] - q ** (-n) * (f1p[n] * f2),
+             cn * (f1p[n - 1] * qc)),
         ]
         for name, lhs, rhs in cases:
             lm = ualg.evaluate(lhs, label, p, mats)

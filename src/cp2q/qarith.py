@@ -1,6 +1,6 @@
 """Arithmetic for q-deformed quantities.
 
-The q-numbers, q-factorials and q-binomials take a numeric deformation
+The q-numbers and the list of q-factorials take a numeric deformation
 parameter q in (0,1) and return ordinary floats.  Exponents live on the
 1/12 lattice: t = q^(1/12) is the smallest power on which every diagonal
 weight occurring in the representation theory (halves, quarters, sixths
@@ -112,21 +112,15 @@ def qint_twelfths(tw: int, p: QParam) -> float:
     return (q ** z - q ** -z) / (q - 1.0 / q)
 
 
-def qfact(n: int, p: QParam) -> float:
-    """q-factorial [n]! with [0]! = 1."""
+def qfactorials(n: int, p: QParam) -> list[float]:
+    """The q-factorials [0]!, ..., [n]!: [0]! = [1]! = 1, and each next one
+    the one before times [i].  A q-binomial is fact[n] / (fact[m] * fact[n - m])."""
     if n < 0:
         raise QArithError(f"q-factorial needs n >= 0, got {n}")
-    out = 1.0
+    out = [1.0, 1.0][:n + 1]
     for i in range(2, n + 1):
-        out = out * qint(i, p)
+        out.append(out[-1] * qint(i, p))
     return out
-
-
-def qbinom(n: int, m: int, p: QParam) -> float:
-    """q-binomial [n]! / ([m]! [n-m]!)."""
-    if not (0 <= m <= n):
-        raise QArithError(f"q-binomial needs 0 <= m <= n, got ({n},{m})")
-    return qfact(n, p) / (qfact(m, p) * qfact(n - m, p))
 
 
 def term_tokens(text: str, factor: str, noun: str):

@@ -9,6 +9,8 @@ is rounded in another order.
 
 reference_row is the per-row oracle of the generator actions: the ladder
 formulas typed out a second time, independently of irreps.ladder_moves.
+reference_lowering_word is the oracle of peterweyl.gt_lowering_elements: each
+lowering element built as it was before one pass per label, bit for bit the same.
 """
 
 from math import sqrt
@@ -211,8 +213,7 @@ def verify_gt_lowering(label, p, tol: float = 1e-9) -> dict:
     label = check_label(label)
     triples = irreps.gt_triples(label)
     hw_idx = triples.index(irreps.highest_weight_triple(label))
-    pieces: dict = {}
-    elems = [pw.gt_lowering_word(label.n1, label.n2, *t, p, pieces) for t in triples]
+    elems = pw.gt_lowering_elements(label, p)
     columns = word_columns({w for e in elems for w in e.terms}, label, p, hw_idx, {})
     worst, failures = 0.0, []
     for i, (t, elem) in enumerate(zip(triples, elems)):
@@ -227,3 +228,56 @@ def verify_gt_lowering(label, p, tol: float = 1e-9) -> dict:
             failures.append({"triple": list(t), "residual": r})
     return {"label": list(label), "max_residual": worst, "passed": not failures,
             "failures": failures}
+
+
+def _qfact(n: int, p: QParam) -> float:
+    """[n]! as the sequential product 1.0 * [2] * ... * [n]."""
+    out = 1.0
+    for i in range(2, n + 1):
+        out = out * qint(i, p)
+    return out
+
+
+def _power(elem, n: int):
+    """elem^n by repeated multiplication from the unit."""
+    out = ualg.AlgebraElement.unit()
+    for _ in range(n):
+        out = out * elem
+    return out
+
+
+def reference_lowering_word(label, triple, p: QParam, pieces: dict):
+    """The lowering element of one triple as it was built one triple at a
+    time: every q-factorial taken afresh and the sum formed as
+    total + coeff * piece, k by k.  pieces memoizes the products
+    F1^a [F2,F1]_q^b F2^c by (a, b, c), and [F2,F1]_q^b by b, across the
+    triples of one label at one q."""
+    n1, n2 = label
+    j1, j2, mm = triple
+    q = p.q
+    s = j1 + j2
+    half_plus = (s + mm) // 2
+    half_minus = (s - mm) // 2
+    norm_sq = (
+        qint(s + 1, p)
+        * _qfact(half_plus, p) / _qfact(half_minus, p)
+        * _qfact(n2 - j2, p) * _qfact(j1, p) / (_qfact(n1 - j1, p) * _qfact(j2, p))
+        * _qfact(n1 + j2 + 1, p) * _qfact(n2 + j1 + 1, p)
+        / (_qfact(n1, p) * _qfact(n2, p) * _qfact(n1 + n2 + 1, p))
+    )
+    total = ualg.AlgebraElement.zero()
+    for k in range(n1 - j1 + 1):
+        qbinom = _qfact(n1 - j1, p) / (_qfact(k, p) * _qfact(n1 - j1 - k, p))
+        coeff = q ** (-k * (s + k + 1)) / _qfact(s + k + 1, p) * qbinom
+        total = total + coeff * _lowering_piece(half_minus + k, n1 - j1 - k, j2 + k, p, pieces)
+    return sqrt(norm_sq) * total
+
+
+def _lowering_piece(a: int, b: int, c: int, p: QParam, pieces: dict):
+    key = (a, b, c)
+    if key not in pieces:
+        f1, f2 = ualg.AlgebraElement.gen("F1"), ualg.AlgebraElement.gen("F2")
+        if b not in pieces:
+            pieces[b] = _power(ualg.qcommutator(f2, f1, p), b)
+        pieces[key] = _power(f1, a) * pieces[b] * _power(f2, c)
+    return pieces[key]

@@ -20,6 +20,9 @@ blocks and the dict path: only their residual floats moved.  The two
 identity-battery reports at degree 8, the benchmark's verify-hopf and
 verify-casimir lines, were captured before the diagonal generators were read
 as weights and the ladder coefficients from one table per label.
+The two verify-gt reports, the benchmark's seed-1 line at degree 6 and the
+lemma identities at power 8, were captured before each label's lowering
+elements were built in one pass from one list of q-factorials and of powers.
 Any change to a number, a coefficient's printed form, a key order or a
 float's last digit shows up here as a failure.
 """
@@ -45,6 +48,9 @@ CASES = {
     # the seed-1 verify-hopf and verify-casimir lines of the benchmark's battery workload
     "verify_hopf_q079_deg8": ["verify-hopf", "--q", "0.79", "--total-degree", "8"],
     "verify_casimir_q044_deg8": ["verify-casimir", "--q", "0.44", "--total-degree", "8"],
+    # the seed-1 verify-gt line of the battery workload, and the lemma identities at power 8
+    "verify_gt_q053_deg6": ["verify-gt", "--q", "0.53", "--total-degree", "6"],
+    "verify_gt_q05_deg3_powers8": ["verify-gt", "--q", "0.5", "--total-degree", "3", "--powers", "8"],
     "decompose_cp2_dump": ["decompose", "cp2", "--nmax", "2", "--dump"],
     "decompose_form1_doublet_nmax2": ["decompose", "form1_doublet", "--nmax", "2"],
     "decompose_sphere_nmax3": ["decompose", "sphere", "--nmax", "3"],

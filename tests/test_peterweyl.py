@@ -142,7 +142,7 @@ def test_basis_dump_schema():
 def test_gt_lowering_at_highest_weight_is_unit():
     for label in ((1, 1), (3, 0), (2, 1)):
         hw = irreps.highest_weight_triple(label)
-        elem = pw.gt_lowering_word(label[0], label[1], *hw, P5)
+        elem = pw.gt_lowering_elements(label, P5)[irreps.gt_index(label)[hw]]
         assert set(elem.terms) == {()}
         assert elem.terms[()] == pytest.approx(1.0, abs=1e-12)
 
@@ -151,9 +151,9 @@ def test_gt_lowering_single_state():
     # (1,1,1,0,-1/2): reproduce one basis vector explicitly
     import numpy as np
 
-    elem = pw.gt_lowering_word(1, 1, 1, 0, -1, P5)
-    mat = dense.dense(ualg.evaluate(elem, (1, 1), P5))
     index = irreps.gt_index((1, 1))
+    elem = pw.gt_lowering_elements((1, 1), P5)[index[(1, 0, -1)]]
+    mat = dense.dense(ualg.evaluate(elem, (1, 1), P5))
     got = mat[:, index[(1, 0, 1)]]
     expect = np.zeros(8)
     expect[index[(1, 0, -1)]] = 1.0
@@ -170,8 +170,9 @@ def coefficient_mass(label, t, p) -> float:
     """sum |c| |column of word| over the lowering element of triple t, at the
     highest-weight column: the scale of its residual's rounding."""
     label = irreps.check_label(label)
-    hw_idx = irreps.gt_index(label)[irreps.highest_weight_triple(label)]
-    elem = pw.gt_lowering_word(label.n1, label.n2, *t, p)
+    index = irreps.gt_index(label)
+    hw_idx = index[irreps.highest_weight_triple(label)]
+    elem = pw.gt_lowering_elements(label, p)[index[tuple(t)]]
     columns = dense.word_columns(elem.terms, label, p, hw_idx, {})
     return sum(abs(c) * abs(columns[w]).max() for w, c in elem.terms.items())
 
@@ -195,18 +196,19 @@ def test_gt_lowering_matches_the_full_matrix_reference(q):
 
 def test_gt_lowering_sees_a_changed_word_coefficient(monkeypatch):
     # a 1e-6 relative change to the coefficient of one word of one element
-    lowering = pw.gt_lowering_word
-    target = (2, 1, 1, 0, -1)
+    lowering = pw.gt_lowering_elements
+    target = irreps.gt_index((2, 1))[(1, 0, -1)]
 
-    def perturbed(n1, n2, j1, j2, mm, p, pieces=None):
-        elem = lowering(n1, n2, j1, j2, mm, p, pieces)
-        if (n1, n2, j1, j2, mm) == target:
-            w = max(elem.terms, key=lambda w: abs(elem.terms[w]))
-            elem = ualg.AlgebraElement({**elem.terms, w: elem.terms[w] * (1.0 + 1e-6)})
-        return elem
+    def perturbed(label, p):
+        elems = lowering(label, p)
+        if tuple(label) == (2, 1):
+            terms = elems[target].terms
+            w = max(terms, key=lambda w: abs(terms[w]))
+            elems[target] = ualg.AlgebraElement({**terms, w: terms[w] * (1.0 + 1e-6)})
+        return elems
 
     assert pw.verify_gt_lowering((2, 1), P5)["passed"]
-    monkeypatch.setattr(pw, "gt_lowering_word", perturbed)
+    monkeypatch.setattr(pw, "gt_lowering_elements", perturbed)
     rep = pw.verify_gt_lowering((2, 1), P5)
     assert not rep["passed"] and [f["triple"] for f in rep["failures"]] == [[1, 0, -1]]
     assert pw.verify_gt_lowering((1, 2), P5)["passed"]
@@ -214,7 +216,22 @@ def test_gt_lowering_sees_a_changed_word_coefficient(monkeypatch):
 
 def test_gt_lowering_rejects_invalid():
     with pytest.raises(irreps.LabelError):
-        pw.gt_lowering_word(1, 1, 2, 0, 0, P5)
+        pw.gt_lowering_elements((1, -1), P5)
+
+
+@pytest.mark.parametrize("q", [1e-5, 0.3, 0.53, 0.9, 0.999])
+def test_gt_lowering_elements_match_the_reference_bit_for_bit(q):
+    # one pass per label against the elements built triple by triple: the
+    # same words in the same order, each coefficient the same float
+    p = qparam_float(q)
+    for label in irreps.labels_up_to(6):
+        pieces: dict = {}
+        ref = [dense.reference_lowering_word(label, t, p, pieces) for t in irreps.gt_triples(label)]
+        got = pw.gt_lowering_elements(label, p)
+        assert len(got) == len(ref), label
+        for e, r in zip(got, ref):
+            assert list(e.terms) == list(r.terms), label
+            assert [c.hex() for c in e.terms.values()] == [c.hex() for c in r.terms.values()], label
 
 
 @pytest.mark.parametrize("label,npow,q,tol", [

@@ -14,8 +14,7 @@ from cp2q.qarith import (
     QArithError,
     QParam,
     largest,
-    qbinom,
-    qfact,
+    qfactorials,
     qint,
     qint_twelfths,
     qparam_float,
@@ -120,12 +119,23 @@ def test_qint_exact_matches_float_on_integers():
             assert exact == pytest.approx(flt, rel=1e-12, abs=1e-12)
 
 
+def qbinom(n: int, m: int, p: QParam) -> float:
+    """The q-binomial as the engine forms it, from one list of q-factorials."""
+    fact = qfactorials(n, p)
+    return fact[n] / (fact[m] * fact[n - m])
+
+
 def test_qfact_values():
-    assert qfact(0, P5) == 1.0
-    assert qfact(1, P5) == 1.0
-    assert qfact(3, P5) == pytest.approx(13.125, abs=1e-12)  # [3][2][1] = 5.25*2.5*1
+    assert qfactorials(0, P5) == [1.0]
+    assert qfactorials(1, P5) == [1.0, 1.0]
+    assert qfactorials(3, P5)[3] == pytest.approx(13.125, abs=1e-12)  # [3][2][1] = 5.25*2.5*1
+    for q in QS:
+        fact = qfactorials(9, qparam_float(q))
+        assert len(fact) == 10
+        for n, f in enumerate(fact):
+            assert evaluate(exact_qfact(n), q) == pytest.approx(f, rel=1e-12)
     with pytest.raises(QArithError):
-        qfact(-1, P5)
+        qfactorials(-1, P5)
 
 
 def test_qbinom_values():
@@ -142,8 +152,6 @@ def test_qbinom_values():
             for q in QS:
                 assert evaluate(exact_qbinom(n, m), q) == pytest.approx(qbinom(n, m, qparam_float(q)),
                                                                        rel=1e-12)
-    with pytest.raises(QArithError):
-        qbinom(2, 3, P5)
 
 
 def test_qbinom_symmetry():
@@ -157,8 +165,12 @@ def test_exact_qbinom_times_factorials_is_factorial():
     for n in range(8):
         for m in range(n + 1):
             assert exact_qbinom(n, m) * exact_qfact(m) * exact_qfact(n - m) == exact_qfact(n)
-        for q in QS:
-            assert evaluate(exact_qfact(n), q) == pytest.approx(qfact(n, qparam_float(q)), rel=1e-12)
+    for q in QS:
+        # each entry is the sequential product, and a prefix of any longer list
+        fact = qfactorials(7, qparam_float(q))
+        for n in range(8):
+            assert qfactorials(n, qparam_float(q)) == fact[:n + 1]
+            assert evaluate(exact_qfact(n), q) == pytest.approx(fact[n], rel=1e-12)
 
 
 def test_spectrum_lemma_identities_exact():

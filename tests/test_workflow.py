@@ -46,85 +46,53 @@ def test_tier1_workflow_runs_every_benchmark_workload_with_its_oracles():
     assert """grep -F '"correct": true'""" in bench[0]
 
 
-def test_tier1_workflow_runs_the_relation_battery_at_its_degree_cap():
-    # the costliest verify-cp2-relations line the cap admits, which no test
-    # runs; a step fails on a nonzero exit, so a failed check fails CI
+CLI = "PYTHONPATH=src python -m cp2q.cli"
+
+# (the step's command, why CI runs it)
+CAP_STEPS = [
+    pytest.param(f"{CLI} verify-cp2-relations --max-deg {cli.MAX_DEG_GUARD}",
+                 "the costliest verify-cp2-relations line the cap admits, which no test runs; "
+                 "a step fails on a nonzero exit, so a failed check fails CI",
+                 id="relation-battery-max-deg-cap"),
+    pytest.param(f"{CLI} verify-cp2-relations --max-deg 3 --samples {cli.CROSS_CHECK_SAMPLES_GUARD}",
+                 "the costliest q = 1 cross-check the cap admits, which no test runs; a step fails "
+                 "on a nonzero exit, so a failed check fails CI",
+                 id="cross-check-samples-cap"),
+    pytest.param(f"{CLI} classical-check --samples {cli.CLASSICAL_SAMPLES_GUARD} --seed 1",
+                 "the costliest classical-check the cap admits, which no test runs; a step fails "
+                 "on a nonzero exit, so a failed check fails CI",
+                 id="classical-battery-samples-cap"),
+    pytest.param(f"{CLI} decompose line_bundle --nmax {cli.DECOMPOSE_NMAX_GUARD} "
+                 f"--N {cli.DECOMPOSE_N_GUARD} --dump > /dev/null",
+                 "the largest line-bundle basis the caps admit, which no test lists; a step fails "
+                 "on a nonzero exit",
+                 id="line-bundle-basis-nmax-and-n-caps"),
+    pytest.param(f"{CLI} decompose sphere --nmax {cli.DECOMPOSE_NMAX_GUARD} --dump > /dev/null",
+                 "the sphere basis is the largest kind, about nmax^5 vectors; no test lists it at "
+                 "the cap, and a step fails on a nonzero exit",
+                 id="sphere-basis-nmax-cap"),
+    pytest.param(f"{CLI} verify-complex --q 0.3 --nmax {cli.NMAX_GUARD}",
+                 "q 0.3 at the --nmax cap, where the blocks' entries reach q^-8; no test runs it in a "
+                 "fresh process, and a step fails on a nonzero exit",
+                 id="complex-checks-nmax-cap-q03"),
+    pytest.param(f"{CLI} verify-hopf --q 0.3 --total-degree {cli.TOTAL_DEGREE_GUARD}",
+                 "the costliest verify-hopf line the cap admits, at the q where the products grow "
+                 "fastest; no test runs it, and a step fails on a nonzero exit",
+                 id="hopf-relations-total-degree-cap-q03"),
+    pytest.param(f"{CLI} verify-casimir --q 0.5 --total-degree {cli.TOTAL_DEGREE_GUARD}",
+                 "the costliest verify-casimir line the cap admits, which no test runs; a step fails "
+                 "on a nonzero exit (q 0.3 exits 1 on rounding at this degree)",
+                 id="casimir-checks-total-degree-cap"),
+    pytest.param(f"{CLI} verify-gt --q 0.5 --powers {cli.GT_POWERS_GUARD}",
+                 "[F2,F1]_q^n expands into 2^n words, so the --powers cap is the costliest verify-gt "
+                 "line; no test runs it, and a step fails on a nonzero exit",
+                 id="lemma-identities-powers-cap"),
+]
+
+
+@pytest.mark.parametrize("command,reason", CAP_STEPS)
+def test_tier1_workflow_runs_a_cap_step(command, reason):
     yaml = pytest.importorskip("yaml")
     steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
     runs = [s["run"] for s in steps if "run" in s]
-    assert f"PYTHONPATH=src python -m cp2q.cli verify-cp2-relations --max-deg {cli.MAX_DEG_GUARD}" in runs
-
-
-def test_tier1_workflow_runs_the_cross_check_at_its_samples_cap():
-    # the costliest q = 1 cross-check the cap admits, which no test runs; a
-    # step fails on a nonzero exit, so a failed check fails CI
-    yaml = pytest.importorskip("yaml")
-    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
-    runs = [s["run"] for s in steps if "run" in s]
-    assert ("PYTHONPATH=src python -m cp2q.cli verify-cp2-relations --max-deg 3 "
-            f"--samples {cli.CROSS_CHECK_SAMPLES_GUARD}") in runs
-
-
-def test_tier1_workflow_runs_the_classical_battery_at_its_samples_cap():
-    # the costliest classical-check the cap admits, which no test runs; a
-    # step fails on a nonzero exit, so a failed check fails CI
-    yaml = pytest.importorskip("yaml")
-    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
-    runs = [s["run"] for s in steps if "run" in s]
-    assert (f"PYTHONPATH=src python -m cp2q.cli classical-check --samples {cli.CLASSICAL_SAMPLES_GUARD} "
-            "--seed 1") in runs
-
-
-def test_tier1_workflow_lists_the_line_bundle_basis_at_its_caps():
-    # the largest line-bundle basis the caps admit, which no test lists;
-    # a step fails on a nonzero exit
-    yaml = pytest.importorskip("yaml")
-    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
-    runs = [s["run"] for s in steps if "run" in s]
-    assert (f"PYTHONPATH=src python -m cp2q.cli decompose line_bundle --nmax {cli.DECOMPOSE_NMAX_GUARD} "
-            f"--N {cli.DECOMPOSE_N_GUARD} --dump > /dev/null") in runs
-
-
-def test_tier1_workflow_lists_the_sphere_basis_at_its_cap():
-    # the sphere basis is the largest kind, about nmax^5 vectors; no test
-    # lists it at the cap, and a step fails on a nonzero exit
-    yaml = pytest.importorskip("yaml")
-    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
-    runs = [s["run"] for s in steps if "run" in s]
-    assert f"PYTHONPATH=src python -m cp2q.cli decompose sphere --nmax {cli.DECOMPOSE_NMAX_GUARD} --dump > /dev/null" in runs
-
-
-def test_tier1_workflow_runs_the_complex_checks_where_the_values_grow_fastest():
-    # q 0.3 at the --nmax cap, where the blocks' entries reach q^-8; no test
-    # runs it in a fresh process, and a step fails on a nonzero exit
-    yaml = pytest.importorskip("yaml")
-    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
-    runs = [s["run"] for s in steps if "run" in s]
-    assert f"PYTHONPATH=src python -m cp2q.cli verify-complex --q 0.3 --nmax {cli.NMAX_GUARD}" in runs
-
-
-def test_tier1_workflow_runs_the_hopf_relations_at_their_degree_cap():
-    # the costliest verify-hopf line the cap admits, at the q where the
-    # products grow fastest; no test runs it, and a step fails on a nonzero exit
-    yaml = pytest.importorskip("yaml")
-    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
-    runs = [s["run"] for s in steps if "run" in s]
-    assert f"PYTHONPATH=src python -m cp2q.cli verify-hopf --q 0.3 --total-degree {cli.TOTAL_DEGREE_GUARD}" in runs
-
-
-def test_tier1_workflow_runs_the_casimir_checks_at_their_degree_cap():
-    # the costliest verify-casimir line the cap admits, which no test runs; a
-    # step fails on a nonzero exit (q 0.3 exits 1 on rounding at this degree)
-    yaml = pytest.importorskip("yaml")
-    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
-    runs = [s["run"] for s in steps if "run" in s]
-    assert f"PYTHONPATH=src python -m cp2q.cli verify-casimir --q 0.5 --total-degree {cli.TOTAL_DEGREE_GUARD}" in runs
-
-
-def test_tier1_workflow_runs_the_lemma_identities_at_their_powers_cap():
-    # [F2,F1]_q^n expands into 2^n words, so the --powers cap is the costliest
-    # verify-gt line; no test runs it, and a step fails on a nonzero exit
-    yaml = pytest.importorskip("yaml")
-    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
-    runs = [s["run"] for s in steps if "run" in s]
-    assert f"PYTHONPATH=src python -m cp2q.cli verify-gt --q 0.5 --powers {cli.GT_POWERS_GUARD}" in runs
+    assert command in runs, reason
