@@ -166,7 +166,7 @@ def cmd_verify_hopf(args) -> dict:
         if not rep["passed"]:
             failed.append(rep)
     return {
-        "command": "verify-hopf", "q": p.q, "tol": args.tol,
+        "q": p.q, "tol": args.tol,
         "labels": len(labels), "max_residual": worst,
         "failures": failed, "passed": not failed,
     }
@@ -187,8 +187,7 @@ def cmd_verify_casimir(args) -> dict:
             "off_scalar": rep["off_scalar_residual"],
             "commutator": rep["commutator_residual"], "passed": rep["passed"],
         })
-    return {"command": "verify-casimir", "q": p.q, "tol": args.tol,
-            "rows": rows, "passed": ok}
+    return {"q": p.q, "tol": args.tol, "rows": rows, "passed": ok}
 
 
 def cmd_verify_gt(args) -> dict:
@@ -208,7 +207,7 @@ def cmd_verify_gt(args) -> dict:
                      "max_residual": rep["max_residual"], "passed": rep["passed"]})
     comm = peterweyl.verify_lemma_commutators(comm_label, args.powers, p, mats=comm_mats)
     ok = ok and comm["passed"]
-    return {"command": "verify-gt", "q": p.q, "tol": args.tol, "rows": rows,
+    return {"q": p.q, "tol": args.tol, "rows": rows,
             "commutator_identities": comm["passed"],
             "commutator_residual": comm["max_residual"], "passed": ok}
 
@@ -217,9 +216,7 @@ def cmd_verify_coproduct(args) -> dict:
     from . import ualg
 
     p = _qparam(args)
-    rep = ualg.verify_coproduct_identity(p, args.tol)
-    rep["command"] = "verify-coproduct"
-    return rep
+    return ualg.verify_coproduct_identity(p, args.tol)
 
 
 def cmd_verify_complex(args) -> dict:
@@ -228,7 +225,7 @@ def cmd_verify_complex(args) -> dict:
     p = _qparam(args)
     comp = dolbeault.verify_complex(args.nmax, p, args.tol)
     equi = dolbeault.verify_equivariance(args.nmax, p, args.tol)
-    return {"command": "verify-complex", "q": p.q, "nmax": args.nmax, "tol": args.tol,
+    return {"q": p.q, "nmax": args.nmax, "tol": args.tol,
             "complex": comp, "equivariance": equi, "passed": comp["passed"] and equi["passed"]}
 
 
@@ -239,7 +236,6 @@ def cmd_spectrum(args) -> dict:
     table = dirac.spectrum(cfg)
     check = dirac.verify_spectrum_closed_form(table, cfg.p)
     report = table.to_dict()
-    report["command"] = "spectrum"
     report["closed_form_check"] = {"passed": check["passed"],
                                    "max_rel_error": check["max_rel_error"]}
     report["passed"] = check["passed"]
@@ -249,9 +245,7 @@ def cmd_spectrum(args) -> dict:
 def cmd_cohomology(args) -> dict:
     from . import dirac
 
-    rep = dirac.cohomology(_spectrum_config(args))
-    rep["command"] = "cohomology"
-    return rep
+    return dirac.cohomology(_spectrum_config(args))
 
 
 def cmd_summability(args) -> dict:
@@ -265,7 +259,6 @@ def cmd_summability(args) -> dict:
     except FloatingPointError as exc:  # a factor whose decay ratios would be rounding
         raise ConfigError(f"--eps {max(args.eps)} is too large at q = {cfg.p.q}: the factor (1 + lambda^2)"
                           f"^(-eps/2) of a shell up to --nmax {args.nmax} is 0.0 or subnormal") from exc
-    rep["command"] = "summability"
     rep["passed"] = all(sh["factors_decrease_geometrically"] for sh in rep["shells"])
     return rep
 
@@ -276,7 +269,7 @@ def cmd_rewrite(args) -> dict:
     f = _parsed(ncrewrite.poly_from_string, args.expr)
     nf = ncrewrite.normal_form(f)
     return {
-        "command": "rewrite", "input": args.expr,
+        "input": args.expr,
         "normal_form": ncrewrite.poly_to_str(nf),
         "is_zero": not nf,
         "grades": sorted({ncrewrite.grade(w) for w, _ in nf}),
@@ -291,8 +284,7 @@ def cmd_verify_cp2_relations(args) -> dict:
     pairs = ncrewrite.critical_pairs()
     cross = ncrewrite.classical_cross_check(args.samples)
     ok = rep["passed"] and conf["passed"] and pairs["passed"] and cross["passed"]
-    report = {"command": "verify-cp2-relations",
-              "relations": rep["count"], "relations_passed": rep["passed"],
+    report = {"relations": rep["count"], "relations_passed": rep["passed"],
               "confluence_passed": conf["passed"],
               "branching_words": conf["branching_words"],
               "critical_pairs": pairs["overlaps"],
@@ -309,7 +301,7 @@ def cmd_classical_check(args) -> dict:
     battery = classical.run_sample_battery(args.samples, args.seed, args.tol)
     if "bad_sample" in battery:
         return {
-            "command": "classical-check", "samples": args.samples, "seed": args.seed,
+            "samples": args.samples, "seed": args.seed,
             "error": f"sample of seed {battery['bad_sample']} is not special unitary",
             "bad_sample": battery["bad_sample"], **battery["detail"], "passed": False}
     reps = classical.classical_rep_check()
@@ -325,8 +317,7 @@ def cmd_classical_check(args) -> dict:
                                    "observable": f"p{i}{j}",
                                    "residual": rep["residual"],
                                    "passed": rep["passed"]})
-    return {"command": "classical-check", "samples": args.samples,
-            "seed": args.seed, "battery": battery["residuals"],
+    return {"samples": args.samples, "seed": args.seed, "battery": battery["residuals"],
             "serre_relations_passed": reps["passed"],
             "rows": local_rows, "passed": ok}
 
@@ -344,7 +335,7 @@ def cmd_decompose(args) -> dict:
     keys = (v[0] if args.kind == "form1_doublet" else v for v in basis)
     counts = Counter((v.n1, v.n2) for v in keys)
     rows = [{"irrep": f"({n1},{n2})", "dim": counts[n1, n2]} for n1, n2 in sorted(counts)]
-    report = {"command": "decompose", "kind": args.kind, "nmax": args.nmax,
+    report = {"kind": args.kind, "nmax": args.nmax,
               "N": args.N, "total": len(basis), "rows": rows, "passed": True}
     if args.dump:
         report["basis"] = peterweyl.basis_dump_lines(spec, basis)
@@ -365,7 +356,7 @@ def cmd_evaluate(args) -> dict:
     for j, col in enumerate(cols):
         for i, x in col:
             rows[i][j] = x
-    return {"command": "evaluate", "q": p.q, "expr": args.expr,
+    return {"q": p.q, "expr": args.expr,
             "label": [label.n1, label.n2], "matrix": rows, "passed": True}
 
 
@@ -445,6 +436,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"{flag} must be >= {least}, got {value}")
             _at_most(value, cap, flag)
         report = args.fn(args)
+        report["command"] = args.command
         # the verdict is the report's; a report with no verdict (rewrite's) passes
         code = EXIT_OK if report.get("passed", True) else EXIT_VERIFICATION_FAILED
     except VerificationError as exc:

@@ -305,33 +305,23 @@ def summability_probe(cfg: DiracConfig, epsilons) -> dict:
     desk-scale shell range need not have beaten yet.
     """
     p = cfg.p
-    shells = []
-    for n in range(1, cfg.nmax + 1):
-        entries = [("alpha", n, closed_form_eigenvalue("diag", n, p),
-                    family_multiplicity("diag", n))]
-        m = n - 1
-        entries.append(("beta", m, closed_form_eigenvalue("offdiag", m, p),
-                        family_multiplicity("offdiag", m)))
-        shells.append((n, entries))
+    # shell n: (eigenvalue, multiplicity) of V(n,n) and of V(n-1,n+2)
+    shells = [[(closed_form_eigenvalue(family, m, p), family_multiplicity(family, m))
+               for family, m in (("diag", n), ("offdiag", n - 1))] for n in range(1, cfg.nmax + 1)]
 
     out = {"q": p.q, "nmax": cfg.nmax, "epsilons": list(epsilons), "shells": []}
     for eps in epsilons:
         running = 1.0  # the zero mode
         rows = []
-        prev_factor = None
-        ratios = []
-        for n, entries in shells:
-            factor = sum((1.0 + lam * lam) ** (-eps / 2.0) for _, _, lam, _ in entries)
+        for n, entries in enumerate(shells, 1):
+            factor = sum((1.0 + lam * lam) ** (-eps / 2.0) for lam, _ in entries)
             if factor < float_info.min:  # its decay ratios would be rounding, or divide by 0.0
                 raise FloatingPointError(f"the factor of shell {n} at eps {eps} is 0.0 or subnormal")
-            increment = sum(2 * mult * (1.0 + lam * lam) ** (-eps / 2.0)
-                            for _, _, lam, mult in entries)
+            increment = sum(2 * mult * (1.0 + lam * lam) ** (-eps / 2.0) for lam, mult in entries)
             running += increment
-            if prev_factor is not None:
-                ratios.append(factor / prev_factor)
-            prev_factor = factor
             rows.append({"shell": n, "factor": factor, "trace_increment": increment,
                          "partial_trace": running})
+        ratios = [b["factor"] / a["factor"] for a, b in zip(rows, rows[1:])]
         geometric = bool(ratios) and all(r < 1.0 for r in ratios)
         out["shells"].append({
             "eps": eps, "rows": rows, "factor_ratios": ratios,

@@ -71,32 +71,29 @@ _ROW_MEMO: dict = {}
 
 
 def _act(elem: ualg.AlgebraElement, vec: PWVector, p: QParam, leg: str) -> PWVector:
-    """Apply an algebra element to the white or black leg of a PW vector."""
+    """Apply an algebra element to the white or black leg of a PW vector.
+
+    A key's image is summed from keys of its own label alone, so each
+    coefficient is the same whatever order the labels' keys come in."""
     out: PWVector = {}
     white, q = leg == "white", p.q
     for word, wc in elem.terms.items():
         partial = vec
         for gen in reversed(word):  # rightmost letter acts first
             nxt: PWVector = {}
-            # label-grouped order fixes the key order of the result, which
-            # the float sums downstream (dot, add_into) depend on
-            by_label: dict = {}
             for key, c in partial.items():
-                by_label.setdefault((key.n1, key.n2), []).append((key, c))
-            for label, items in by_label.items():
-                for key, c in items:
-                    src = key.white if white else key.black
-                    mkey = (label, gen, src, q)
-                    row = _ROW_MEMO.get(mkey)
-                    if row is None:
-                        row = _ROW_MEMO[mkey] = irreps.action_row(label, gen, src, p)
-                    for trip, coeff in row:
-                        nk = (
-                            PWBasisVector(key.n1, key.n2, trip, key.black)
-                            if white
-                            else PWBasisVector(key.n1, key.n2, key.white, trip)
-                        )
-                        nxt[nk] = nxt.get(nk, 0.0) + c * coeff
+                label, src = (key.n1, key.n2), key.white if white else key.black
+                mkey = (label, gen, src, q)
+                row = _ROW_MEMO.get(mkey)
+                if row is None:
+                    row = _ROW_MEMO[mkey] = irreps.action_row(label, gen, src, p)
+                for trip, coeff in row:
+                    nk = (
+                        PWBasisVector(key.n1, key.n2, trip, key.black)
+                        if white
+                        else PWBasisVector(key.n1, key.n2, key.white, trip)
+                    )
+                    nxt[nk] = nxt.get(nk, 0.0) + c * coeff
             partial = nxt
         add_into(out, partial, wc)
     return out

@@ -247,18 +247,9 @@ def counit(elem: AlgebraElement) -> float:
 
 TensorElement = dict  # (left word, right word) -> coefficient
 
-_PRIMITIVE_COPRODUCT = {
-    "K1": ((("K1",), ("K1",), 1.0),),
-    "K1inv": ((("K1inv",), ("K1inv",), 1.0),),
-    "K2": ((("K2",), ("K2",), 1.0),),
-    "K2inv": ((("K2inv",), ("K2inv",), 1.0),),
-    "H": ((("H",), ("H",), 1.0),),
-    "Hinv": ((("Hinv",), ("Hinv",), 1.0),),
-    "E1": ((("E1",), ("K1",), 1.0), (("K1inv",), ("E1",), 1.0)),
-    "E2": ((("E2",), ("K2",), 1.0), (("K2inv",), ("E2",), 1.0)),
-    "F1": ((("F1",), ("K1",), 1.0), (("K1inv",), ("F1",), 1.0)),
-    "F2": ((("F2",), ("K2",), 1.0), (("K2inv",), ("F2",), 1.0)),
-}
+# K and H are grouplike; E_i and F_i map to X (x) K_i + K_i^-1 (x) X
+_COPRODUCT = {g: (((g,), (g,)),) for g in irreps.DIAGONAL_GENERATORS}
+_COPRODUCT.update({x: (((x,), ("K" + x[1],)), (("K" + x[1] + "inv",), (x,))) for x in ("E1", "E2", "F1", "F2")})
 
 
 def coproduct_expand(elem: AlgebraElement) -> TensorElement:
@@ -269,9 +260,9 @@ def coproduct_expand(elem: AlgebraElement) -> TensorElement:
         for g in w:
             nxt: TensorElement = {}
             for (lw, rw), pc in partial.items():
-                for gl, gr, gc in _PRIMITIVE_COPRODUCT[g]:
+                for gl, gr in _COPRODUCT[g]:
                     key = (lw + gl, rw + gr)
-                    nxt[key] = nxt.get(key, 0.0) + pc * gc
+                    nxt[key] = nxt.get(key, 0.0) + pc
             partial = nxt
         for key, pc in partial.items():
             out[key] = out.get(key, 0.0) + pc
@@ -291,19 +282,10 @@ def tensor_evaluate(tensor: TensorElement, label, p: QParam, mats: dict) -> list
     return irreps.add([()] * (n * n), *terms)
 
 
-def _add_tensor(out: TensorElement, elem_l: AlgebraElement, elem_r: AlgebraElement,
-                c: float) -> None:
-    """out += c * (elem_l (x) elem_r), word pair by word pair."""
-    for wl, cl in elem_l.terms.items():
-        for wr, cr in elem_r.terms.items():
-            key = (wl, wr)
-            out[key] = out.get(key, 0.0) + c * cl * cr
-
-
-def _closed_form_coproduct(a: str, b: str, r: float, p: QParam) -> TensorElement:
+def coproduct_closed_form(a: str, b: str, r: float, p: QParam) -> TensorElement:
     """Closed-form coproduct of Z = a b - 2 [2]^-1 b a: Z(x)K1K2 +
     (K1K2)^-1(x)Z plus the mixing terms r a K1^-1 (x) K2 b and
-    -r K2^-1 b (x) a K1.
+    -r K2^-1 b (x) a K1, summed word pair by word pair.
 
     The mixing weight is pinned by expanding the primitive coproducts on Z's
     words and normal-ordering the K's.  It is r = (q^2-1)/(q^2+1) for X,
@@ -315,21 +297,12 @@ def _closed_form_coproduct(a: str, b: str, r: float, p: QParam) -> TensorElement
     out: TensorElement = {}
     w = AlgebraElement.word
     z = _pair(a, b, p)
-    _add_tensor(out, z, w(("K1", "K2")), 1.0)
-    _add_tensor(out, w(("K1inv", "K2inv")), z, 1.0)
-    _add_tensor(out, w((a, "K1inv")), w(("K2", b)), r)
-    _add_tensor(out, w(("K2inv", b)), w((a, "K1")), -r)
+    for left, right, c in ((z, w(("K1", "K2")), 1.0), (w(("K1inv", "K2inv")), z, 1.0),
+                           (w((a, "K1inv")), w(("K2", b)), r), (w(("K2inv", b)), w((a, "K1")), -r)):
+        for wl, cl in left.terms.items():
+            for wr, cr in right.terms.items():
+                out[wl, wr] = out.get((wl, wr), 0.0) + c * cl * cr
     return out
-
-
-def coproduct_closed_form_x(p: QParam) -> TensorElement:
-    q = p.q
-    return _closed_form_coproduct("F2", "F1", (q * q - 1.0) / (1.0 + q * q), p)
-
-
-def coproduct_closed_form_y(p: QParam) -> TensorElement:
-    q = p.q
-    return _closed_form_coproduct("E2", "E1", (1.0 - q * q) / (1.0 + q * q), p)
 
 
 def verify_coproduct_identity(p: QParam, tol: float = 1e-12) -> dict:
@@ -338,13 +311,12 @@ def verify_coproduct_identity(p: QParam, tol: float = 1e-12) -> dict:
     grouplikeness of K1 and the counit law."""
     label = (0, 1)
     mats = irreps.action_columns(label, p)
+    q = p.q
     results = {}
-    for name, elem, closed in (
-        ("X", x_element(p), coproduct_closed_form_x(p)),
-        ("Y", y_element(p), coproduct_closed_form_y(p)),
-    ):
-        lhs = tensor_evaluate(coproduct_expand(elem), label, p, mats)
-        rhs = tensor_evaluate(closed, label, p, mats)
+    for name, a, b, r in (("X", "F2", "F1", (q * q - 1.0) / (1.0 + q * q)),
+                          ("Y", "E2", "E1", (1.0 - q * q) / (1.0 + q * q))):
+        lhs = tensor_evaluate(coproduct_expand(_pair(a, b, p)), label, p, mats)
+        rhs = tensor_evaluate(coproduct_closed_form(a, b, r, p), label, p, mats)
         results[f"coproduct {name}"] = irreps.residual(lhs, rhs, irreps.largest(rhs))
 
     k1 = AlgebraElement.gen("K1")

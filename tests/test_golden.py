@@ -23,6 +23,12 @@ as weights and the ladder coefficients from one table per label.
 The two verify-gt reports, the benchmark's seed-1 line at degree 6 and the
 lemma identities at power 8, were captured before each label's lowering
 elements were built in one pass from one list of q-factorials and of powers.
+The verify-coproduct report (the battery's seed-1 line) and its csv layout,
+the table layout of a cohomology report and a summability report at four
+epsilons were captured before the coproduct was built from its rule, the
+shells' decay ratios were read off their rows and the command line set each
+report's command key: the csv and table reports pin that key in the
+key/value and table layouts.
 Any change to a number, a coefficient's printed form, a key order or a
 float's last digit shows up here as a failure.
 """
@@ -44,6 +50,11 @@ CASES = {
     "cohomology_nmax2": ["cohomology", "--q", "0.5", "--nmax", "2"],
     "cohomology_q09_nmax4": ["cohomology", "--q", "0.9", "--nmax", "4"],
     "summability_nmax8": ["summability", "--q", "0.5", "--nmax", "8"],
+    "summability_q031_nmax8_eps": ["summability", "--q", "0.31", "--nmax", "8", "--eps", "0.01", "0.5", "3", "20"],
+    "cohomology_nmax2_table": ["--format", "table", "cohomology", "--q", "0.5", "--nmax", "2"],
+    # the seed-1 verify-coproduct line of the battery workload, and its csv layout
+    "verify_coproduct_q053": ["verify-coproduct", "--q", "0.53"],
+    "verify_coproduct_q053_csv": ["--format", "csv", "verify-coproduct", "--q", "0.53"],
     "verify_casimir_deg3": ["verify-casimir", "--q", "0.5", "--total-degree", "3"],
     # the seed-1 verify-hopf and verify-casimir lines of the benchmark's battery workload
     "verify_hopf_q079_deg8": ["verify-hopf", "--q", "0.79", "--total-degree", "8"],

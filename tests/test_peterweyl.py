@@ -56,6 +56,29 @@ def test_actions_commute():
         assert residual(a, b) < 1e-12
 
 
+@pytest.mark.parametrize("leg", ["white", "black"])
+def test_an_action_on_two_labels_is_the_union_of_its_one_label_images(leg):
+    # a key's image is summed from keys of its own label alone, so the image
+    # of a vector spanning V(1,1) and V(2,1) holds each one-label image,
+    # key for key and bit for bit, whatever order the labels' keys come in
+    act = pw.white_act if leg == "white" else pw.black_act
+    rng = random.Random(35)
+    parts = []
+    for label in ((1, 1), (2, 1)):
+        triples = irreps.gt_triples(label)
+        part = {}
+        for white in triples:
+            for black in rng.sample(triples, 3):
+                part.update(pw.pw_vector(*label, white, black, rng.uniform(-1.0, 1.0)))
+        parts.append(part)
+    both = {**parts[0], **parts[1]}
+    elems = [GEN(name) for name in irreps.GENERATORS] + [ualg.casimir_element(P5)]
+    for elem in elems:
+        union = {**act(elem, parts[0], P5), **act(elem, parts[1], P5)}
+        got = act(elem, both, P5)
+        assert {k: c.hex() for k, c in got.items()} == {k: c.hex() for k, c in union.items()}, elem
+
+
 def leg_moves(module) -> tuple[int, list]:
     """Each generator's white and black action on seeded Peter-Weyl basis
     vectors of a few labels, through `module`'s white_act and black_act: the

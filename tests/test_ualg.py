@@ -133,6 +133,35 @@ def test_coproduct_identities(q):
     assert rep["passed"], rep
 
 
+def swap_e1_legs(monkeypatch):
+    # Delta(E1) = E1 (x) K1^-1 + K1 (x) E1, the K legs swapped
+    monkeypatch.setitem(ualg._COPRODUCT, "E1", ((("E1",), ("K1inv",)), (("K1",), ("E1",))))
+
+
+def flip_r_of_x(monkeypatch):
+    closed = ualg.coproduct_closed_form
+    monkeypatch.setattr(ualg, "coproduct_closed_form", lambda a, b, r, p: closed(a, b, -r if a == "F2" else r, p))
+
+
+@pytest.mark.parametrize("mutate, broken, kept", [(swap_e1_legs, "Y", "X"), (flip_r_of_x, "X", "Y")],
+                         ids=["E1-legs-swapped", "r-of-X-flipped"])
+def test_verify_coproduct_fails_on_a_wrong_coproduct(monkeypatch, mutate, broken, kept):
+    # a wrong primitive coproduct or a wrong mixing weight is far outside
+    # tol on the identity it enters, the other identity still holds, and the
+    # command exits 1
+    import contextlib
+    import io
+
+    from cp2q import cli
+
+    mutate(monkeypatch)
+    rep = ualg.verify_coproduct_identity(qparam_float(0.53), 1e-12)
+    assert not rep["passed"]
+    assert rep["residuals"][f"coproduct {broken}"] > 0.1 and rep["residuals"][f"coproduct {kept}"] < 1e-12, rep
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify-coproduct", "--q", "0.53"]) == cli.EXIT_VERIFICATION_FAILED
+
+
 def test_counit():
     assert ualg.counit(ualg.x_element(P5)) == 0.0
     assert ualg.counit(WORD(("K1", "Hinv"))) == 1.0

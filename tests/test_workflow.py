@@ -96,3 +96,16 @@ def test_tier1_workflow_runs_a_cap_step(command, reason):
     steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
     runs = [s["run"] for s in steps if "run" in s]
     assert command in runs, reason
+
+
+def test_tier1_workflow_runs_the_spectral_commands_at_both_ends_of_the_q_range():
+    # spectrum, cohomology and summability at the --nmax cap, at the least and
+    # the largest q a spectral command accepts; no test runs them there in a
+    # fresh process, and the step fails on the first nonzero exit
+    yaml = pytest.importorskip("yaml")
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
+    (step,) = [s["run"] for s in steps if "$cmd" in s.get("run", "")]
+    lo, hi = cli.SPECTRUM_Q_RANGE
+    assert f"for q in {lo} {hi}; do" in step
+    assert 'for cmd in spectrum cohomology "summability --eps 0.01 0.1 1 4"; do' in step
+    assert f'{CLI} $cmd --q "$q" --nmax {cli.NMAX_GUARD} > /dev/null || exit 1' in step
