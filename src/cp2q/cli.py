@@ -457,5 +457,17 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    """The launch entry (`python -m cp2q.cli`, the `cp2q` script): flush
+    main's report and stderr, then end the process with main's code without
+    interpreter teardown, which a launch has no use for, since no cp2q module
+    registers an exit hook, holds a file open or starts a thread.  A usage
+    error, --help or an uncaught exception raises out of main as before."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -141,6 +141,68 @@ def test_verify_complex_passes_where_the_values_grow_like_q_to_the_minus_n(q, nm
     assert report["complex"]["passed"] and report["equivariance"]["passed"]
 
 
+def _failed_checks(report) -> dict:
+    """The checks a verify-hopf, verify-casimir or verify-gt report fails,
+    by label: the relations of verify-hopf, the residuals of verify-casimir at
+    or above its tol, verify-gt's lowering check, and its commutator
+    identities, which it checks on V(1,1)."""
+    if report["command"] == "verify-hopf":
+        return {"({},{})".format(*rep["label"]): {r["relation"] for r in rep["relations"] if not r["passed"]}
+                for rep in report["failures"]}
+    if report["command"] == "verify-casimir":
+        return {row["label"]: {k for k in ("off_scalar", "commutator") if not row[k] < report["tol"]}
+                for row in report["rows"] if not row["passed"]}
+    failed = {row["label"]: {"lowering"} for row in report["rows"] if not row["passed"]}
+    if not report["commutator_identities"]:
+        failed.setdefault("(1,1)", set()).add("commutator_identities")
+    return failed
+
+
+# verify-hopf's eight q-commutator Serre relations, by the bracket each checks
+Q_SERRE = ("[E1,[E2,E1]_q]_q", "[[E1,E2]_q,E1]_q", "[E2,[E1,E2]_q]_q", "[[E2,E1]_q,E2]_q",
+           "[F1,[F2,F1]_q]_q", "[[F1,F2]_q,F1]_q", "[F2,[F1,F2]_q]_q", "[[F2,F1]_q,F2]_q")
+
+
+def _q_serre(*left_out):
+    return {f"q-commutator serre {b}" for b in Q_SERRE if b not in left_out}
+
+
+CASIMIR = {"off_scalar", "commutator"}
+EI_FI = {"[E1,F1] = (K1^2 - K1^-2)/(q - q^-1)", "[E2,F2] = (K2^2 - K2^-2)/(q - q^-1)"}
+
+# the command lines that exit 1 on rounding, not on the algebra (ROADMAP
+# items 13 and 14: at 40 digits the same code passes them), with every check
+# each fails
+ROUNDING_FAILURES = [
+    ("verify-casimir --q 0.3 --total-degree 12", {"(0,12)": CASIMIR, "(12,0)": CASIMIR, "(1,11)": {"off_scalar"}}),
+    ("verify-casimir --q 0.9999 --total-degree 4",
+     {f"({a},{d - a})": CASIMIR for d in range(1, 5) for a in range(d + 1)}),
+    ("verify-gt --q 0.3 --total-degree 7", {"(2,5)": {"lowering"}, "(3,4)": {"lowering"}}),
+    ("verify-gt --q 0.5 --total-degree 9", {"(3,6)": {"lowering"}, "(4,5)": {"lowering"}}),
+    ("verify-gt --q 0.99999 --total-degree 4", {"(1,1)": {"commutator_identities"}}),
+    ("verify-hopf --q 0.99999 --total-degree 1", {"(0,1)": EI_FI, "(1,0)": EI_FI}),
+    ("verify-hopf --q 1e-20 --total-degree 3",
+     {"(1,1)": _q_serre(), "(1,2)": _q_serre(), "(2,1)": _q_serre(),
+      "(0,3)": _q_serre("[[E2,E1]_q,E2]_q", "[F2,[F1,F2]_q]_q"),
+      "(3,0)": _q_serre("[E2,[E1,E2]_q]_q", "[[F2,F1]_q,F2]_q")}),
+    ("verify-hopf --q 1e-5 --total-degree 3",
+     {"(0,2)": _q_serre("[E1,[E2,E1]_q]_q", "[[E2,E1]_q,E2]_q", "[[F1,F2]_q,F1]_q", "[F2,[F1,F2]_q]_q"),
+      "(2,0)": _q_serre("[[E1,E2]_q,E1]_q", "[E2,[E1,E2]_q]_q", "[F1,[F2,F1]_q]_q", "[[F2,F1]_q,F2]_q"),
+      "(1,1)": _q_serre(),
+      "(0,3)": _q_serre("[E2,[E1,E2]_q]_q"), "(3,0)": _q_serre("[F2,[F1,F2]_q]_q"),
+      "(1,2)": _q_serre("[[E2,E1]_q,E2]_q", "[F2,[F1,F2]_q]_q"),
+      "(2,1)": _q_serre("[E2,[E1,E2]_q]_q", "[[F2,F1]_q,F2]_q")}),
+]
+
+
+@pytest.mark.parametrize("line, failed", ROUNDING_FAILURES, ids=[line for line, _ in ROUNDING_FAILURES])
+def test_a_line_that_fails_on_rounding_fails_these_checks(line, failed):
+    # pinned as they read today, so that a change to how the battery forms
+    # its numbers shows here which lines and checks it moves
+    code, out = run_cli(line.split())
+    assert (code, _failed_checks(json.loads(out))) == (cli.EXIT_VERIFICATION_FAILED, failed)
+
+
 # each command line one below a least value, with the error it prints
 EMPTY_CHECKS = [
     (["verify-hopf", "--total-degree", "-1"], "--total-degree must be >= 0, got -1"),
@@ -631,7 +693,11 @@ SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def _python(*args):
-    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": str(SRC)},
+    # stdout into a pipe is block-buffered, as in a user's launch, whatever
+    # the calling environment sets: what is still buffered when main returns
+    # is what cli.run must flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, *args], env={**env, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True)
 
 
@@ -792,3 +858,46 @@ def test_closed_pipe_keeps_the_verdict_and_stderr_quiet():
         os.close(write_end)
     assert child.stderr == ""
     assert child.returncode == cli.EXIT_OK
+
+
+# (argv, exit code): a launch ends through cli.run, which flushes and exits
+# with os._exit; each line's stdout and code must be main's in process, from
+# a report far past the stdio buffer (294 KB for the sphere dump) to a JSON
+# error report
+LAUNCHES = [
+    (["decompose", "sphere", "--nmax", "6", "--dump"], cli.EXIT_OK),
+    (["spectrum", "--q", "0.5", "--nmax", "3"], cli.EXIT_OK),
+    (["--format", "csv", "spectrum", "--q", "0.5", "--nmax", "3"], cli.EXIT_OK),
+    (["--format", "table", "spectrum", "--q", "0.5", "--nmax", "3"], cli.EXIT_OK),
+    # no residual of the battery is below 1e-30, whatever the rounding
+    (["verify-hopf", "--q", "0.5", "--total-degree", "2", "--tol", "1e-30"], cli.EXIT_VERIFICATION_FAILED),
+    (["spectrum", "--q", "0.1"], cli.EXIT_CONFIG_ERROR),
+]
+
+
+@pytest.mark.parametrize("argv, code", LAUNCHES, ids=("sphere-dump", "json", "csv", "table", "exit-1", "exit-2"))
+def test_a_launch_prints_what_main_prints_and_exits_with_its_code(argv, code):
+    got, out = run_cli(argv)
+    assert got == code
+    child = _python("-m", "cp2q.cli", *argv)
+    assert (child.returncode, child.stdout, child.stderr) == (code, out, "")
+
+
+def test_a_usage_error_exits_through_argparse():
+    # main raises argparse's SystemExit before run would flush and end the
+    # process, so the exit stays the interpreter's own
+    child = _python("-m", "cp2q.cli", "spectrum", "--nmax", "x")
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr.startswith("usage: cp2q spectrum")
+    assert child.stderr.endswith("cp2q spectrum: error: argument --nmax: invalid int value: 'x'\n")
+
+
+def test_the_console_script_ends_through_run():
+    # the script pip installs calls its entry point as sys.exit(entry());
+    # run never returns, and the report and code are main's
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    assert pyproject["project"]["scripts"] == {"cp2q": "cp2q.cli:run"}
+    argv = ["spectrum", "--q", "0.5", "--nmax", "3"]
+    child = _python("-c", "import sys; from cp2q.cli import run; sys.exit(run())", *argv)
+    assert (child.returncode, child.stdout, child.stderr) == (cli.EXIT_OK, run_cli(argv)[1], "")

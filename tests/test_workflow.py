@@ -109,3 +109,20 @@ def test_tier1_workflow_runs_the_spectral_commands_at_both_ends_of_the_q_range()
     assert f"for q in {lo} {hi}; do" in step
     assert 'for cmd in spectrum cohomology "summability --eps 0.01 0.1 1 4"; do' in step
     assert f'{CLI} $cmd --q "$q" --nmax {cli.NMAX_GUARD} > /dev/null || exit 1' in step
+
+
+def test_tier1_workflow_runs_the_installed_console_script():
+    # the script pip installs from [project.scripts], which ends through
+    # cli.run and which no test launches; its report goes to a file, not a
+    # pipe, since a pipe's status is its last command's and would hide cp2q's
+    # exit code
+    yaml = pytest.importorskip("yaml")
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
+    runs = [s["run"] for s in steps if "run" in s]
+    install = next(i for i, r in enumerate(runs) if "pip install" in r)
+    (i, step), = [(i, r) for i, r in enumerate(runs) if r.startswith("cp2q ")]
+    assert i > install
+    assert step.splitlines() == [
+        "cp2q spectrum --q 0.5 --nmax 8 > spectrum.json",
+        "python -c \"import json; assert json.load(open('spectrum.json'))['passed'] is True\"",
+    ]
