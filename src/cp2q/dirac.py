@@ -60,7 +60,7 @@ class SpectrumSymmetryError(VerificationError, ArithmeticError):
 
 
 class SpectrumRow(NamedTuple):
-    family: str  # "zero" | "alpha" (V(n,n)) | "beta" (V(m,m+3))
+    family: str  # "zero", or a FAMILIES row name: "alpha" (V(n,n)) | "beta" (V(m,m+3))
     n: int
     eigenvalue: float
     multiplicity: int
@@ -123,15 +123,15 @@ def _family_block(family: str, n: int, cfg: DiracConfig) -> list[list[float]]:
 
 
 def closed_form_eigenvalue(family: str, n: int, p: QParam) -> float:
-    if family in ("diag", "alpha"):
+    """|d| of a (family, n) block; the family by its key or its row name."""
+    if pw.family_key(family) == "diag":
         return sqrt(2.0 * qint(n, p) * qint(n + 2, p) / qint(2, p))
     return sqrt(qint(n + 2, p) * qint(n + 3, p))
 
 
 def family_multiplicity(family: str, n: int) -> int:
-    if family in ("diag", "alpha"):
-        return irreps.dim((n, n))
-    return irreps.dim((n, n + 3))
+    """Multiplicity of each sign of a (family, n) block: its irrep's dimension."""
+    return irreps.dim(db.family_label(family, n))
 
 
 def spectrum(cfg: DiracConfig) -> SpectrumTable:
@@ -150,9 +150,7 @@ def spectrum(cfg: DiracConfig) -> SpectrumTable:
         if b00 or b11 or abs(b01 - b10) > cfg.tol * max(abs(b10), 1.0):
             raise SpectrumSymmetryError(f"block ({family},{n}) not symmetric with zero diagonal: {block}")
         lam = abs(b10)
-        name = "alpha" if family == "diag" else "beta"
-        table.rows.append(SpectrumRow(name, n, -lam, mult))
-        table.rows.append(SpectrumRow(name, n, +lam, mult))
+        table.rows.extend(SpectrumRow(pw.FAMILIES[family].row, n, x, mult) for x in (-lam, lam))
     return table
 
 
@@ -208,7 +206,7 @@ def verify_laplacian_identity(cfg: DiracConfig, trials: int = 6) -> dict:
     per_block = []
     worst = 0.0
     for n in range(cfg.nmax + 1):
-        for family in ("diag", "offdiag"):
+        for family in pw.FAMILIES:
             block = _family_block(family, n, cfg)
             expect = (ualg.casimir_eigenvalue(*db.family_label(family, n), p) - 2.0) / two
             k = range(len(block))  # largest entry of block @ block - expect * I
@@ -333,13 +331,10 @@ def summability_probe(cfg: DiracConfig, epsilons) -> dict:
 def classical_limit_scan(nmax: int, q_list) -> dict:
     """Eigenvalues against their commutative limits as q approaches 1."""
     rows = []
-    for family in ("diag", "offdiag"):
+    for family in pw.FAMILIES:
         for n in range(1 if family == "diag" else 0, nmax + 1):
             classical = sqrt(n * (n + 2)) if family == "diag" else sqrt((n + 2) * (n + 3))
-            deltas = []
-            for q in q_list:
-                p = QParam(q)
-                deltas.append(abs(closed_form_eigenvalue(family, n, p) - classical))
+            deltas = [abs(closed_form_eigenvalue(family, n, QParam(q)) - classical) for q in q_list]
             rows.append({
                 "family": family, "n": n, "classical": classical,
                 "q_list": list(q_list), "abs_errors": deltas,

@@ -5,11 +5,12 @@ A form is a plain Peter-Weyl vector: the black weight of each component
 fixes which part of the complex it belongs to.  Black singlets of V(n,n)
 are degree 0, black singlets of V(n,n+3) (the charge-3 line bundle) are
 degree 2, and black spin-1/2 doublets (v+, v-) of either family are
-degree 1.  The raising operator sends a 0-form a to (X* > a, E2 > a) and
-a 1-form v to -E2 > v+ - Y > v-, all by the black action; its adjoint uses
-the mirrored lowering words.  Everything is orthonormal in the Peter-Weyl
-basis, with doublets carrying squared norm 2, so the normalized degree-1
-slot vectors pick up a 1/sqrt(2).
+degree 1; each family's irrep, doublet and slot degrees are read from
+peterweyl.FAMILIES.  The raising operator sends a 0-form a to
+(X* > a, E2 > a) and a 1-form v to -E2 > v+ - Y > v-, all by the black
+action; its adjoint uses the mirrored lowering words.  Everything is
+orthonormal in the Peter-Weyl basis, with doublets carrying squared norm
+2, so the normalized degree-1 slot vectors pick up a 1/sqrt(2).
 
 The truncated complex is indexed once, by its (family, n) pairs
 (families), each owning its irrep's slots white index by white index.  The
@@ -45,10 +46,9 @@ FormVector = PWVector  # a form is a Peter-Weyl vector on the form spaces
 # (n2 - n1, black triple) -> part of the complex: degrees "0" and "2", and
 # the two legs "+" and "-" of a degree-1 doublet
 _PARTS = {
-    (0, (0, 0, 0)): "0",
-    (0, (1, 0, 1)): "+", (0, (1, 0, -1)): "-",
-    (3, (0, 1, 1)): "+", (3, (0, 1, -1)): "-",
-    (3, (0, 0, 0)): "2",
+    (pw.FAMILIES["diag"].shift, (0, 0, 0)): "0",
+    (pw.FAMILIES["offdiag"].shift, (0, 0, 0)): "2",
+    **{(f.shift, black): leg for f in pw.FAMILIES.values() for black, leg in zip(f.doublet, "+-")},
 }
 
 
@@ -154,34 +154,29 @@ def dbar_dag(f: FormVector, p: QParam) -> FormVector:
 # -- slot bases and blocks ----------------------------------------------------
 
 def family_label(family: str, n: int) -> tuple[int, int]:
-    if family == "diag":
-        return (n, n)
-    if family == "offdiag":
-        return (n, n + 3)
-    raise ValueError(f"unknown family {family!r}")
+    """The irrep V(n, n + shift) of a (family, n) block."""
+    return (n, n + pw.FAMILIES[pw.family_key(family)].shift)
 
 
 def block_degrees(family: str, n: int) -> tuple[int, ...]:
-    """Form degree of each slot of a (family, n) block, in block_slots order."""
-    if family == "diag":
-        return (0,) if n == 0 else (0, 1)
-    return (1, 2)
+    """Form degree of each slot of a (family, n) block, in block_slots order.
+    V(0,0) has no doublet, so the diag(0) block keeps degree 0 alone."""
+    family = pw.family_key(family)
+    return (0,) if (family, n) == ("diag", 0) else pw.FAMILIES[family].degrees
 
 
 def block_slots(family: str, n: int, white=(0, 0, 0)) -> list[FormVector]:
-    """Orthonormal slot vectors of the (family, n, white) block, in degree order.
-
-    diag(0) blocks are degree-0 singletons; every other block is
-    two-dimensional with a normalized doublet slot.
-    """
+    """Orthonormal slot vectors of the (family, n, white) block, in
+    block_degrees order: the black singlet, and on degree 1 the family's
+    doublet, normalized."""
     n1, n2 = family_label(family, n)
-    singlet = pw.pw_vector(n1, n2, white, (0, 0, 0))
-    if family == "diag" and n == 0:
+    singlet, degrees = pw.pw_vector(n1, n2, white, (0, 0, 0)), block_degrees(family, n)
+    if 1 not in degrees:
         return [singlet]
-    plus, minus = ((1, 0, 1), (1, 0, -1)) if family == "diag" else ((0, 1, 1), (0, 1, -1))
+    plus, minus = pw.FAMILIES[pw.family_key(family)].doublet
     doublet = pw.pw_vector(n1, n2, white, plus, 1.0 / sqrt(2.0))
     doublet.update(pw.pw_vector(n1, n2, white, minus, 1.0 / sqrt(2.0)))
-    return [singlet, doublet] if family == "diag" else [doublet, singlet]
+    return [doublet if d == 1 else singlet for d in degrees]
 
 
 # largest distance of an image from the span of the slots, relative to the
@@ -224,7 +219,7 @@ def families(nmax: int):
     """(family, n, first slot, irrep dimension, slot degrees) of each
     (family, n) pair, in slot order; its slots run white index by white index."""
     start = 0
-    for family in ("diag", "offdiag"):
+    for family in pw.FAMILIES:
         for n in range(nmax + 1):
             dim, deg = irreps.dim(family_label(family, n)), block_degrees(family, n)
             yield family, n, start, dim, deg

@@ -12,7 +12,8 @@ On top of the basis the module carves out the quantum 5-sphere (black
 singlets), the projective plane (additionally n1 = n2), the equivariant
 line bundles, and the antiholomorphic 1-form doublets, and verifies the
 lowering-operator machinery that generates the basis from highest-weight
-vectors.
+vectors.  FAMILIES is the one table of the complex's two block families,
+read here for the doublets and by dolbeault and dirac for their blocks.
 """
 
 from __future__ import annotations
@@ -109,6 +110,29 @@ def black_act(elem: ualg.AlgebraElement, vec: PWVector, p: QParam) -> PWVector:
 
 # -- subspaces ---------------------------------------------------------------
 
+class Family(NamedTuple):
+    """One family of the complex's 2x2 blocks, one block per n."""
+    shift: int  # the family's irrep is V(n, n + shift)
+    doublet: tuple  # the black triples (v+, v-) of its degree-1 doublet
+    degrees: tuple  # its slot degrees, in block order
+    row: str  # its name in the spectrum rows
+
+
+FAMILIES = {"diag": Family(0, ((1, 0, 1), (1, 0, -1)), (0, 1), "alpha"),
+            "offdiag": Family(3, ((0, 1, 1), (0, 1, -1)), (1, 2), "beta")}
+
+
+# each family's key, under the key itself and under its row name
+_FAMILY_KEYS = {name: key for key, f in FAMILIES.items() for name in (key, f.row)}
+
+
+def family_key(name: str) -> str:
+    """The FAMILIES key of a family named by its key or by its row name."""
+    if name not in _FAMILY_KEYS:
+        raise ValueError(f"unknown family {name!r}")
+    return _FAMILY_KEYS[name]
+
+
 class SubspaceSpec(NamedTuple):
     kind: str  # "sphere" | "cp2" | "line_bundle" | "form1_doublet"
     nmax: int
@@ -131,29 +155,21 @@ def subspace_basis(spec: SubspaceSpec):
     """Ordered basis of a carved-out subspace.
 
     Singlet kinds return PWBasisVector lists (black triple (0,0,0));
-    form1_doublet returns (plus, minus) PWBasisVector pairs, first the
-    diagonal family V(n,n) with black (1,0,+-1/2), then the off-diagonal
-    V(n,n+3) with black (0,1,+-1/2).
+    form1_doublet returns (plus, minus) PWBasisVector pairs, family by
+    family of FAMILIES, each V(n, n + shift) with its doublet's black
+    triples; V(0,0) has no doublet.
     """
     if spec.nmax < 0:
         raise ValueError("nmax must be >= 0")
     if spec.kind != "form1_doublet":
-        out = []
-        for label in _singlet_labels(spec):
-            for w in irreps.gt_triples(label):
-                out.append(PWBasisVector(label[0], label[1], w, (0, 0, 0)))
-        return out
+        return [PWBasisVector(n1, n2, w, (0, 0, 0)) for n1, n2 in _singlet_labels(spec)
+                for w in irreps.gt_triples((n1, n2))]
     pairs = []
-    for n in range(1, spec.nmax + 1):
-        for w in irreps.gt_triples((n, n)):
-            pairs.append(
-                (PWBasisVector(n, n, w, (1, 0, 1)), PWBasisVector(n, n, w, (1, 0, -1)))
-            )
-    for n in range(spec.nmax + 1):
-        for w in irreps.gt_triples((n, n + 3)):
-            pairs.append(
-                (PWBasisVector(n, n + 3, w, (0, 1, 1)), PWBasisVector(n, n + 3, w, (0, 1, -1)))
-            )
+    for key, f in FAMILIES.items():
+        plus, minus = f.doublet
+        pairs += [(PWBasisVector(n, n + f.shift, w, plus), PWBasisVector(n, n + f.shift, w, minus))
+                  for n in range(1 if key == "diag" else 0, spec.nmax + 1)
+                  for w in irreps.gt_triples((n, n + f.shift))]
     return pairs
 
 

@@ -263,6 +263,30 @@ def test_multiplicities_q_independent():
         [(r.family, r.n, r.multiplicity) for r in t9.rows]
 
 
+@pytest.mark.parametrize("call, args", [
+    (dr.closed_form_eigenvalue, ("zero", 0, P5)),
+    (dr.family_multiplicity, ("zero", 0)),
+    (db.block_degrees, ("foo", 1)),
+    (db.family_label, ("foo", 1)),
+    (db.block_slots, ("foo", 1)),
+], ids=["closed_form_eigenvalue-zero", "family_multiplicity-zero", "block_degrees-foo",
+        "family_label-foo", "block_slots-foo"])
+def test_a_name_that_is_no_family_is_refused(call, args):
+    # "zero" names the spectrum's zero row, which is no block family: its
+    # multiplicity is 1, not a V(0,3) block's 10
+    with pytest.raises(ValueError, match=f"unknown family {args[0]!r}"):
+        call(*args)
+
+
+@pytest.mark.parametrize("key, row", [("diag", "alpha"), ("offdiag", "beta")])
+def test_a_family_reads_the_same_under_its_key_and_its_row_name(key, row):
+    for q in (0.3, 0.5, 0.95):
+        p = qparam_float(q)
+        for n in range(9):
+            assert dr.closed_form_eigenvalue(key, n, p).hex() == dr.closed_form_eigenvalue(row, n, p).hex()
+            assert dr.family_multiplicity(key, n) == dr.family_multiplicity(row, n)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         dr.DiracConfig(p=P5, nmax=-1)

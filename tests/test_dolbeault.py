@@ -235,6 +235,14 @@ def test_slot_degrees_match_the_parts_of_the_slot_vectors():
             assert {degree[db.part(k)] for k in s} == {d}
 
 
+@pytest.mark.parametrize("nmax", range(5))
+def test_the_doublet_basis_lists_the_doublet_slots_in_order(nmax):
+    # peterweyl's form1_doublet basis and the slot basis each enumerate the
+    # doublets: the (v+, v-) keys of every degree-1 slot, in slot order
+    slots = [tuple(s) for s, d in zip(db.slot_vectors(nmax), db.slot_degrees(nmax)) if d == 1]
+    assert pw.subspace_basis(pw.SubspaceSpec("form1_doublet", nmax)) == slots
+
+
 def test_random_form_draws_one_uniform_per_slot():
     nmax = 2
     basis = db.form_basis(nmax)

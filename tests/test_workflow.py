@@ -71,6 +71,11 @@ CAP_STEPS = [
                  "the sphere basis is the largest kind, about nmax^5 vectors; no test lists it at "
                  "the cap, and a step fails on a nonzero exit",
                  id="sphere-basis-nmax-cap"),
+    pytest.param(f"{CLI} decompose form1_doublet --nmax {cli.DECOMPOSE_NMAX_GUARD} --dump > /dev/null",
+                 "the doublet basis is enumerated from the table of block families, which the "
+                 "complex's slots read too; no test lists it at the cap, and a step fails on a "
+                 "nonzero exit",
+                 id="form1-doublet-basis-nmax-cap"),
     pytest.param(f"{CLI} verify-complex --q 0.3 --nmax {cli.NMAX_GUARD}",
                  "q 0.3 at the --nmax cap, where the blocks' entries reach q^-8; no test runs it in a "
                  "fresh process, and a step fails on a nonzero exit",
