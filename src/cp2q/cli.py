@@ -70,9 +70,7 @@ def _qparam(args) -> QParam:
             q = float(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"cannot parse q: {args.q!r}") from exc
-    if not (0.0 < q < 1.0):
-        raise ConfigError(f"q must lie strictly inside (0,1), got {q}")
-    return QParam(q)
+    return _parsed(QParam, q)  # QParam refuses a q outside (0,1)
 
 
 def _at_most(value: int, high: int | None, flag: str) -> None:

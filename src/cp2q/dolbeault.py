@@ -168,15 +168,13 @@ def block_degrees(family: str, n: int) -> tuple[int, ...]:
 def block_slots(family: str, n: int, white=(0, 0, 0)) -> list[FormVector]:
     """Orthonormal slot vectors of the (family, n, white) block, in
     block_degrees order: the black singlet, and on degree 1 the family's
-    doublet, normalized."""
-    n1, n2 = family_label(family, n)
-    singlet, degrees = pw.pw_vector(n1, n2, white, (0, 0, 0)), block_degrees(family, n)
-    if 1 not in degrees:
-        return [singlet]
-    plus, minus = pw.FAMILIES[pw.family_key(family)].doublet
-    doublet = pw.pw_vector(n1, n2, white, plus, 1.0 / sqrt(2.0))
-    doublet.update(pw.pw_vector(n1, n2, white, minus, 1.0 / sqrt(2.0)))
-    return [doublet if d == 1 else singlet for d in degrees]
+    doublet, normalized.  white is a triple of the block's own gt_triples."""
+    family = pw.family_key(family)
+    shift, doublet, _, _ = pw.FAMILIES[family]
+    white = tuple(white)
+    singlet = {pw.PWBasisVector(n, n + shift, white, (0, 0, 0)): 1.0}
+    doublet = {pw.PWBasisVector(n, n + shift, white, black): 1.0 / sqrt(2.0) for black in doublet}
+    return [doublet if d == 1 else singlet for d in block_degrees(family, n)]
 
 
 # largest distance of an image from the span of the slots, relative to the

@@ -35,7 +35,7 @@ from math import isfinite, sqrt
 from typing import NamedTuple
 
 from . import qarith
-from .qarith import QParam, qint, relative
+from .qarith import QParam, qint, qpow, relative
 
 
 class LabelError(ValueError):
@@ -166,7 +166,7 @@ def action_row(label, gen: str, triple, p: QParam) -> tuple:
     """
     label = check_label(label)
     if gen in DIAGONAL_GENERATORS:
-        c = (p.q ** (1.0 / 12.0)) ** weight_twelfths(gen, label, triple)
+        c = qpow(1, p) ** weight_twelfths(gen, label, triple)
         return ((triple, c),) if c else ()
     return ladder_moves(label, gen, triple, ladder_table(label, p))
 
@@ -175,13 +175,13 @@ def action_columns(label, p: QParam) -> dict[str, list[tuple]]:
     """Every generator on the ordered GT basis as a list of columns: column
     j holds the (row, coefficient) pairs of action_row of basis vector j,
     the ladder moves from ladder_moves over the label's ladder_table.  K and
-    H are the weights (q^(1/12))**w, one per distinct w."""
+    H are the weights t**w, t = qpow(1, p), one per distinct w."""
     label = check_label(label)
     index = gt_index(label)
     table = ladder_table(label, p)
     out = {gen: [tuple([(index[t], c) for t, c in ladder_moves(label, gen, src, table)]) for src in index]
            for gen in ("E1", "F1", "E2", "F2")}
-    base = p.q ** (1.0 / 12.0)
+    base = qpow(1, p)
     cartan = [cartan_twelfths(label, t) for t in index]
     for gen in DIAGONAL_GENERATORS:
         k, sign = _CARTAN[gen]
@@ -336,9 +336,9 @@ def verify_hopf_relations(label, p: QParam, tol: float = 1e-11) -> dict:
         yield "[K1,K2] = 0", paired_residual([x * y for x, y in zip(k1, k2)], [y * x for x, y in zip(k1, k2)])
         for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
             yield (f"K{i} E{j} K{i}^-1 = q^{'1' if i == j else '-1/2'} E{j}",
-                   conjugated(i, f"E{j}", q if i == j else q ** -0.5))
+                   conjugated(i, f"E{j}", q if i == j else qpow(-6, p)))
             yield (f"K{i} F{j} K{i}^-1 = q^{'-1' if i == j else '1/2'} F{j}",
-                   conjugated(i, f"F{j}", 1.0 / q if i == j else q**0.5))
+                   conjugated(i, f"F{j}", 1.0 / q if i == j else qpow(6, p)))
         for i in (1, 2):
             ef, fe = matmul(g[f"E{i}"], g[f"F{i}"]), matmul(g[f"F{i}"], g[f"E{i}"])
             rhs = diagonal([(x * x - y * y) / (q - 1.0 / q) for x, y in zip(w[f"K{i}"], w[f"K{i}inv"])])

@@ -22,7 +22,7 @@ from math import sqrt
 from typing import NamedTuple
 
 from . import irreps, ualg
-from .qarith import QParam, largest, qfactorials, qint, relative
+from .qarith import QParam, largest, qfactorials, qint, qpow, relative
 
 
 class PWBasisVector(NamedTuple):
@@ -308,7 +308,6 @@ def verify_lemma_commutators(label, nmax_power: int, p: QParam, tol: float = 1e-
 
 def form1_membership_report(vplus: PWVector, vminus: PWVector, p: QParam) -> dict:
     """All conditions defining a 1-form doublet, by black action."""
-    q = p.q
     gen = ualg.AlgebraElement.gen
     k1k22 = ualg.AlgebraElement.word(("K1", "K2", "K2"))
 
@@ -322,10 +321,10 @@ def form1_membership_report(vplus: PWVector, vminus: PWVector, p: QParam) -> dic
         ("E1 v- = v+", residual(black_act(gen("E1"), vminus, p), vplus)),
         ("F1 v+ = v-", residual(black_act(gen("F1"), vplus, p), vminus)),
         ("F1 v- = 0", residual(black_act(gen("F1"), vminus, p), {})),
-        ("K1 v+ = q^1/2 v+", residual(black_act(gen("K1"), vplus, p), scaled(vplus, q**0.5))),
-        ("K1 v- = q^-1/2 v-", residual(black_act(gen("K1"), vminus, p), scaled(vminus, q**-0.5))),
-        ("K1K2^2 v+ = q^3/2 v+", residual(black_act(k1k22, vplus, p), scaled(vplus, q**1.5))),
-        ("K1K2^2 v- = q^3/2 v-", residual(black_act(k1k22, vminus, p), scaled(vminus, q**1.5))),
+        ("K1 v+ = q^1/2 v+", residual(black_act(gen("K1"), vplus, p), scaled(vplus, qpow(6, p)))),
+        ("K1 v- = q^-1/2 v-", residual(black_act(gen("K1"), vminus, p), scaled(vminus, qpow(-6, p)))),
+        ("K1K2^2 v+ = q^3/2 v+", residual(black_act(k1k22, vplus, p), scaled(vplus, qpow(18, p)))),
+        ("K1K2^2 v- = q^3/2 v-", residual(black_act(k1k22, vminus, p), scaled(vminus, qpow(18, p)))),
     ]
     first_violation = next((name for name, r in checks if r >= 1e-10), None)
     return {

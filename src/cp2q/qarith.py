@@ -1,10 +1,11 @@
 """Arithmetic for q-deformed quantities.
 
 The q-numbers and the list of q-factorials take a numeric deformation
-parameter q in (0,1) and return ordinary floats.  Exponents live on the
-1/12 lattice: t = q^(1/12) is the smallest power on which every diagonal
-weight occurring in the representation theory (halves, quarters, sixths
-and twelfths of q-exponents) is an integer power of t.  The rewriting
+parameter q in (0,1) and return numbers of q's type (floats, or mpmath
+numbers at a higher precision).  Exponents live on the 1/12 lattice, each
+power formed by qpow: t = q^(1/12) is the smallest power on which every
+diagonal weight occurring in the representation theory (halves, quarters,
+sixths and twelfths of q-exponents) is an integer power of t.  The rewriting
 engine's exact coefficients are Laurent polynomials in t.
 
 The module also holds the syntax the command line's two term grammars
@@ -94,22 +95,24 @@ def _coeff(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def qpow(tw: int, p: QParam):
+    """q^(tw/12), the one rule for a power of q off the integers: the exponent
+    is type(q)(tw) / 12, rounded once for a float q as tw / 12 is, and kept at
+    an mpmath q's working precision, which a float exponent would cut."""
+    q = p.q
+    return q ** (type(q)(tw) / LATTICE)
+
+
 def qint(z, p: QParam) -> float:
     """q-number [z] = (q^z - q^-z)/(q - q^-1), for 12z integral."""
-    if not isinstance(z, int):
-        # rejects an exponent off the 1/12 lattice
-        return qint_twelfths(_as_twelfths(z), p)
-    # an int exponent, the hot case, is exact as a float and skips the call
-    q = p.q
-    return (q ** float(z) - q ** float(-z)) / (q - 1.0 / q)
+    # an int is on the lattice; _as_twelfths rejects an exponent off it
+    return qint_twelfths(LATTICE * z if isinstance(z, int) else _as_twelfths(z), p)
 
 
 def qint_twelfths(tw: int, p: QParam) -> float:
-    """qint of tw/12, by qint's expression.  The exponent is the quotient of
-    two ints, rounded once as float(Fraction(tw, 12)) is."""
-    z = tw / LATTICE
+    """qint of tw/12, by qint's expression, each power of q from qpow."""
     q = p.q
-    return (q ** z - q ** -z) / (q - 1.0 / q)
+    return (qpow(tw, p) - qpow(-tw, p)) / (q - 1.0 / q)
 
 
 def qfactorials(n: int, p: QParam) -> list[float]:

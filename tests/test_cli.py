@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cp2q import classical, cli, dirac, dolbeault, irreps, ncrewrite, peterweyl, qarith, ualg
+from precision import ROUNDING_FAILURES
 
 
 def run_cli(argv):
@@ -158,43 +159,6 @@ def _failed_checks(report) -> dict:
     return failed
 
 
-# verify-hopf's eight q-commutator Serre relations, by the bracket each checks
-Q_SERRE = ("[E1,[E2,E1]_q]_q", "[[E1,E2]_q,E1]_q", "[E2,[E1,E2]_q]_q", "[[E2,E1]_q,E2]_q",
-           "[F1,[F2,F1]_q]_q", "[[F1,F2]_q,F1]_q", "[F2,[F1,F2]_q]_q", "[[F2,F1]_q,F2]_q")
-
-
-def _q_serre(*left_out):
-    return {f"q-commutator serre {b}" for b in Q_SERRE if b not in left_out}
-
-
-CASIMIR = {"off_scalar", "commutator"}
-EI_FI = {"[E1,F1] = (K1^2 - K1^-2)/(q - q^-1)", "[E2,F2] = (K2^2 - K2^-2)/(q - q^-1)"}
-
-# the command lines that exit 1 on rounding, not on the algebra (ROADMAP
-# items 13 and 14: at 40 digits the same code passes them), with every check
-# each fails
-ROUNDING_FAILURES = [
-    ("verify-casimir --q 0.3 --total-degree 12", {"(0,12)": CASIMIR, "(12,0)": CASIMIR, "(1,11)": {"off_scalar"}}),
-    ("verify-casimir --q 0.9999 --total-degree 4",
-     {f"({a},{d - a})": CASIMIR for d in range(1, 5) for a in range(d + 1)}),
-    ("verify-gt --q 0.3 --total-degree 7", {"(2,5)": {"lowering"}, "(3,4)": {"lowering"}}),
-    ("verify-gt --q 0.5 --total-degree 9", {"(3,6)": {"lowering"}, "(4,5)": {"lowering"}}),
-    ("verify-gt --q 0.99999 --total-degree 4", {"(1,1)": {"commutator_identities"}}),
-    ("verify-hopf --q 0.99999 --total-degree 1", {"(0,1)": EI_FI, "(1,0)": EI_FI}),
-    ("verify-hopf --q 1e-20 --total-degree 3",
-     {"(1,1)": _q_serre(), "(1,2)": _q_serre(), "(2,1)": _q_serre(),
-      "(0,3)": _q_serre("[[E2,E1]_q,E2]_q", "[F2,[F1,F2]_q]_q"),
-      "(3,0)": _q_serre("[E2,[E1,E2]_q]_q", "[[F2,F1]_q,F2]_q")}),
-    ("verify-hopf --q 1e-5 --total-degree 3",
-     {"(0,2)": _q_serre("[E1,[E2,E1]_q]_q", "[[E2,E1]_q,E2]_q", "[[F1,F2]_q,F1]_q", "[F2,[F1,F2]_q]_q"),
-      "(2,0)": _q_serre("[[E1,E2]_q,E1]_q", "[E2,[E1,E2]_q]_q", "[F1,[F2,F1]_q]_q", "[[F2,F1]_q,F2]_q"),
-      "(1,1)": _q_serre(),
-      "(0,3)": _q_serre("[E2,[E1,E2]_q]_q"), "(3,0)": _q_serre("[F2,[F1,F2]_q]_q"),
-      "(1,2)": _q_serre("[[E2,E1]_q,E2]_q", "[F2,[F1,F2]_q]_q"),
-      "(2,1)": _q_serre("[E2,[E1,E2]_q]_q", "[[F2,F1]_q,F2]_q")}),
-]
-
-
 @pytest.mark.parametrize("line, failed", ROUNDING_FAILURES, ids=[line for line, _ in ROUNDING_FAILURES])
 def test_a_line_that_fails_on_rounding_fails_these_checks(line, failed):
     # pinned as they read today, so that a change to how the battery forms
@@ -232,6 +196,16 @@ def test_empty_checks_are_config_errors(argv, error):
     code, out = run_cli(argv)
     assert code == cli.EXIT_CONFIG_ERROR
     assert json.loads(out) == {"error": error, "passed": False}
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify-hopf"])
+@pytest.mark.parametrize("flag, shown", [(["--q", "0"], "0.0"), (["--q", "1"], "1.0"), (["--q", "nan"], "nan"),
+                                         (["--q=-3/4"], "-0.75")])
+def test_a_q_outside_the_open_interval_is_a_config_error(command, flag, shown):
+    # QParam's own range check, reported as the command line's usage error
+    code, out = run_cli([command, *flag])
+    assert code == cli.EXIT_CONFIG_ERROR
+    assert json.loads(out) == {"error": f"q must lie strictly inside (0,1), got {shown}", "passed": False}
 
 
 def _strict_json(text):

@@ -5,6 +5,7 @@ import math
 from math import comb
 from operator import mul
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from cp2q.qarith import (
     qint,
     qint_twelfths,
     qparam_float,
+    qpow,
     relative,
 )
 from laurent import LaurentScalar, _coerce
@@ -103,6 +105,38 @@ def test_qint_twelfths_rounds_as_the_fraction_formula():
             z = Fraction(tw, 12)
             want = (q ** float(z) - q ** float(-z)) / (q - 1.0 / q)
             assert qint_twelfths(tw, p).hex() == want.hex(), (q, tw)
+
+
+QPOW_QS = (1e-20, 1e-5, 0.3, 0.5, 0.9999, 0.99999)
+
+
+def _bits(power):
+    """The bits of a float power, or "overflow" where it leaves the float range."""
+    try:
+        return power().hex()
+    except OverflowError:
+        return "overflow"
+
+
+@pytest.mark.parametrize("q", QPOW_QS)
+def test_qpow_keeps_the_bits_of_each_float_exponent_it_replaced(q):
+    p = qparam_float(q)
+    for tw in range(-60, 61):
+        assert qpow(tw, p).hex() == (q ** (tw / 12)).hex(), tw
+    for tw, literal in ((1, q ** (1.0 / 12.0)), (-6, q ** -0.5), (6, q ** 0.5), (18, q ** 1.5)):
+        assert qpow(tw, p).hex() == literal.hex(), tw
+    for n in range(41):
+        assert _bits(lambda: qint(n, p)) == _bits(lambda: (q ** float(n) - q ** float(-n)) / (q - 1.0 / q)), n
+
+
+@pytest.mark.parametrize("q", QPOW_QS)
+def test_qpow_forms_an_mpmath_exponent_at_its_precision(q):
+    with mpmath.workdps(40):
+        q40 = mpmath.mpf(q)
+        assert abs(qpow(1, QParam(q40)) ** 12 - q40) <= 1e-38 * q40
+        # the float exponent 1/12 it replaced misses by 6e-22 (q 0.99999) to
+        # 3e-15 (q 1e-20) relative
+        assert abs((q40 ** (1.0 / 12.0)) ** 12 - q40) > 1e-30 * q40
 
 
 def test_qint_rejects_off_lattice():
